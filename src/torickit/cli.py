@@ -17,7 +17,7 @@ import sys
 
 from . import document as doc_module
 from .cox import complete_degrees, cox_report, degree_of
-from .errors import Condition1FailedError, Condition2FailedError, ToricKitError
+from .errors import InvalidFanError, ToricKitError
 from .fans import (
     Fan,
     enumerate_subfans,
@@ -30,7 +30,7 @@ from .fans import (
 )
 from .gaussian import gaussian_to_pair
 from .holmap import default_stabilization_points, stabilize, violating_collections
-from .stability import stability_report
+from .stability import report_from_invariants, require_standing_conditions
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -63,7 +63,9 @@ def _max_r() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_MAX_R
+        raise doc_module.DocumentError(
+            f"TORICKIT_MAX_R must be an integer, got {raw!r}"
+        ) from None
 
 
 def _load_fan(path: str):
@@ -76,14 +78,31 @@ def _load_fan(path: str):
     return fan, doc
 
 
-def _violations_obj(report) -> list[dict]:
-    return [
-        {
-            "axiom": violation.axiom,
-            "witness": [sorted(i + 1 for i in group) for group in violation.witness],
-        }
-        for violation in report.violations
-    ]
+def _require_valid(fan, doc=None) -> None:
+    """Raise InvalidFanError unless the fan is valid.
+
+    Subcommands whose violation body echoes the document name pass `doc`.
+    """
+    report = validate_fan(fan)
+    if not report.valid:
+        raise InvalidFanError(report, doc)
+
+
+def _invalid_fan_body(exc: InvalidFanError) -> dict:
+    body = {
+        "schema_version": 1,
+        "valid": False,
+        "violations": [
+            {
+                "axiom": violation.axiom,
+                "witness": [sorted(i + 1 for i in group) for group in violation.witness],
+            }
+            for violation in exc.report.violations
+        ],
+    }
+    if exc.doc is not None:
+        body["name"] = exc.doc.name
+    return body
 
 
 def _parse_degrees(raw: str) -> tuple[int, ...]:
@@ -106,18 +125,7 @@ def _parse_free(raw: str) -> dict:
 
 def cmd_analyze(args) -> int:
     fan, doc = _load_fan(args.fan)
-    report = validate_fan(fan)
-    if not report.valid:
-        _emit(
-            {
-                "schema_version": 1,
-                "name": doc.name,
-                "valid": False,
-                "violations": _violations_obj(report),
-            },
-            args.output,
-        )
-        return EXIT_INVALID
+    _require_valid(fan, doc)
 
     collections = primitive_collections(fan)
     cox = cox_report(fan)
@@ -149,33 +157,26 @@ def cmd_analyze(args) -> int:
 
 def cmd_stability(args) -> int:
     fan, doc = _load_fan(args.fan)
-    report = validate_fan(fan)
-    if not report.valid:
-        _emit(
-            {
-                "schema_version": 1,
-                "name": doc.name,
-                "valid": False,
-                "violations": _violations_obj(report),
-            },
-            args.output,
-        )
-        return EXIT_INVALID
+    _require_valid(fan, doc)
 
     # The two standing conditions are preconditions of the whole operation;
     # check them before degree resolution so their codes are not masked by
     # degree errors on fans where no degree vector can exist at all.
-    cox = cox_report(fan)
-    if not cox.condition_span:
-        raise Condition1FailedError("ray generators do not span the lattice over Z")
-    if not cox.condition_positive_degree:
-        raise Condition2FailedError("no strictly positive degree vector exists")
+    require_standing_conditions(fan)
 
     if args.degrees is not None:
         degrees = degree_of(fan, args.degrees)
     else:
+        for index in args.free:
+            if not 0 <= index < fan.ray_count:
+                raise ValueError(
+                    f"pin index {index + 1} out of range 1..{fan.ray_count}"
+                )
         degrees = complete_degrees(fan, args.free)
-    result = stability_report(fan, degrees)
+    collections = primitive_collections(fan)
+    # Never empty here: a strictly positive relation among the rays keeps
+    # them out of any one simplicial cone.
+    result = report_from_invariants(min(len(c) for c in collections), degrees.minimum)
     article = "a homotopy" if result.kind == "HOMOTOPY" else "a homology"
     _emit(
         {
@@ -189,7 +190,7 @@ def cmd_stability(args) -> int:
             "connectivity": result.connectivity,
             "vanishing_line": result.vanishing_line,
             "oracle_dim": result.oracle_dim,
-            "primitive_collections": _one_based(primitive_collections(fan)),
+            "primitive_collections": _one_based(collections),
             "sentence": (
                 f"inclusion is {article} equivalence through dimension "
                 f"{result.stability_dim}"
@@ -202,13 +203,7 @@ def cmd_stability(args) -> int:
 
 def cmd_holcheck(args) -> int:
     fan, _ = _load_fan(args.fan)
-    report = validate_fan(fan)
-    if not report.valid:
-        _emit(
-            {"schema_version": 1, "valid": False, "violations": _violations_obj(report)},
-            args.output,
-        )
-        return EXIT_INVALID
+    _require_valid(fan)
     tup = doc_module.load_poly_tuple_file(args.tuple)
     violated = violating_collections(tup, fan)
     _emit(
@@ -225,13 +220,7 @@ def cmd_holcheck(args) -> int:
 
 def cmd_stabilize(args) -> int:
     fan, _ = _load_fan(args.fan)
-    report = validate_fan(fan)
-    if not report.valid:
-        _emit(
-            {"schema_version": 1, "valid": False, "violations": _violations_obj(report)},
-            args.output,
-        )
-        return EXIT_INVALID
+    _require_valid(fan)
     tup = doc_module.load_poly_tuple_file(args.tuple)
     points = default_stabilization_points(tup.total_degree, fan.ray_count)
     result = stabilize(tup, args.increment, fan, points)
@@ -252,18 +241,7 @@ def cmd_stabilize(args) -> int:
 
 def cmd_subfans(args) -> int:
     fan, doc = _load_fan(args.fan)
-    report = validate_fan(fan)
-    if not report.valid:
-        _emit(
-            {
-                "schema_version": 1,
-                "name": doc.name,
-                "valid": False,
-                "violations": _violations_obj(report),
-            },
-            args.output,
-        )
-        return EXIT_INVALID
+    _require_valid(fan, doc)
 
     subfans = enumerate_subfans(fan)
     body = {
@@ -344,6 +322,9 @@ def main(argv=None) -> int:
     except doc_module.DocumentError as exc:
         _error(exc.code, str(exc), args.output)
         return EXIT_PARSE
+    except InvalidFanError as exc:
+        _emit(_invalid_fan_body(exc), args.output)
+        return EXIT_INVALID
     except ToricKitError as exc:
         _error(exc.code, str(exc), args.output)
         return EXIT_COMPUTE

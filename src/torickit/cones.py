@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import DimensionMismatchError, IndependenceViolationError, ZeroVectorError
 from .lattice import (
     IntegerMatrix,
+    _fraction_free_rref,
     clear_denominators,
     rational_nullspace,
     rational_rank,
@@ -91,14 +91,12 @@ def cone_contains(cone: SimplicialCone, point) -> bool:
     Coefficients are unique by independence, so a single rational solve
     settles the question.
     """
-    p = [Fraction(e) for e in point]
+    p = tuple(point)
     if len(p) != cone.dim:
         raise DimensionMismatchError("point dimension does not match the cone")
     if cone.is_zero:
         return all(e == 0 for e in p)
-    rows = [
-        [Fraction(g[i]) for g in cone.generators] for i in range(cone.dim)
-    ]
+    rows = [[g[i] for g in cone.generators] for i in range(cone.dim)]
     kind, coeffs = rational_solve(rows, p)
     if kind != "unique":
         return False
@@ -111,8 +109,7 @@ def halfspace_description(cone: SimplicialCone):
     The cone is {x : e.x == 0 for all equalities, w.x >= 0 for all
     inequalities}. Equalities pin the linear span (empty for full-
     dimensional cones); inequalities are the coefficient functionals of
-    the independent generators, obtained by solving G^T G m = G^T column
-    by column.
+    the independent generators, the rows of M with (G^T G) M = G^T.
     """
     n = cone.dim
     gens = cone.generators
@@ -121,24 +118,16 @@ def halfspace_description(cone: SimplicialCone):
         eye = IntegerMatrix.identity(n)
         return [eye.row(i) for i in range(n)], []
 
-    span_rows = [[Fraction(e) for e in g] for g in gens]
-    equalities = [clear_denominators(v) for v in rational_nullspace(span_rows)]
+    equalities = [clear_denominators(v) for v in rational_nullspace(gens)]
 
-    # Rows of M with M x = coefficient vector for x in the span: solve the
-    # normal equations (G^T G) M^T = G^T, one generator functional at a time.
-    gram = [
-        [sum(Fraction(gens[a][i]) * Fraction(gens[b][i]) for i in range(n)) for b in range(s)]
-        for a in range(s)
+    # One elimination of [G^T G | G^T] leaves last * [I | M]. The Gram
+    # matrix is positive definite, so every pivot is a positive leading
+    # minor: no row is swapped and last > 0 keeps each functional's sign.
+    augmented = [
+        [sum(x * y for x, y in zip(ga, gb)) for gb in gens] + list(ga) for ga in gens
     ]
-    inequalities = []
-    transposed = []
-    for i in range(n):
-        rhs = [Fraction(gens[a][i]) for a in range(s)]
-        kind, col = rational_solve(gram, rhs)
-        assert kind == "unique"
-        transposed.append(col)
-    for a in range(s):
-        inequalities.append(clear_denominators([transposed[i][a] for i in range(n)]))
+    reduced = _fraction_free_rref(augmented)[0]
+    inequalities = [clear_denominators(row[s:]) for row in reduced]
     return equalities, inequalities
 
 
@@ -150,18 +139,15 @@ def _extreme_rays(equalities, inequalities, dim):
     satisfies all inequalities (possibly after a sign flip).
     """
     if equalities:
-        sub_basis = rational_nullspace([list(map(Fraction, e)) for e in equalities])
+        sub_basis = rational_nullspace(equalities)
     else:
-        sub_basis = [
-            [Fraction(1) if i == j else Fraction(0) for j in range(dim)]
-            for i in range(dim)
-        ]
+        sub_basis = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
     p = len(sub_basis)
     if p == 0:
         return []
 
     reduced = [
-        [sum(Fraction(w[i]) * b[i] for i in range(dim)) for b in sub_basis]
+        [sum(w[i] * b[i] for i in range(dim)) for b in sub_basis]
         for w in inequalities
     ]
     # A nontrivial common zero of every inequality is a line in the cone.
@@ -171,7 +157,7 @@ def _extreme_rays(equalities, inequalities, dim):
     rays = set()
     for subset in itertools.combinations(range(len(reduced)), p - 1):
         rows = [reduced[i] for i in subset]
-        null = rational_nullspace(rows) if rows else rational_nullspace([[Fraction(0)] * p])
+        null = rational_nullspace(rows) if rows else rational_nullspace([[0] * p])
         if len(null) != 1:
             continue
         direction = null[0]

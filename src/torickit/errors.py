@@ -56,9 +56,18 @@ class NoPrimitiveCollectionError(ToricKitError):
 
 
 class InvalidFanError(ToricKitError):
-    """An operation requiring a valid fan received an invalid one."""
+    """An operation requiring a valid fan received an invalid one.
+
+    Carries the failing validation report and, when the caller echoes the
+    fan's name, the fan document.
+    """
 
     code = "INVALID_FAN"
+
+    def __init__(self, report, doc=None):
+        super().__init__("fan fails validation")
+        self.report = report
+        self.doc = doc
 
 
 class DegreeMismatchError(ToricKitError):

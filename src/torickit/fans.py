@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cones import (
     SimplicialCone,
@@ -21,8 +20,8 @@ from .cones import (
 from .errors import NoPrimitiveCollectionError
 from .lattice import (
     IntegerMatrix,
+    _fraction_free_rref,
     rational_rank,
-    rational_solve,
     smith_normal_form,
 )
 
@@ -112,11 +111,9 @@ def validate_fan(fan: Fan) -> ValidationReport:
     violations = []
     r = fan.ray_count
 
-    for g in fan.generators:
+    for i, g in enumerate(fan.generators):
         if len(g) != fan.dim:
-            violations.append(
-                Violation("GENERATOR_DIMENSION", ((fan.generators.index(g),),))
-            )
+            violations.append(Violation("GENERATOR_DIMENSION", ((i,),)))
     for i in range(r):
         if not any(fan.generators[i]):
             violations.append(Violation("ZERO_GENERATOR", ((i,),)))
@@ -339,17 +336,21 @@ def enumerate_subfans(fan: Fan) -> list[Fan]:
     return subfans
 
 
+def _scaled_inverse(rows):
+    """(last, last * A^-1) for a nonsingular square A, from one reduction
+    of [A | I]."""
+    n = len(rows)
+    reduced, _, last, _ = _fraction_free_rref(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    )
+    return last, [row[n:] for row in reduced]
+
+
 def _integer_inverse(m: IntegerMatrix) -> IntegerMatrix:
     """Exact inverse of a unimodular matrix."""
-    n = m.rows
-    rows = [[Fraction(e) for e in row] for row in m.entries]
-    cols = []
-    for j in range(n):
-        rhs = [Fraction(1 if i == j else 0) for i in range(n)]
-        kind, col = rational_solve(rows, rhs)
-        assert kind == "unique"
-        cols.append([int(c) for c in col])
-    return IntegerMatrix.from_columns(cols)
+    last, scaled = _scaled_inverse(m.entries)
+    assert abs(last) == 1, "matrix is not unimodular"
+    return IntegerMatrix.from_rows([[e * last for e in row] for row in scaled])
 
 
 def fan_isomorphism(a: Fan, b: Fan):
@@ -359,7 +360,7 @@ def fan_isomorphism(a: Fan, b: Fan):
     saturation of their spans (so rank-deficient fans are handled), then
     a frame of independent rays of a is matched against every ordered
     tuple of rays of b; each candidate linear map is accepted iff it is
-    unimodular, maps the ray set bijectively and carries the complex of a
+    integral, maps the ray set bijectively and carries the complex of a
     exactly onto the complex of b.
     """
     if a.dim != b.dim or a.ray_count != b.ray_count:
@@ -371,7 +372,12 @@ def fan_isomorphism(a: Fan, b: Fan):
     snf_a = smith_normal_form(a.generator_matrix())
     snf_b = smith_normal_form(b.generator_matrix())
     rank = snf_a.rank
-    if rank != snf_b.rank:
+    # The rays span sublattices with these elementary divisors in the
+    # saturation coordinates below, and a unimodular map preserves them.
+    # Once they agree, an integral W that maps the rays of a bijectively
+    # onto those of b carries one sublattice onto the other, so
+    # |det W| = 1 follows and needs no test per candidate.
+    if snf_a.elementary_divisors != snf_b.elementary_divisors:
         return None
 
     # Coordinates of every generator on the saturation of its span: the
@@ -394,54 +400,36 @@ def fan_isomorphism(a: Fan, b: Fan):
     if len(frame) != rank:
         return None
 
-    frame_rows = [[Fraction(coords_a[i][k]) for i in frame] for k in range(rank)]
+    # W F = T for the frame matrix F (columns coords_a[frame]) and each
+    # target matrix T, so W = T (last F^-1) / last with F inverted once.
+    last, scaled_inverse = _scaled_inverse(
+        [[coords_a[i][k] for i in frame] for k in range(rank)]
+    )
     for target in itertools.permutations(range(r), rank):
-        target_cols = [coords_b[t] for t in target]
-        w_rows = []
-        ok = True
-        for k in range(rank):
-            rhs = [Fraction(target_cols[c][k]) for c in range(rank)]
-            kind, row = rational_solve(
-                [[frame_rows[i][c] for i in range(rank)] for c in range(rank)], rhs
-            )
-            if kind != "unique" or any(x.denominator != 1 for x in row):
-                ok = False
-                break
-            w_rows.append([int(x) for x in row])
-        if not ok:
+        product = [
+            [
+                sum(coords_b[t][k] * scaled_inverse[c][j] for c, t in enumerate(target))
+                for j in range(rank)
+            ]
+            for k in range(rank)
+        ]
+        if any(x % last for row in product for x in row):
             continue
-        w = IntegerMatrix.from_rows(w_rows)
-        if abs(w.determinant()) != 1:
+        w = IntegerMatrix.from_rows([[x // last for x in row] for row in product])
+        permutation = [lookup.get(w.apply(v)) for v in coords_a]
+        if None in permutation or len(set(permutation)) != r:
             continue
-
-        permutation = []
-        for i in range(r):
-            image = w.apply(coords_a[i])
-            j = lookup.get(image)
-            if j is None:
-                break
-            permutation.append(j)
-        else:
-            if len(set(permutation)) == r:
-                mapped = frozenset(
-                    frozenset(permutation[i] for i in face) for face in a.faces
-                )
-                if mapped == b.faces:
-                    n = a.dim
-                    block = [
-                        [
-                            w.entries[i][j] if i < rank and j < rank
-                            else (1 if i == j else 0)
-                            for j in range(n)
-                        ]
-                        for i in range(n)
-                    ]
-                    u = (
-                        _integer_inverse(snf_b.U)
-                        @ IntegerMatrix.from_rows(block)
-                        @ snf_a.U
-                    )
-                    return u
+        mapped = frozenset(frozenset(permutation[i] for i in face) for face in a.faces)
+        if mapped == b.faces:
+            n = a.dim
+            block = [
+                [
+                    w.entries[i][j] if i < rank and j < rank else (1 if i == j else 0)
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+            return _integer_inverse(snf_b.U) @ IntegerMatrix.from_rows(block) @ snf_a.U
     return None
 
 

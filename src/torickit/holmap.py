@@ -109,6 +109,15 @@ def _check_length(count: int, fan: Fan, error):
         raise error(f"expected {fan.ray_count} components, got {count}")
 
 
+def _violations(tup: PolyTuple, fan: Fan):
+    """Primitive collections whose polynomials share a root, in sorted order."""
+    _check_length(len(tup.polys), fan, DegreeMismatchError)
+    for collection in sorted(primitive_collections(fan), key=sorted):
+        g = poly_multi_gcd(tup.polys[i] for i in sorted(collection))
+        if poly_degree(g) != 0:
+            yield collection
+
+
 def is_member(tup: PolyTuple, fan: Fan) -> bool:
     """Membership condition: constant gcd along every primitive collection.
 
@@ -116,23 +125,12 @@ def is_member(tup: PolyTuple, fan: Fan) -> bool:
     minimal non-faces and the no-common-root condition is inherited by
     supersets.
     """
-    _check_length(len(tup.polys), fan, DegreeMismatchError)
-    for collection in sorted(primitive_collections(fan), key=sorted):
-        g = poly_multi_gcd(tup.polys[i] for i in sorted(collection))
-        if poly_degree(g) != 0:
-            return False
-    return True
+    return next(_violations(tup, fan), None) is None
 
 
 def violating_collections(tup: PolyTuple, fan: Fan) -> tuple[frozenset, ...]:
     """All primitive collections whose polynomials share a root."""
-    _check_length(len(tup.polys), fan, DegreeMismatchError)
-    bad = []
-    for collection in sorted(primitive_collections(fan), key=sorted):
-        g = poly_multi_gcd(tup.polys[i] for i in sorted(collection))
-        if poly_degree(g) != 0:
-            bad.append(frozenset(collection))
-    return tuple(bad)
+    return tuple(_violations(tup, fan))
 
 
 def config_is_member(config: Configuration, fan: Fan) -> bool:

@@ -1,9 +1,11 @@
 """Exact integer and rational linear algebra.
 
 Everything here runs on arbitrary-precision integers or `fractions.Fraction`;
-no floating point is used anywhere. Matrices are tiny (fans rarely have more
-than a couple dozen rays), so the classical algorithms are used in their
-plain, obviously-correct form.
+no floating point is used anywhere. All rational elimination (solving,
+rank, nullspace and determinant) goes through one fraction-free
+Gauss-Jordan core, `_fraction_free_rref`, which works on integer rows only
+and divides exactly; rows holding fractions are scaled to integers first.
+Smith normal form keeps its own unimodular row and column reduction.
 """
 
 from __future__ import annotations
@@ -110,36 +112,17 @@ class IntegerMatrix:
         return tuple(sum(row[k] * vec[k] for k in range(self.cols)) for row in self.entries)
 
     def determinant(self) -> int:
-        """Exact determinant by fraction-free Bareiss elimination."""
+        """Exact determinant, from the final pivot of the elimination core."""
         if self.rows != self.cols:
             raise DimensionMismatchError("determinant needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        _, pivots, last, sign = _fraction_free_rref(self.entries)
+        return sign * last if len(pivots) == self.rows else 0
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.determinant()) == 1
 
     def rank(self) -> int:
-        return rational_rank([[Fraction(e) for e in row] for row in self.entries])
+        return rational_rank(self.entries)
 
     def is_diagonal(self) -> bool:
         return all(
@@ -333,15 +316,14 @@ def positive_kernel_vector(n_matrix: IntegerMatrix):
     if m == 0:
         return None
 
-    one = Fraction(1)
-    ineq_rows = [[Fraction(basis[j][k]) for j in range(m)] for k in range(r)]
+    ineq_rows = [[basis[j][k] for j in range(m)] for k in range(r)]
 
     best = None
     for subset in itertools.combinations(range(r), m):
-        kind, y = rational_solve([ineq_rows[i] for i in subset], [one] * m)
+        kind, y = rational_solve([ineq_rows[i] for i in subset], [1] * m)
         if kind != "unique":
             continue
-        x = [sum(Fraction(basis[j][k]) * y[j] for j in range(m)) for k in range(r)]
+        x = [sum(basis[j][k] * y[j] for j in range(m)) for k in range(r)]
         if all(xk >= 1 for xk in x):
             key = (sum(x), tuple(x))
             if best is None or key < best[0]:
@@ -377,8 +359,8 @@ def complete_degrees(n_matrix: IntegerMatrix, partial: dict) -> tuple[int, ...]:
             )
         kind, y = "unique", []
     else:
-        rows = [[Fraction(basis[j][i]) for j in range(m)] for i in sorted(partial)]
-        rhs = [Fraction(partial[i]) for i in sorted(partial)]
+        rows = [[basis[j][i] for j in range(m)] for i in sorted(partial)]
+        rhs = [partial[i] for i in sorted(partial)]
         kind, y = rational_solve(rows, rhs)
     if kind == "inconsistent":
         raise InconsistentError("pinned values admit no kernel extension")
@@ -386,7 +368,7 @@ def complete_degrees(n_matrix: IntegerMatrix, partial: dict) -> tuple[int, ...]:
         raise UnderdeterminedError(
             f"kernel rank {m} exceeds what {len(partial)} pinned coordinates determine"
         )
-    x = [sum(Fraction(basis[j][k]) * y[j] for j in range(m)) for k in range(r)]
+    x = [sum(basis[j][k] * y[j] for j in range(m)) for k in range(r)]
     if any(xk.denominator != 1 for xk in x):
         raise NonIntegralError("unique kernel extension is not integral")
     if any(xk < 1 for xk in x):
@@ -397,110 +379,93 @@ def complete_degrees(n_matrix: IntegerMatrix, partial: dict) -> tuple[int, ...]:
 # -- exact rational elimination -------------------------------------------
 
 
-def rational_solve(rows, rhs):
-    """Solve A y = b over the rationals by Gaussian elimination.
+def _integer_row(row) -> list[int]:
+    """The row as integers: unchanged if it is all-int, else scaled by the
+    lcm of its denominators (which leaves the row space alone)."""
+    if all(isinstance(e, int) for e in row):
+        return list(row)
+    fractions = [Fraction(e) for e in row]
+    scale = lcm(*(f.denominator for f in fractions))
+    return [f.numerator * (scale // f.denominator) for f in fractions]
 
-    Returns ("unique", y), ("inconsistent", None) or ("underdetermined",
-    None). `rows` is a list of coefficient rows; an empty system with k
-    unknowns is underdetermined for k > 0 and uniquely solved by () for
-    k == 0.
+
+def _fraction_free_rref(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968).
+
+    Rows may hold ints or Fractions; see `_integer_row`. Returns (m,
+    pivots, last, sign): `m` is the reduced row echelon form scaled by
+    `last`, so pivot row i holds `last` in column pivots[i] and 0 in every
+    other pivot column, and rows past the rank are zero. `last` is the final
+    pivot (1 if there is none) and `sign` the parity of the row swaps, so a
+    nonsingular square input has determinant sign * last. The pivot of each
+    column is its first nonzero entry at or below the current row.
+
+    After k pivots every entry is a minor of the input of order k or k + 1
+    (Sylvester's identity), which is why each division by the previous
+    pivot is exact.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [[Fraction(e) for e in rows[i]] + [Fraction(rhs[i])] for i in range(nrows)]
-
+    m = [_integer_row(row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
     pivots = []
-    row = 0
+    prev = sign = 1
     for col in range(ncols):
-        sel = None
-        for i in range(row, nrows):
-            if aug[i][col] != 0:
-                sel = i
-                break
+        rank = len(pivots)
+        sel = next((i for i in range(rank, nrows) if m[i][col]), None)
         if sel is None:
             continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [e * inv for e in aug[row]]
+        if sel != rank:
+            m[rank], m[sel] = m[sel], m[rank]
+            sign = -sign
+        top = m[rank]
+        piv = top[col]
         for i in range(nrows):
-            if i != row and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[row])]
+            if i != rank:
+                factor = m[i][col]
+                m[i] = [(piv * a - factor * b) // prev for a, b in zip(m[i], top)]
         pivots.append(col)
-        row += 1
+        prev = piv
+        if rank + 1 == nrows:
+            break
+    return m, pivots, prev, sign
 
-    for i in range(row, nrows):
-        if aug[i][ncols] != 0:
-            return "inconsistent", None
+
+def rational_solve(rows, rhs):
+    """Solve A y = b over the rationals.
+
+    Returns ("unique", y), ("inconsistent", None) or ("underdetermined",
+    None). `rows` is a list of coefficient rows; an empty system is
+    uniquely solved by [].
+    """
+    ncols = len(rows[0]) if rows else 0
+    m, pivots, last, _ = _fraction_free_rref(
+        [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    )
+    if pivots and pivots[-1] == ncols:
+        return "inconsistent", None
     if len(pivots) < ncols:
-        if ncols == 0:
-            return "unique", []
         return "underdetermined", None
-    y = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        y[col] = aug[i][ncols]
-    return "unique", y
+    return "unique", [Fraction(row[ncols], last) for row in m[:ncols]]
 
 
 def rational_rank(rows) -> int:
-    """Rank of a rational matrix by Gaussian elimination."""
-    work = [[Fraction(e) for e in row] for row in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(rank, nrows):
-            if work[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        pivot = work[rank][col]
-        for i in range(rank + 1, nrows):
-            if work[i][col] != 0:
-                factor = work[i][col] / pivot
-                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank of a rational matrix."""
+    return len(_fraction_free_rref(rows)[1])
 
 
 def rational_nullspace(rows) -> list[list[Fraction]]:
-    """Basis of the right nullspace of a rational matrix."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    work = [[Fraction(e) for e in row] for row in rows]
+    """Basis of the right nullspace of a rational matrix.
 
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(row, nrows):
-            if work[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[row], work[sel] = work[sel], work[row]
-        inv = 1 / work[row][col]
-        work[row] = [e * inv for e in work[row]]
-        for i in range(nrows):
-            if i != row and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[row])]
-        pivots.append(col)
-        row += 1
-
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    One vector per free column: 1 on its own free column, 0 on the others.
+    """
+    ncols = len(rows[0]) if rows else 0
+    m, pivots, last, _ = _fraction_free_rref(rows)
     basis = []
-    for free in free_cols:
+    for free in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
         for i, col in enumerate(pivots):
-            vec[col] = -work[i][free]
+            vec[col] = Fraction(-m[i][free], last)
         basis.append(vec)
     return basis
 

@@ -112,27 +112,41 @@ def stable_range_replay(rmin: int, dmin: int) -> int:
     return replay(rmin, dmin).stable_dim
 
 
-def stability_report(fan: Fan, degrees) -> StabilityReport:
-    """All quantitative conclusions for one fan and degree vector.
+def require_standing_conditions(fan: Fan) -> None:
+    """Raise the code of the first standing condition the fan fails.
 
-    Requires the span and positive-degree conditions; fails with the code
-    of whichever condition breaks.
+    The span condition is checked before the positive-degree condition.
     """
     cox = cox_report(fan)
     if not cox.condition_span:
         raise Condition1FailedError("ray generators do not span the lattice over Z")
     if not cox.condition_positive_degree:
         raise Condition2FailedError("no strictly positive degree vector exists")
+
+
+def stability_report(fan: Fan, degrees) -> StabilityReport:
+    """All quantitative conclusions for one fan and degree vector.
+
+    Requires the span and positive-degree conditions; fails with the code
+    of whichever condition breaks.
+    """
+    require_standing_conditions(fan)
     rmin = r_min(fan)
     if not isinstance(degrees, DegreeVector):
         degrees = degree_of(fan, degrees)
-    dmin = degrees.minimum
+    return report_from_invariants(rmin, degrees.minimum)
 
-    stability_dim = (2 * rmin - 3) * dmin - 2
+
+def report_from_invariants(rmin: int, dmin: int) -> StabilityReport:
+    """The conclusions that r_min and d_min alone determine.
+
+    Checks no standing condition; `stability_report` is the checked entry
+    point.
+    """
     return StabilityReport(
         r_min=rmin,
         d_min=dmin,
-        stability_dim=stability_dim,
+        stability_dim=(2 * rmin - 3) * dmin - 2,
         kind=KIND_HOMOTOPY if rmin >= 3 else KIND_HOMOLOGY,
         connectivity=2 * (rmin - 2),
         vanishing_line=(2 * rmin - 2) * dmin - 1,

@@ -1,6 +1,11 @@
+import collections
 import json
 
 import jsonschema
+
+import torickit.cli
+import torickit.fans
+import torickit.stability
 
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cli import main
@@ -69,6 +74,13 @@ class TestAnalyze:
         assert code == 1
         assert out["error"] == "DOCUMENT_ERROR"
 
+    def test_max_r_must_be_an_integer(self, write_fan, run_cli, monkeypatch):
+        monkeypatch.setenv("TORICKIT_MAX_R", "abc")
+        code, out = run_cli("analyze", write_fan(hirzebruch_fan(1), "h1"))
+        assert code == 1
+        assert out["error"] == "DOCUMENT_ERROR"
+        assert "TORICKIT_MAX_R" in out["message"]
+
     def test_full_simplex_reports_null_r_min(self, write_fan, run_cli):
         quadrant = Fan.from_maximal([(1, 0), (0, 1)], [(0, 1)])
         code, out = run_cli("analyze", write_fan(quadrant, "quadrant"))
@@ -98,9 +110,37 @@ class TestStability:
         assert out["kind"] == "HOMOTOPY"
 
     def test_c2_condition_failure(self, write_fan, run_cli):
-        code, out = run_cli("stability", write_fan(c2_fan(), "c2"), "--degrees", "1,1")
+        # (1,1) is not a kernel vector of C^2 either; the condition code wins.
+        path = write_fan(c2_fan(), "c2")
+        for flag, value in (("--degrees", "1,1"), ("--free", "1=1")):
+            code, out = run_cli("stability", path, flag, value)
+            assert code == 3
+            assert out["error"] == "CONDITION_2_FAILED"
+
+    def test_cox_data_computed_once(self, write_fan, run_cli, monkeypatch):
+        calls = collections.Counter()
+        for module, name in (
+            (torickit.cli, "cox_report"),
+            (torickit.stability, "cox_report"),
+            (torickit.cli, "primitive_collections"),
+            (torickit.fans, "primitive_collections"),
+        ):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        code, _ = run_cli("stability", write_fan(hirzebruch_fan(1), "h1"), "--free", "1=3,2=5")
+        assert code == 0
+        assert calls == {"cox_report": 1, "primitive_collections": 1}
+
+    def test_pin_index_reported_one_based(self, write_fan, run_cli):
+        code, out = run_cli("stability", write_fan(hirzebruch_fan(1), "h1"), "--free", "0=3")
         assert code == 3
-        assert out["error"] == "CONDITION_2_FAILED"
+        assert out["error"] == "VALUE_ERROR"
+        assert "pin index 0 " in out["message"]
 
     def test_degree_errors_propagate(self, write_fan, run_cli):
         path = write_fan(hirzebruch_fan(1), "h1")

@@ -71,6 +71,11 @@ class TestValidation:
         fan = Fan.create([(0, 0), (1, 0)], [[0], [1]])
         assert "ZERO_GENERATOR" in violation_axioms(fan)
 
+    def test_generator_dimension_witness_is_the_offending_index(self):
+        fan = Fan.create([(1, 0), (1,), (1,)], [[0], [1], [2]])
+        hits = [v.witness for v in validate_fan(fan).violations if v.axiom == "GENERATOR_DIMENSION"]
+        assert hits == [((1,),), ((2,),)]
+
 
 class TestNonfaces:
     def test_hirzebruch_family(self, hirzebruch1):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_kernel_vectors, brute_force_positive_vector
 from torickit.errors import (
@@ -12,11 +14,14 @@ from torickit.errors import (
     NonPositiveError,
     UnderdeterminedError,
 )
+from torickit.fans import _integer_inverse
 from torickit.lattice import (
     IntegerMatrix,
     complete_degrees,
     kernel_basis,
     positive_kernel_vector,
+    rational_nullspace,
+    rational_rank,
     rational_solve,
     smith_normal_form,
     spans_lattice,
@@ -250,3 +255,109 @@ class TestDegenerateShapes:
         assert smith_normal_form(e).S.entries == ()
         assert kernel_basis(e) == []
         assert positive_kernel_vector(e) == ()
+
+
+# -- property tests of the elimination core ---------------------------------
+
+# Fixed examples on every run, and no example database left behind.
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+SMALL_INT = st.integers(-4, 4)
+SMALL_RATIONAL = st.one_of(
+    SMALL_INT, st.fractions(min_value=-4, max_value=4, max_denominator=5)
+)
+
+
+@st.composite
+def matrices(draw):
+    """Integer or rational, up to 4x4, including zero-row and zero-column
+    shapes; with three or more rows the last may combine the first two."""
+    entries = draw(st.sampled_from([SMALL_INT, SMALL_RATIONAL]))
+    nrows = draw(st.integers(0, 4))
+    ncols = draw(st.integers(0, 4))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if nrows >= 3 and draw(st.booleans()):
+        a, b = draw(SMALL_INT), draw(SMALL_INT)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+SQUARE_INT_MATRICES = st.integers(0, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+def times(rows, vec):
+    return [sum(Fraction(a) * b for a, b in zip(row, vec)) for row in rows]
+
+
+def leibniz(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+@st.composite
+def unimodular(draw):
+    """Products of elementary row operations: additions, swaps, negations."""
+    n = draw(st.integers(1, 4))
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            k = draw(st.integers(-3, 3))
+            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+        elif op == "swap":
+            m[i], m[j] = m[j], m[i]
+        elif op == "negate":
+            m[i] = [-a for a in m[i]]
+    return IntegerMatrix.from_rows(m)
+
+
+class TestEliminationCore:
+    @PROPERTY
+    @given(st.data())
+    def test_unique_solutions_solve_the_system(self, data):
+        rows = data.draw(matrices())
+        rhs = data.draw(st.lists(SMALL_RATIONAL, min_size=len(rows), max_size=len(rows)))
+        kind, y = rational_solve(rows, rhs)
+        if kind == "unique":
+            assert len(y) == (len(rows[0]) if rows else 0)
+            assert times(rows, y) == [Fraction(b) for b in rhs]
+        else:
+            assert y is None
+
+    @PROPERTY
+    @given(matrices())
+    def test_nullspace_basis(self, rows):
+        ncols = len(rows[0]) if rows else 0
+        basis = rational_nullspace(rows)
+        rank = rational_rank(rows)
+        assert len(basis) == ncols - rank
+        # Free columns are those that do not raise the rank of the columns
+        # to their left.
+        prefix_ranks = [rational_rank([row[:j] for row in rows]) for j in range(ncols + 1)]
+        free = [j for j in range(ncols) if prefix_ranks[j + 1] == prefix_ranks[j]]
+        assert len(free) == len(basis)
+        for i, vec in enumerate(basis):
+            assert not any(times(rows, vec))
+            assert [vec[j] for j in free] == [int(i == k) for k in range(len(free))]
+
+    @PROPERTY
+    @given(SQUARE_INT_MATRICES)
+    def test_determinant_matches_leibniz(self, rows):
+        assert IntegerMatrix.from_rows(rows).determinant() == leibniz(rows)
+
+    @PROPERTY
+    @given(unimodular())
+    def test_integer_inverse(self, m):
+        assert (_integer_inverse(m) @ m).entries == IntegerMatrix.identity(m.rows).entries
