@@ -3,9 +3,9 @@
 Subcommands: analyze, stability, holcheck, stabilize, subfans. All output
 is machine-readable JSON by default (deterministic: sorted keys, fixed
 indentation) and every number is exact. Exit codes are part of the
-contract: 0 success, 1 document/parse error, 2 fan validation failure,
-3 computation error (condition or degree failures), with the error code
-carried in the JSON body.
+contract: 0 success, 1 document/parse error or malformed command line, 2 fan
+validation failure, 3 computation error (condition or degree failures),
+with the error code carried in the JSON body.
 """
 
 from __future__ import annotations
@@ -268,8 +268,16 @@ def cmd_subfans(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ArgumentError instead of exiting 2, the code of a
+    failed fan validation. Subparsers inherit this class."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torickit",
         description="Exact computations on fans of smooth toric varieties.",
     )
@@ -316,9 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        _error("USAGE_ERROR", str(exc), "json")  # --output may be unparsed
+        return EXIT_PARSE
     except doc_module.DocumentError as exc:
         _error(exc.code, str(exc), args.output)
         return EXIT_PARSE

@@ -3,12 +3,11 @@
 Smooth cones are simplicial, so simpliciality is enforced at construction
 (INDEPENDENCE_VIOLATION otherwise); strong convexity is then automatic and
 needs no separate check. All predicates are decided exactly over the
-rationals.
+rationals, the common-face test by one exact LP (`lattice._lex_min`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 
@@ -16,6 +15,7 @@ from .errors import DimensionMismatchError, IndependenceViolationError, ZeroVect
 from .lattice import (
     IntegerMatrix,
     _fraction_free_rref,
+    _lex_min,
     clear_denominators,
     rational_nullspace,
     rational_rank,
@@ -131,73 +131,26 @@ def halfspace_description(cone: SimplicialCone):
     return equalities, inequalities
 
 
-def _extreme_rays(equalities, inequalities, dim):
-    """Extreme rays of {x : Ex = 0, Lx >= 0}, or None if the set has a line.
-
-    Works in coordinates on the subspace E x = 0: a direction spanning the
-    nullspace of a rank (p-1) subset of inequality rows is extreme iff it
-    satisfies all inequalities (possibly after a sign flip).
-    """
-    if equalities:
-        sub_basis = rational_nullspace(equalities)
-    else:
-        sub_basis = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    p = len(sub_basis)
-    if p == 0:
-        return []
-
-    reduced = [
-        [sum(w[i] * b[i] for i in range(dim)) for b in sub_basis]
-        for w in inequalities
-    ]
-    # A nontrivial common zero of every inequality is a line in the cone.
-    if not reduced or rational_rank(reduced) < p:
-        return None
-
-    rays = set()
-    for subset in itertools.combinations(range(len(reduced)), p - 1):
-        rows = [reduced[i] for i in subset]
-        null = rational_nullspace(rows) if rows else rational_nullspace([[0] * p])
-        if len(null) != 1:
-            continue
-        direction = null[0]
-        values = [sum(row[j] * direction[j] for j in range(p)) for row in reduced]
-        if all(val >= 0 for val in values):
-            sign = 1
-        elif all(val <= 0 for val in values):
-            sign = -1
-        else:
-            continue
-        ambient = [
-            sign * sum(direction[j] * sub_basis[j][i] for j in range(p))
-            for i in range(dim)
-        ]
-        if any(ambient):
-            rays.add(clear_denominators(ambient))
-    return sorted(rays)
-
-
 def intersection_is_common_face(
     a: SimplicialCone, b: SimplicialCone, shared: SimplicialCone
 ) -> bool:
-    """Decide a ∩ b == shared as point sets.
+    """Decide whether `shared` is a face of both cones and a ∩ b == shared.
 
-    Both halfspace systems are stacked and the extreme rays of the
-    intersection are enumerated exactly; the intersection equals `shared`
-    iff every extreme ray lies in `shared` and every generator of `shared`
-    lies in both a and b.
+    False unless the generators of `shared` generate both a and b. Then
+    a ∩ b == shared iff no point of a ∩ b has a positive coefficient on a
+    generator outside `shared` (coefficients in a simplicial cone are
+    unique), i.e. iff this LP in the coefficients alpha, beta >= 0 of a and
+    b is infeasible: sum alpha_i u_i == sum beta_j v_j, with the
+    coefficients off `shared` summing to 1. Its Farkas alternative is the
+    separation lemma (Cox-Little-Schenck, Toric Varieties, §1.2).
     """
     if not (a.dim == b.dim == shared.dim):
         raise DimensionMismatchError("cones live in different ambient spaces")
-
-    for g in shared.generators:
-        if not (cone_contains(a, g) and cone_contains(b, g)):
-            return False
-
-    eq_a, ineq_a = halfspace_description(a)
-    eq_b, ineq_b = halfspace_description(b)
-    rays = _extreme_rays(eq_a + eq_b, ineq_a + ineq_b, a.dim)
-    if rays is None:
-        # The intersection contains a line; a simplicial cone never does.
+    common = set(shared.generators)
+    if not common <= set(a.generators) & set(b.generators):
         return False
-    return all(cone_contains(shared, ray) for ray in rays)
+    gens = a.generators + b.generators
+    signs = [1] * len(a.generators) + [-1] * len(b.generators)
+    rows = [[sign * g[i] for sign, g in zip(signs, gens)] for i in range(a.dim)]
+    rows.append([int(g not in common) for g in gens])
+    return _lex_min(rows, [0] * a.dim + [1], []) is None

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .cones import (
     SimplicialCone,
-    cone_contains,
     intersection_is_common_face,
     is_smooth_cone,
 )

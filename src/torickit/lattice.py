@@ -5,12 +5,12 @@ no floating point is used anywhere. All rational elimination (solving,
 rank, nullspace and determinant) goes through one fraction-free
 Gauss-Jordan core, `_fraction_free_rref`, which works on integer rows only
 and divides exactly; rows holding fractions are scaled to integers first.
+The exact simplex `_lex_min` pivots with the same step, `_pivot`.
 Smith normal form keeps its own unimodular row and column reduction.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -301,36 +301,18 @@ def kernel_basis(n_matrix: IntegerMatrix) -> list[tuple[int, ...]]:
 def positive_kernel_vector(n_matrix: IntegerMatrix):
     """Some integer vector D with N D = 0 and every entry >= 1, or None.
 
-    The feasible set {x : Nx = 0, x >= 1} is a pointed rational polyhedron
-    (the kernel lattice is free, so there are no lines), hence nonempty iff
-    it has a vertex. Vertices are enumerated as basic solutions in kernel
-    coordinates; the witness is the vertex of minimal entry sum (ties
-    broken lexicographically) with denominators cleared, which preserves
-    both constraints.
+    The witness is the point of {x : N x = 0, x >= 1} of minimal entry sum,
+    ties broken lexicographically, with denominators cleared (which keeps
+    both constraints). The set contains no line and x >= 1 bounds the sum
+    below, so its minimal-sum face is a polytope whose lexicographic
+    minimum is a vertex: one `_lex_min` call in y = x - 1 finds it.
     """
     r = n_matrix.cols
-    if r == 0:
-        return ()
-    basis = kernel_basis(n_matrix)
-    m = len(basis)
-    if m == 0:
+    objectives = [[1] * r] + [[int(i == j) for j in range(r)] for i in range(r)]
+    y = _lex_min(n_matrix.entries, [-sum(row) for row in n_matrix.entries], objectives)
+    if y is None:
         return None
-
-    ineq_rows = [[basis[j][k] for j in range(m)] for k in range(r)]
-
-    best = None
-    for subset in itertools.combinations(range(r), m):
-        kind, y = rational_solve([ineq_rows[i] for i in subset], [1] * m)
-        if kind != "unique":
-            continue
-        x = [sum(basis[j][k] * y[j] for j in range(m)) for k in range(r)]
-        if all(xk >= 1 for xk in x):
-            key = (sum(x), tuple(x))
-            if best is None or key < best[0]:
-                best = (key, x)
-    if best is None:
-        return None
-    x = best[1]
+    x = [1 + yk for yk in y]
     scale = lcm(*(xk.denominator for xk in x))
     return tuple(int(xk * scale) for xk in x)
 
@@ -389,6 +371,20 @@ def _integer_row(row) -> list[int]:
     return [f.numerator * (scale // f.denominator) for f in fractions]
 
 
+def _pivot(m, row, col, prev):
+    """Fraction-free pivot on m[row][col], in place; returns the pivot.
+
+    Every other row r becomes (pivot * r - r[col] * m[row]) / prev, exact
+    when `prev` is the pivot before this one (1 at the start)."""
+    top = m[row]
+    piv = top[col]
+    for i, other in enumerate(m):
+        if i != row:
+            factor = other[col]
+            m[i] = [(piv * a - factor * b) // prev for a, b in zip(other, top)]
+    return piv
+
+
 def _fraction_free_rref(rows):
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968).
 
@@ -417,14 +413,8 @@ def _fraction_free_rref(rows):
         if sel != rank:
             m[rank], m[sel] = m[sel], m[rank]
             sign = -sign
-        top = m[rank]
-        piv = top[col]
-        for i in range(nrows):
-            if i != rank:
-                factor = m[i][col]
-                m[i] = [(piv * a - factor * b) // prev for a, b in zip(m[i], top)]
+        prev = _pivot(m, rank, col, prev)
         pivots.append(col)
-        prev = piv
         if rank + 1 == nrows:
             break
     return m, pivots, prev, sign
@@ -468,6 +458,48 @@ def rational_nullspace(rows) -> list[list[Fraction]]:
             vec[col] = Fraction(-m[i][free], last)
         basis.append(vec)
     return basis
+
+
+def _lex_min(rows, rhs, objectives):
+    """Lexicographic minimum of the objectives over {y >= 0 : A y = b}.
+
+    Returns the minimiser as a tuple of Fractions, or None if the set is
+    empty; each objective must be bounded below on it (with none, some
+    feasible point). Two-phase simplex with Bland's rule, which cannot
+    cycle, on an integer tableau: `den` (the basis determinant, positive
+    since every pivot is) times the true one, updated by `_pivot`. Phase
+    one is the first objective, the sum of one artificial variable per row;
+    their columns are not stored, as none re-enters the basis. After each
+    objective the nonbasic columns of positive reduced cost are dropped:
+    they are zero on its optimal face, where the next one is minimised.
+    Past phase one that face is the feasible set, so a basic artificial
+    stays zero: the ratio test takes a zero step before it could grow.
+    """
+    nvars = len((rows or objectives)[0])
+    tab = []
+    for row, b in zip(rows, rhs):
+        line = _integer_row(list(row) + [b])
+        tab.append([-e for e in line] if line[-1] < 0 else line)
+    m = len(tab)
+    tab.append([-sum(col) for col in zip(*tab)] or [0] * (nvars + 1))
+    tab.extend(_integer_row(c) + [0] for c in objectives)
+    basis = list(range(nvars, nvars + m))
+    live = [True] * nvars
+    den = 1
+    for z in range(m, len(tab)):
+        while True:
+            col = next((j for j in range(nvars) if live[j] and tab[z][j] < 0), None)
+            if col is None:
+                break
+            blocking = [i for i in range(m) if tab[i][col] > 0]
+            row = min(blocking, key=lambda i: (Fraction(tab[i][-1], tab[i][col]), basis[i]))
+            den = _pivot(tab, row, col, den)
+            basis[row] = col
+        if z == m and tab[m][-1]:
+            return None
+        live = [alive and tab[z][j] <= 0 for j, alive in enumerate(live)]
+    value = {j: Fraction(tab[i][-1], den) for i, j in enumerate(basis)}
+    return tuple(value.get(j, Fraction(0)) for j in range(nvars))
 
 
 def clear_denominators(vec) -> tuple[int, ...]:

@@ -13,7 +13,6 @@ reading off the first diagonal the unknown region can touch.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .cox import DegreeVector, cox_report, degree_of
@@ -51,16 +50,18 @@ class ReplayResult:
 
 
 def replay(rmin: int, dmin: int) -> ReplayResult:
-    """Brute-force replay of the page-by-page comparison argument.
+    """Replay of the page-by-page comparison argument.
 
     The unknown region is seeded on the column just past d_min at and above
     the vanishing line; on page t it has propagated to the set A_t of
     positions (u, v) reachable along differentials, described by strictly
     increasing jump lengths l_1 < ... < l_t with u + sum(l_j) = d_min + 1
-    and v + sum(l_j - 1) >= (2*r_min - 2)*d_min. A_t is enumerated
-    literally from those inequalities inside the grid k in [0, d_min+1],
+    and v + sum(l_j - 1) >= (2*r_min - 2)*d_min. A_t is read off literally
+    from those inequalities inside the grid k in [0, d_min+1],
     s in [0, (2*r_min-2)*d_min + d_min + 4]; the jump-length budget
-    sum(l_j) <= d_min + 1 caps the page count at O(sqrt(d_min)).
+    sum(l_j) <= d_min + 1 caps the page count at O(sqrt(d_min)). The
+    reachable (page, jump sum) pairs come from one subset sum over the
+    lengths 1..d_min+1, so the replay is polynomial in d_min.
 
     The returned dimension is the largest diagonal untouched by every A_t
     (with the proof's one-dimension safety margin) combined with the
@@ -75,19 +76,18 @@ def replay(rmin: int, dmin: int) -> ReplayResult:
     threshold = (2 * rmin - 2) * dmin
     k_range = range(0, dmin + 2)
     s_range = range(0, threshold + dmin + 5)
+    budget = dmin + 1
+    reachable = {(0, 0)}
+    for length in range(1, budget + 1):
+        reachable |= {(t + 1, s + length) for t, s in reachable if s + length <= budget}
 
     page_minima = []
     t = 1
-    while t * (t + 1) // 2 <= dmin + 1:
-        jump_sums = {
-            sum(seq)
-            for seq in itertools.combinations(range(1, dmin + 2), t)
-            if sum(seq) <= dmin + 1
-        }
+    while t * (t + 1) // 2 <= budget:
         best = None
         for k in k_range:
             total = dmin + 1 - k
-            if total not in jump_sums:
+            if (t, total) not in reachable:
                 continue
             for s in s_range:
                 if s + total - t >= threshold:

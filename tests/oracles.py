@@ -3,12 +3,16 @@
 These deliberately avoid the code paths they check: membership is decided
 through resultants (Sylvester determinants) rather than gcds, kernels and
 positive vectors through exhaustive search, and root collisions through
-floating-point root finding with a separation margin.
+floating-point root finding with a separation margin. The enumerations
+that the library replaced by an exact LP (cone intersections by extreme
+rays, the positive kernel vector by basic solutions) and by a subset sum
+(the jump sums of `replay`) are kept here verbatim as cross-checks.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import lcm
 
 from torickit.gaussian import (
     ONE,
@@ -18,7 +22,21 @@ from torickit.gaussian import (
     gaussian,
     poly_degree,
 )
-from torickit.lattice import IntegerMatrix
+from torickit.cones import (
+    SimplicialCone,
+    cone_contains,
+    halfspace_description,
+)
+from torickit.errors import DimensionMismatchError
+from torickit.lattice import (
+    IntegerMatrix,
+    clear_denominators,
+    kernel_basis,
+    rational_nullspace,
+    rational_rank,
+    rational_solve,
+)
+from torickit.stability import ReplayResult
 
 
 def gaussian_determinant(rows) -> GaussianRational:
@@ -136,3 +154,170 @@ def brute_force_kernel_vectors(matrix: IntegerMatrix, bound: int):
         if not any(matrix.apply(candidate)):
             found.append(candidate)
     return found
+
+
+def extreme_rays(equalities, inequalities, dim):
+    """Extreme rays of {x : Ex = 0, Lx >= 0}, or None if the set has a line.
+
+    Works in coordinates on the subspace E x = 0: a direction spanning the
+    nullspace of a rank (p-1) subset of inequality rows is extreme iff it
+    satisfies all inequalities (possibly after a sign flip).
+    """
+    if equalities:
+        sub_basis = rational_nullspace(equalities)
+    else:
+        sub_basis = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    p = len(sub_basis)
+    if p == 0:
+        return []
+
+    reduced = [
+        [sum(w[i] * b[i] for i in range(dim)) for b in sub_basis]
+        for w in inequalities
+    ]
+    # A nontrivial common zero of every inequality is a line in the cone.
+    if not reduced or rational_rank(reduced) < p:
+        return None
+
+    rays = set()
+    for subset in itertools.combinations(range(len(reduced)), p - 1):
+        rows = [reduced[i] for i in subset]
+        null = rational_nullspace(rows) if rows else rational_nullspace([[0] * p])
+        if len(null) != 1:
+            continue
+        direction = null[0]
+        values = [sum(row[j] * direction[j] for j in range(p)) for row in reduced]
+        if all(val >= 0 for val in values):
+            sign = 1
+        elif all(val <= 0 for val in values):
+            sign = -1
+        else:
+            continue
+        ambient = [
+            sign * sum(direction[j] * sub_basis[j][i] for j in range(p))
+            for i in range(dim)
+        ]
+        if any(ambient):
+            rays.add(clear_denominators(ambient))
+    return sorted(rays)
+
+
+def enumerated_common_face(
+    a: SimplicialCone, b: SimplicialCone, shared: SimplicialCone
+) -> bool:
+    """Decide a ∩ b == shared as point sets.
+
+    Both halfspace systems are stacked and the extreme rays of the
+    intersection are enumerated exactly; the intersection equals `shared`
+    iff every extreme ray lies in `shared` and every generator of `shared`
+    lies in both a and b.
+    """
+    if not (a.dim == b.dim == shared.dim):
+        raise DimensionMismatchError("cones live in different ambient spaces")
+
+    for g in shared.generators:
+        if not (cone_contains(a, g) and cone_contains(b, g)):
+            return False
+
+    eq_a, ineq_a = halfspace_description(a)
+    eq_b, ineq_b = halfspace_description(b)
+    rays = extreme_rays(eq_a + eq_b, ineq_a + ineq_b, a.dim)
+    if rays is None:
+        # The intersection contains a line; a simplicial cone never does.
+        return False
+    return all(cone_contains(shared, ray) for ray in rays)
+
+
+def enumerated_positive_kernel_vector(n_matrix: IntegerMatrix):
+    """Some integer vector D with N D = 0 and every entry >= 1, or None.
+
+    The feasible set {x : Nx = 0, x >= 1} is a pointed rational polyhedron
+    (the kernel lattice is free, so there are no lines), hence nonempty iff
+    it has a vertex. Vertices are enumerated as basic solutions in kernel
+    coordinates; the witness is the vertex of minimal entry sum (ties
+    broken lexicographically) with denominators cleared, which preserves
+    both constraints.
+    """
+    r = n_matrix.cols
+    if r == 0:
+        return ()
+    basis = kernel_basis(n_matrix)
+    m = len(basis)
+    if m == 0:
+        return None
+
+    ineq_rows = [[basis[j][k] for j in range(m)] for k in range(r)]
+
+    best = None
+    for subset in itertools.combinations(range(r), m):
+        kind, y = rational_solve([ineq_rows[i] for i in subset], [1] * m)
+        if kind != "unique":
+            continue
+        x = [sum(basis[j][k] * y[j] for j in range(m)) for k in range(r)]
+        if all(xk >= 1 for xk in x):
+            key = (sum(x), tuple(x))
+            if best is None or key < best[0]:
+                best = (key, x)
+    if best is None:
+        return None
+    x = best[1]
+    scale = lcm(*(xk.denominator for xk in x))
+    return tuple(int(xk * scale) for xk in x)
+
+
+def enumerated_replay(rmin: int, dmin: int) -> ReplayResult:
+    """Brute-force replay of the page-by-page comparison argument.
+
+    The unknown region is seeded on the column just past d_min at and above
+    the vanishing line; on page t it has propagated to the set A_t of
+    positions (u, v) reachable along differentials, described by strictly
+    increasing jump lengths l_1 < ... < l_t with u + sum(l_j) = d_min + 1
+    and v + sum(l_j - 1) >= (2*r_min - 2)*d_min. A_t is enumerated
+    literally from those inequalities inside the grid k in [0, d_min+1],
+    s in [0, (2*r_min-2)*d_min + d_min + 4]; the jump-length budget
+    sum(l_j) <= d_min + 1 caps the page count at O(sqrt(d_min)).
+
+    The returned dimension is the largest diagonal untouched by every A_t
+    (with the proof's one-dimension safety margin) combined with the
+    column-vanishing clause for k >= d_min + 1; any divergence from the
+    closed form would surface as a report mismatch, not get patched here.
+    """
+    if rmin < 2:
+        raise ValueError("r_min must be at least 2")
+    if dmin < 1:
+        raise ValueError("d_min must be at least 1")
+
+    threshold = (2 * rmin - 2) * dmin
+    k_range = range(0, dmin + 2)
+    s_range = range(0, threshold + dmin + 5)
+
+    page_minima = []
+    t = 1
+    while t * (t + 1) // 2 <= dmin + 1:
+        jump_sums = {
+            sum(seq)
+            for seq in itertools.combinations(range(1, dmin + 2), t)
+            if sum(seq) <= dmin + 1
+        }
+        best = None
+        for k in k_range:
+            total = dmin + 1 - k
+            if total not in jump_sums:
+                continue
+            for s in s_range:
+                if s + total - t >= threshold:
+                    diagonal = s - k
+                    if best is None or diagonal < best:
+                        best = diagonal
+        if best is not None:
+            page_minima.append((t, best))
+        t += 1
+
+    min_unknown = min(a for _, a in page_minima)
+    region_dim = min_unknown - 2
+    column_clause = threshold - 1 - (dmin + 1)
+    return ReplayResult(
+        stable_dim=min(region_dim, column_clause),
+        min_unknown_diagonal=min_unknown,
+        page_minima=tuple(page_minima),
+    )

@@ -2,6 +2,7 @@ import collections
 import json
 
 import jsonschema
+import pytest
 
 import torickit.cli
 import torickit.fans
@@ -148,6 +149,19 @@ class TestStability:
         assert code == 3 and out["error"] == "NOT_IN_KERNEL"
         code, out = run_cli("stability", path, "--free", "1=1")
         assert code == 3 and out["error"] == "UNDERDETERMINED"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [["stability"], ["bogus"], ["stability", "FAN", "--degrees", "1,x"]],
+    )
+    def test_json_body_and_exit_1(self, argv, write_fan, run_cli):
+        path = write_fan(cp_fan(2), "cp2")
+        code, out = run_cli(*[path if arg == "FAN" else arg for arg in argv])
+        assert code == 1
+        jsonschema.validate(out, ERROR_OUTPUT_SCHEMA)
+        assert out["error"] == "USAGE_ERROR"
 
 
 class TestHolcheck:

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import enumerated_common_face
 from torickit.cones import (
     SimplicialCone,
     cone_contains,
@@ -17,6 +20,7 @@ from torickit.errors import (
     IndependenceViolationError,
     ZeroVectorError,
 )
+from torickit.lattice import rational_rank
 
 
 def cone2(*gens):
@@ -249,3 +253,43 @@ class TestIntersection:
             scaled = (Fraction(rng.randint(0, 5)) * w[0], Fraction(rng.randint(0, 5)) * w[1])
             assert cone_contains(a, scaled) and cone_contains(b, scaled)
             checked += 1
+
+
+def test_non_face_shared_is_rejected():
+    # a ∩ b is the cone on (0,1) and (1,1) as a point set, but (1,1) is no
+    # generator of a, so that cone is not a face of a.
+    a = cone2((1, 0), (0, 1))
+    b = cone2((1, 1), (-1, 1))
+    assert not intersection_is_common_face(a, b, cone2((0, 1), (1, 1)))
+
+
+# Fixed examples on every run, and no example database left behind.
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def cone_triples(draw):
+    """Nonzero simplicial cones a and b drawn from one pool of rays, up to
+    dimension 4, and the cone on a subset of their common generators."""
+    dim = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any)
+    pool = sorted({primitivize(v) for v in draw(st.lists(vector, min_size=1, max_size=dim + 2))})
+
+    def cone():
+        size = draw(st.integers(1, dim))
+        picked = []
+        for v in draw(st.permutations(pool)):
+            if len(picked) < size and rational_rank(picked + [v]) == len(picked) + 1:
+                picked.append(v)
+        return SimplicialCone.from_generators(dim, picked)
+
+    a, b = cone(), cone()
+    common = sorted(set(a.generators) & set(b.generators))
+    return a, b, SimplicialCone.from_generators(dim, [g for g in common if draw(st.booleans())])
+
+
+@PROPERTY
+@given(cone_triples())
+def test_common_face_matches_extreme_ray_enumeration(triple):
+    a, b, shared = triple
+    assert intersection_is_common_face(a, b, shared) == enumerated_common_face(a, b, shared)

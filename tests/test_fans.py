@@ -4,6 +4,7 @@ import random
 import pytest
 
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
+from torickit.cox import cox_report
 from torickit.errors import NoPrimitiveCollectionError
 from torickit.fans import (
     Fan,
@@ -75,6 +76,14 @@ class TestValidation:
         fan = Fan.create([(1, 0), (1,), (1,)], [[0], [1], [2]])
         hits = [v.witness for v in validate_fan(fan).violations if v.axiom == "GENERATOR_DIMENSION"]
         assert hits == [((1,),), ((2,),)]
+
+
+    def test_cp8_terminates(self):
+        # 36 pairs of 8-dimensional cones; enumerating extreme rays took
+        # minutes here.
+        fan = cp_fan(8)
+        assert validate_fan(fan).valid
+        assert tuple(cox_report(fan).witness_degree) == (1,) * 9
 
 
 class TestNonfaces:

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_kernel_vectors, brute_force_positive_vector
+from oracles import (
+    brute_force_kernel_vectors,
+    brute_force_positive_vector,
+    enumerated_positive_kernel_vector,
+)
 from torickit.errors import (
     InconsistentError,
     NonIntegralError,
@@ -194,6 +198,18 @@ class TestPositiveKernelVector:
         assert brute_force_positive_vector(m, 12) is None
         assert brute_force_positive_vector(m, 25) == (24, 21, 9, 25)
 
+    def test_twenty_rays(self):
+        # Hirzebruch blocks k = 1..5 on their own coordinates: a rank-10
+        # kernel in 20 coordinates, where enumerating basic solutions would
+        # solve C(20, 10) = 184,756 systems.
+        rows = [
+            [0] * (4 * k - 4) + list(row) + [0] * (20 - 4 * k)
+            for k in range(1, 6)
+            for row in hirzebruch_matrix(k).entries
+        ]
+        expected = tuple(e for k in range(1, 6) for e in (1, 1, 1, k + 1))
+        assert positive_kernel_vector(IntegerMatrix.from_rows(rows)) == expected
+
 
 class TestCompleteDegrees:
     @pytest.mark.parametrize("k,d1,d2", [(1, 1, 1), (2, 3, 5), (3, 2, 7)])
@@ -361,3 +377,26 @@ class TestEliminationCore:
     @given(unimodular())
     def test_integer_inverse(self, m):
         assert (_integer_inverse(m) @ m).entries == IntegerMatrix.identity(m.rows).entries
+
+
+@st.composite
+def kernel_problems(draw):
+    """Integer matrices with up to 3 rows and 6 columns, zero sizes included."""
+    nrows = draw(st.integers(0, 3))
+    ncols = draw(st.integers(0, 6))
+    rows = tuple(
+        tuple(draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)))
+        for _ in range(nrows)
+    )
+    return IntegerMatrix(nrows, ncols, rows)
+
+
+class TestExactSimplex:
+    @PROPERTY
+    @given(kernel_problems())
+    def test_positive_kernel_vector_matches_vertex_enumeration(self, m):
+        witness = positive_kernel_vector(m)
+        assert witness == enumerated_positive_kernel_vector(m)
+        if witness is not None:
+            assert not any(m.apply(witness))
+            assert all(d >= 1 for d in witness)

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import enumerated_replay
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cox import complete_degrees, degree_of
 from torickit.errors import (
@@ -132,6 +133,14 @@ class TestReplay:
         assert result.page_minima[0] == (1, closed + 2)
         for (t1, a1), (t2, a2) in zip(result.page_minima, result.page_minima[1:]):
             assert t2 == t1 + 1 and a2 == a1 + 1
+
+    def test_matches_jump_sequence_enumeration(self):
+        for rmin in range(2, 7):
+            for dmin in range(1, 16):
+                assert replay(rmin, dmin) == enumerated_replay(rmin, dmin)
+
+    def test_large_d_min_terminates(self):
+        assert replay(2, 60).stable_dim == 58
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
