@@ -142,15 +142,21 @@ def validate_fan(fan: Fan) -> ValidationReport:
                         Violation("DOWNWARD_CLOSURE", (tuple(sub), tuple(sorted(face))))
                     )
 
-    simplicial = True
-    for face in sorted(fan.faces, key=lambda f: (len(f), sorted(f))):
-        if face and rational_rank([fan.generators[i] for i in sorted(face)]) != len(face):
+    def independent(face):
+        return rational_rank([fan.generators[i] for i in sorted(face)]) == len(face)
+
+    # Subsets of independent generators are independent, so a face needs its
+    # own rank test only when no independent maximal face contains it.
+    maximal = fan.maximal_faces()
+    spanning = [m for m in maximal if independent(m)]
+    for face in fan.faces:
+        if not face or any(face <= m for m in spanning):
+            continue
+        if face in maximal or not independent(face):
             violations.append(Violation("SIMPLICIALITY", (tuple(sorted(face)),)))
-            simplicial = False
-    if violations or not simplicial:
+    if violations:
         return _sorted_report(False, violations)
 
-    maximal = fan.maximal_faces()
     for a, b in itertools.combinations(maximal, 2):
         shared = a & b
         if not intersection_is_common_face(fan.cone(a), fan.cone(b), fan.cone(shared)):

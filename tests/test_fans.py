@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import torickit.fans
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cox import cox_report
 from torickit.errors import NoPrimitiveCollectionError
@@ -84,6 +85,27 @@ class TestValidation:
         fan = cp_fan(8)
         assert validate_fan(fan).valid
         assert tuple(cox_report(fan).witness_degree) == (1,) * 9
+
+    def test_simpliciality_rank_tests_maximal_faces(self, monkeypatch):
+        # cp13 has 2^14 - 2 nonempty faces but only 14 maximal ones, and
+        # faces of an independent maximal face need no rank test of their own.
+        calls = []
+        original = torickit.fans.rational_rank
+
+        def counted(rows):
+            calls.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setattr(torickit.fans, "rational_rank", counted)
+        assert validate_fan(cp_fan(13)).valid
+        assert len(calls) <= 14
+
+    def test_dependent_face_with_independent_edges(self):
+        fan = Fan.from_maximal([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], [(0, 1, 2), (0, 1, 3)])
+        report = validate_fan(fan)
+        assert [(v.axiom, v.witness) for v in report.violations] == [
+            ("SIMPLICIALITY", ((0, 1, 2),))
+        ]
 
 
 class TestNonfaces:

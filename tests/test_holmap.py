@@ -1,3 +1,5 @@
+import collections
+import importlib
 import random
 from fractions import Fraction
 
@@ -303,3 +305,64 @@ class TestOracleAgreement:
             else:
                 tup = config_to_polytuple(random_config(rng, fan))
             assert is_member(tup, fan) == numeric_is_member(tup, fan)
+
+
+class TestGcdWork:
+    """The modular gcd settles membership without the exact Euclid: members
+    cost no exact polynomial division, non-members one trial division per
+    polynomial of each violated collection."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = collections.Counter()
+        module = importlib.import_module("torickit.gaussian")
+        for name in ("poly_gcd", "poly_divmod"):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @staticmethod
+    def distinct_root_slots(rng, degrees):
+        points = set()
+        while len(points) < sum(degrees):
+            points.add(random_point(rng, 9))
+        points = sorted(points, key=lambda p: (p.real, p.imag))
+        rng.shuffle(points)
+        slots, start = [], 0
+        for d in degrees:
+            slots.append(points[start : start + d])
+            start += d
+        return slots
+
+    def tuple_from(self, slots):
+        return PolyTuple.from_polys(poly_from_roots([(z, 1) for z in slot]) for slot in slots)
+
+    def test_degree_40_member_on_cp3(self, calls):
+        fan = cp_fan(3)
+        tup = self.tuple_from(self.distinct_root_slots(random.Random(RNG_SEED + 6), (40,) * 4))
+        assert is_member(tup, fan)
+        assert violating_collections(tup, fan) == ()
+        assert calls == {}
+
+    def test_degree_40_nonmember_on_cp3(self, calls):
+        fan = cp_fan(3)
+        slots = self.distinct_root_slots(random.Random(RNG_SEED + 7), (40,) * 4)
+        for slot in slots[1:]:
+            slot[0] = slots[0][0]
+        tup = self.tuple_from(slots)
+        assert violating_collections(tup, fan) == (frozenset(range(4)),)
+        assert calls["poly_gcd"] == 0
+        assert calls["poly_divmod"] <= 4
+
+    def test_only_violated_collections_divide(self, calls, hirzebruch1):
+        slots = self.distinct_root_slots(random.Random(RNG_SEED + 8), (12, 12, 12, 24))
+        slots[2][0] = slots[0][0]
+        tup = self.tuple_from(slots)
+        assert violating_collections(tup, hirzebruch1) == (frozenset({0, 2}),)
+        assert calls["poly_gcd"] == 0
+        assert calls["poly_divmod"] <= 2
