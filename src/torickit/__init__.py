@@ -30,7 +30,7 @@ from .fans import (
     r_min,
     validate_fan,
 )
-from .gaussian import GaussianRational, gaussian
+from .gaussian import GaussianRational
 from .holmap import (
     Configuration,
     EvaluationResult,
@@ -91,7 +91,6 @@ __all__ = [
     "enumerate_subfans",
     "evaluate",
     "fan_isomorphism",
-    "gaussian",
     "hirzebruch_fan",
     "intersection_is_common_face",
     "is_complete",

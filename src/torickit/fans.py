@@ -7,7 +7,6 @@ on demand. This keeps subfan enumeration pure set combinatorics.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -66,10 +65,12 @@ class Fan:
         return len(self.generators)
 
     def maximal_faces(self) -> list[Face]:
-        faces = [f for f in self.faces if f]
-        maximal = [
-            f for f in faces if not any(f < g for g in faces)
-        ]
+        # Largest first: a face inside a larger one lies inside a maximal one
+        # found before it, so only those need comparing.
+        maximal = []
+        for f in sorted((f for f in self.faces if f), key=len, reverse=True):
+            if not any(f < g for g in maximal):
+                maximal.append(f)
         return sorted(maximal, key=lambda f: (len(f), sorted(f)))
 
     def cone(self, face) -> SimplicialCone:
@@ -226,56 +227,17 @@ def is_smooth(fan: Fan) -> bool:
     return all(is_smooth_cone(fan.cone(face)) for face in fan.maximal_faces())
 
 
-def _cross(u, v) -> int:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _angular_order(vectors) -> list[int]:
-    """Indices sorted counterclockwise starting from the positive x-axis."""
-
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    def compare(i, j):
-        u, v = vectors[i], vectors[j]
-        if half(u) != half(v):
-            return -1 if half(u) < half(v) else 1
-        c = _cross(u, v)
-        if c != 0:
-            return -1 if c > 0 else 1
-        return -1 if i < j else (0 if i == j else 1)
-
-    return sorted(range(len(vectors)), key=functools.cmp_to_key(compare))
-
-
 def is_complete(fan: Fan) -> bool:
     """Whether the support of the fan is all of R^n.
 
-    Dimension 2 uses the exact angular test: consecutive rays in angular
-    order must bound a 2-cone of the fan and each sector must be strictly
-    less than a half-plane. Dimension >= 3 uses the pseudomanifold
-    criterion: pure top dimension, every ridge in exactly two top cones,
-    and a connected top-cone adjacency graph.
+    The fan must be valid (see `validate_fan`); the answer on an invalid fan
+    is unspecified. For n >= 1 this is the pseudomanifold criterion: pure
+    top dimension, every ridge in exactly two top cones, and a connected
+    top-cone adjacency graph. The zero-dimensional fan is complete.
     """
     n = fan.dim
-    r = fan.ray_count
     if n == 0:
         return True
-    if n == 1:
-        return any(g[0] > 0 for g in fan.generators) and any(
-            g[0] < 0 for g in fan.generators
-        )
-    if n == 2:
-        if r < 3:
-            return False
-        order = _angular_order(fan.generators)
-        for a, b in zip(order, order[1:] + order[:1]):
-            if _cross(fan.generators[a], fan.generators[b]) <= 0:
-                return False
-            if frozenset({a, b}) not in fan.faces:
-                return False
-        return True
-
     maximal = fan.maximal_faces()
     if not maximal or any(len(face) != n for face in maximal):
         return False
@@ -396,14 +358,8 @@ def fan_isomorphism(a: Fan, b: Fan):
             return None
         lookup[vec] = idx
 
-    frame = []
-    for i in range(r):
-        if rational_rank([coords_a[j] for j in frame + [i]]) == len(frame) + 1:
-            frame.append(i)
-        if len(frame) == rank:
-            break
-    if len(frame) != rank:
-        return None
+    # The first independent rays of a: the pivot columns of its coordinates.
+    frame = _fraction_free_rref([[v[k] for v in coords_a] for k in range(rank)])[1]
 
     # W F = T for the frame matrix F (columns coords_a[frame]) and each
     # target matrix T, so W = T (last F^-1) / last with F inverted once.

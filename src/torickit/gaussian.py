@@ -60,9 +60,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.real == 0 and self.imag == 0
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.real, -self.imag)
-
     def abs_squared(self) -> Fraction:
         return self.real * self.real + self.imag * self.imag
 
@@ -118,23 +115,6 @@ def poly_degree(p: Poly) -> int:
 
 def poly_is_monic(p: Poly) -> bool:
     return bool(p) and p[-1] == ONE
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, coeff in enumerate(b):
-        out[k] = out[k] + coeff
-    return poly(out)
-
-
-def poly_neg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
-
-
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    return poly_add(a, poly_neg(b))
 
 
 def poly_scale(a: Poly, factor: GaussianRational) -> Poly:
@@ -343,22 +323,3 @@ def poly_from_roots(roots) -> Poly:
         for _ in range(multiplicity):
             result = poly_mul(result, factor)
     return result
-
-
-def format_poly(p: Poly, var: str = "z") -> str:
-    if not p:
-        return "0"
-    terms = []
-    for power in range(len(p) - 1, -1, -1):
-        coeff = p[power]
-        if coeff.is_zero:
-            continue
-        if power == 0:
-            terms.append(f"({coeff})")
-        elif power == 1:
-            body = var if coeff == ONE else f"({coeff}){var}"
-            terms.append(body)
-        else:
-            body = f"{var}^{power}" if coeff == ONE else f"({coeff}){var}^{power}"
-            terms.append(body)
-    return " + ".join(terms)

@@ -6,7 +6,8 @@ rank, nullspace and determinant) goes through one fraction-free
 Gauss-Jordan core, `_fraction_free_rref`, which works on integer rows only
 and divides exactly; rows holding fractions are scaled to integers first.
 The exact simplex `_lex_min` pivots with the same step, `_pivot`.
-Smith normal form keeps its own unimodular row and column reduction.
+Smith normal form reduces one integer block, [A | I] over I, whose row
+and column operations carry U and V along with S.
 """
 
 from __future__ import annotations
@@ -80,11 +81,6 @@ class IntegerMatrix:
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.column(j) for j in range(self.cols))
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix.from_rows(
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
-        )
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
@@ -161,43 +157,19 @@ class SmithDecomposition:
         return tuple(d for d in self.diagonal if d != 0)
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row_multiple(m, dst, src, factor):
-    row_src = m[src]
-    row_dst = m[dst]
-    for k in range(len(row_dst)):
-        row_dst[k] += factor * row_src[k]
-
-
-def _add_col_multiple(m, dst, src, factor):
-    for row in m:
-        row[dst] += factor * row[src]
-
-
-def _scale_row(m, i, factor):
-    m[i] = [factor * e for e in m[i]]
-
-
 def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
-    """Classical Smith normal form by row/column reduction.
+    """Classical Smith normal form by row/column reduction of one block.
 
-    Pivot choice is deterministic: the nonzero entry of minimal absolute
-    value in the working block, ties broken by lowest row then lowest
-    column index. Row operations are mirrored on U, column operations on
-    V, so U @ A @ V == S holds exactly throughout.
+    The block is the rows [A | I_n] with I_r stacked below their first r
+    columns. Row operations act on the top rows, [S | U], and column
+    operations on the first r columns, S over V, so U @ A @ V == S holds
+    exactly throughout. Pivot choice is deterministic: the nonzero entry of
+    S of minimal absolute value in the working block, ties broken by lowest
+    row then lowest column index.
     """
     n, r = a.rows, a.cols
-    s = [list(row) for row in a.entries]
-    u = [list(row) for row in IntegerMatrix.identity(n).entries]
-    v = [list(row) for row in IntegerMatrix.identity(r).entries]
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.entries)]
+    m += [[int(i == j) for j in range(r)] for i in range(r)]
 
     t = 0
     limit = min(n, r)
@@ -206,7 +178,7 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
         best = None
         for i in range(t, n):
             for j in range(t, r):
-                e = s[i][j]
+                e = m[i][j]
                 if e != 0 and (best is None or abs(e) < best):
                     best = abs(e)
                     pivot = (i, j)
@@ -215,32 +187,29 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
 
         pi, pj = pivot
         if pi != t:
-            _swap_rows(s, pi, t)
-            _swap_rows(u, pi, t)
+            m[pi], m[t] = m[t], m[pi]
         if pj != t:
-            _swap_cols(s, pj, t)
-            _swap_cols(v, pj, t)
-        if s[t][t] < 0:
-            _scale_row(s, t, -1)
-            _scale_row(u, t, -1)
+            for row in m:
+                row[pj], row[t] = row[t], row[pj]
+        if m[t][t] < 0:
+            m[t] = [-e for e in m[t]]
 
-        p = s[t][t]
+        p = m[t][t]
         clean = True
         for i in range(t + 1, n):
-            if s[i][t] != 0:
-                q = s[i][t] // p
+            if m[i][t] != 0:
+                q = m[i][t] // p
                 if q:
-                    _add_row_multiple(s, i, t, -q)
-                    _add_row_multiple(u, i, t, -q)
-                if s[i][t] != 0:
+                    m[i] = [e - q * f for e, f in zip(m[i], m[t])]
+                if m[i][t] != 0:
                     clean = False
         for j in range(t + 1, r):
-            if s[t][j] != 0:
-                q = s[t][j] // p
+            if m[t][j] != 0:
+                q = m[t][j] // p
                 if q:
-                    _add_col_multiple(s, j, t, -q)
-                    _add_col_multiple(v, j, t, -q)
-                if s[t][j] != 0:
+                    for row in m:
+                        row[j] -= q * row[t]
+                if m[t][j] != 0:
                     clean = False
         if not clean:
             # Some remainder smaller than the pivot survives; reselect.
@@ -249,21 +218,20 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
         offender = None
         for i in range(t + 1, n):
             for j in range(t + 1, r):
-                if s[i][j] % p != 0:
+                if m[i][j] % p != 0:
                     offender = i
                     break
             if offender is not None:
                 break
         if offender is not None:
-            _add_row_multiple(s, t, offender, 1)
-            _add_row_multiple(u, t, offender, 1)
+            m[t] = [e + f for e, f in zip(m[t], m[offender])]
             continue
         t += 1
 
     return SmithDecomposition(
-        U=IntegerMatrix.from_rows(u),
-        S=IntegerMatrix.from_rows(s),
-        V=IntegerMatrix.from_rows(v),
+        U=IntegerMatrix.from_rows([row[r:] for row in m[:n]]),
+        S=IntegerMatrix.from_rows([row[:r] for row in m[:n]]),
+        V=IntegerMatrix.from_rows(m[n:]),
     )
 
 
@@ -332,25 +300,19 @@ def complete_degrees(n_matrix: IntegerMatrix, partial: dict) -> tuple[int, ...]:
         if not isinstance(value, int) or value < 1:
             raise ValueError(f"pinned value at index {idx} must be a positive integer")
 
-    basis = kernel_basis(n_matrix)
-    m = len(basis)
-    if not partial:
-        if m > 0:
-            raise UnderdeterminedError(
-                f"kernel rank {m} exceeds what 0 pinned coordinates determine"
-            )
-        kind, y = "unique", []
-    else:
-        rows = [[basis[j][i] for j in range(m)] for i in sorted(partial)]
-        rhs = [partial[i] for i in sorted(partial)]
-        kind, y = rational_solve(rows, rhs)
+    # N x = 0 plus one unit row per pin; a zero row keeps the column count
+    # when N has no rows and nothing is pinned.
+    rows = [list(row) for row in n_matrix.entries]
+    rows += [[int(k == i) for k in range(r)] for i in sorted(partial)]
+    rhs = [0] * n_matrix.rows + [partial[i] for i in sorted(partial)]
+    kind, x = rational_solve(rows or [[0] * r], rhs or [0])
     if kind == "inconsistent":
         raise InconsistentError("pinned values admit no kernel extension")
     if kind == "underdetermined":
+        m = r - rational_rank(n_matrix.entries)
         raise UnderdeterminedError(
             f"kernel rank {m} exceeds what {len(partial)} pinned coordinates determine"
         )
-    x = [sum(basis[j][k] * y[j] for j in range(m)) for k in range(r)]
     if any(xk.denominator != 1 for xk in x):
         raise NonIntegralError("unique kernel extension is not integral")
     if any(xk < 1 for xk in x):

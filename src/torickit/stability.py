@@ -61,7 +61,9 @@ def replay(rmin: int, dmin: int) -> ReplayResult:
     s in [0, (2*r_min-2)*d_min + d_min + 4]; the jump-length budget
     sum(l_j) <= d_min + 1 caps the page count at O(sqrt(d_min)). The
     reachable (page, jump sum) pairs come from one subset sum over the
-    lengths 1..d_min+1, so the replay is polynomial in d_min.
+    lengths 1..d_min+1. The diagonal s - k grows with s, so each reachable
+    column k contributes only its least admissible row s, which is read
+    off directly: the replay costs O(d_min^2).
 
     The returned dimension is the largest diagonal untouched by every A_t
     (with the proof's one-dimension safety margin) combined with the
@@ -74,8 +76,6 @@ def replay(rmin: int, dmin: int) -> ReplayResult:
         raise ValueError("d_min must be at least 1")
 
     threshold = (2 * rmin - 2) * dmin
-    k_range = range(0, dmin + 2)
-    s_range = range(0, threshold + dmin + 5)
     budget = dmin + 1
     reachable = {(0, 0)}
     for length in range(1, budget + 1):
@@ -84,18 +84,14 @@ def replay(rmin: int, dmin: int) -> ReplayResult:
     page_minima = []
     t = 1
     while t * (t + 1) // 2 <= budget:
-        best = None
-        for k in k_range:
-            total = dmin + 1 - k
-            if (t, total) not in reachable:
-                continue
-            for s in s_range:
-                if s + total - t >= threshold:
-                    diagonal = s - k
-                    if best is None or diagonal < best:
-                        best = diagonal
-        if best is not None:
-            page_minima.append((t, best))
+        # The least row of column k in A_t; t <= budget keeps it in the grid.
+        diagonals = [
+            max(0, threshold - (budget - k) + t) - k
+            for k in range(budget + 1)
+            if (t, budget - k) in reachable
+        ]
+        if diagonals:
+            page_minima.append((t, min(diagonals)))
         t += 1
 
     min_unknown = min(a for _, a in page_minima)

@@ -6,11 +6,14 @@ positive vectors through exhaustive search, and root collisions through
 floating-point root finding with a separation margin. The enumerations
 that the library replaced by an exact LP (cone intersections by extreme
 rays, the positive kernel vector by basic solutions) and by a subset sum
-(the jump sums of `replay`) are kept here verbatim as cross-checks.
+(the jump sums of `replay`) are kept here verbatim as cross-checks, as
+are the angular completeness test for plane fans and the quadratic
+definition of maximal faces.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import lcm
 
@@ -28,6 +31,7 @@ from torickit.cones import (
     halfspace_description,
 )
 from torickit.errors import DimensionMismatchError
+from torickit.fans import Fan
 from torickit.lattice import (
     IntegerMatrix,
     clear_denominators,
@@ -321,3 +325,48 @@ def enumerated_replay(rmin: int, dmin: int) -> ReplayResult:
         min_unknown_diagonal=min_unknown,
         page_minima=tuple(page_minima),
     )
+
+
+def brute_force_maximal_faces(fan: Fan):
+    """Nonempty faces contained in no other face, by comparing every pair."""
+    faces = [f for f in fan.faces if f]
+    maximal = [f for f in faces if not any(f < g for g in faces)]
+    return sorted(maximal, key=lambda f: (len(f), sorted(f)))
+
+
+def _cross(u, v) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _angular_order(vectors) -> list[int]:
+    """Indices sorted counterclockwise starting from the positive x-axis."""
+
+    def half(v):
+        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+
+    def compare(i, j):
+        u, v = vectors[i], vectors[j]
+        if half(u) != half(v):
+            return -1 if half(u) < half(v) else 1
+        c = _cross(u, v)
+        if c != 0:
+            return -1 if c > 0 else 1
+        return -1 if i < j else (0 if i == j else 1)
+
+    return sorted(range(len(vectors)), key=functools.cmp_to_key(compare))
+
+
+def angular_is_complete(fan: Fan) -> bool:
+    """Completeness of a plane fan by the exact angular test: consecutive
+    rays in angular order must bound a 2-cone of the fan and each sector
+    must be strictly less than a half-plane."""
+    assert fan.dim == 2
+    if fan.ray_count < 3:
+        return False
+    order = _angular_order(fan.generators)
+    for a, b in zip(order, order[1:] + order[:1]):
+        if _cross(fan.generators[a], fan.generators[b]) <= 0:
+            return False
+        if frozenset({a, b}) not in fan.faces:
+            return False
+    return True

@@ -1,9 +1,13 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import torickit.fans
+from oracles import _angular_order, angular_is_complete, brute_force_maximal_faces
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cox import cox_report
 from torickit.errors import NoPrimitiveCollectionError
@@ -171,6 +175,55 @@ class TestRMin:
             assert r_min(fan) >= 2
 
 
+# Fixed examples on every run, and no example database left behind.
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def plane_fans(draw):
+    """Valid plane fans: distinct ray directions in angular order, each pair
+    of neighbours less than a half-plane apart spanning a 2-cone unless
+    dropped; some generators are non-primitive and the ray order is
+    shuffled."""
+    directions = set()
+    for v in draw(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), max_size=8)):
+        if v != (0, 0):
+            g = gcd(*v)
+            directions.add((v[0] // g, v[1] // g))
+    rays = sorted(directions)
+    rays = [rays[i] for i in _angular_order(rays)]
+    k = len(rays)
+    scales = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    rays = [(m * x, m * y) for (x, y), m in zip(rays, scales)]
+    dropped = draw(st.sets(st.integers(0, max(k - 1, 0)), max_size=2))
+    cones = [
+        (i, (i + 1) % k)
+        for i in range(k)
+        if i not in dropped and k >= 3
+        and rays[i][0] * rays[(i + 1) % k][1] - rays[i][1] * rays[(i + 1) % k][0] > 0
+    ]
+    perm = draw(st.permutations(range(k)))
+    generators = [None] * k
+    for old, new in enumerate(perm):
+        generators[new] = rays[old]
+    return Fan.from_maximal(generators, [(perm[a], perm[b]) for a, b in cones])
+
+
+@st.composite
+def complexes(draw):
+    """Arbitrary families of index sets, not necessarily downward closed."""
+    r = draw(st.integers(1, 7))
+    faces = draw(st.lists(st.frozensets(st.integers(0, r - 1)), max_size=15))
+    return Fan.create([(1,)] * r, faces)
+
+
+class TestMaximalFaces:
+    @PROPERTY
+    @given(complexes())
+    def test_matches_the_pairwise_definition(self, fan):
+        assert fan.maximal_faces() == brute_force_maximal_faces(fan)
+
+
 class TestSmooth:
     def test_examples(self, hirzebruch1):
         assert is_smooth(hirzebruch1)
@@ -199,6 +252,17 @@ class TestComplete:
         maximal = fan.maximal_faces()
         smaller = Fan.from_maximal(fan.generators, [tuple(f) for f in maximal[:-1]])
         assert not is_complete(smaller)
+
+    def test_one_dimensional(self):
+        assert is_complete(Fan.from_maximal([(2,), (-1,)], []))
+        assert not is_complete(Fan.from_maximal([(1,)], []))
+        assert not is_complete(Fan(1, (), frozenset({frozenset()})))
+
+    @PROPERTY
+    @given(plane_fans())
+    def test_plane_fans_match_the_angular_test(self, fan):
+        assume(validate_fan(fan).valid)
+        assert is_complete(fan) == angular_is_complete(fan)
 
     def test_complete_smooth_fans_span(self):
         from torickit.lattice import spans_lattice

@@ -1,11 +1,11 @@
 import functools
-import importlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torickit.gaussian as gaussian_module
 from torickit.gaussian import (
     ONE,
     POLY_ONE,
@@ -21,8 +21,6 @@ from torickit.gaussian import (
     poly_scale,
 )
 
-# The package re-exports the function `gaussian` under the module's name.
-GAUSSIAN = importlib.import_module("torickit.gaussian")
 P0 = _PRIMES[0][0]
 Z = (ZERO, ONE)
 
@@ -39,13 +37,13 @@ def roots(*values):
 def gcd_calls(monkeypatch):
     """Counts calls of the exact Euclid, which only the fallback makes."""
     calls = []
-    original = GAUSSIAN.poly_gcd
+    original = gaussian_module.poly_gcd
 
     def counted(a, b):
         calls.append(1)
         return original(a, b)
 
-    monkeypatch.setattr(GAUSSIAN, "poly_gcd", counted)
+    monkeypatch.setattr(gaussian_module, "poly_gcd", counted)
     return calls
 
 
@@ -173,3 +171,9 @@ def is_prime(n):
 def test_primes_carry_a_square_root_of_minus_one(p, s):
     assert p < 3 * 10**24 and is_prime(p)
     assert p % 4 == 1 and s * s % p == p - 1
+
+
+def test_submodule_import_binds_the_module():
+    import torickit.gaussian as module
+
+    assert module.poly_multi_gcd is poly_multi_gcd

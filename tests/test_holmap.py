@@ -1,10 +1,10 @@
 import collections
-import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import torickit.gaussian as gaussian_module
 from oracles import numeric_is_member, resultant_is_member
 from torickit.catalog import cp_fan
 from torickit.errors import (
@@ -315,15 +315,14 @@ class TestGcdWork:
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = collections.Counter()
-        module = importlib.import_module("torickit.gaussian")
         for name in ("poly_gcd", "poly_divmod"):
-            original = getattr(module, name)
+            original = getattr(gaussian_module, name)
 
             def counted(*args, _name=name, _original=original):
                 counts[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(gaussian_module, name, counted)
         return counts
 
     @staticmethod

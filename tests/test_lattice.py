@@ -400,3 +400,96 @@ class TestExactSimplex:
         if witness is not None:
             assert not any(m.apply(witness))
             assert all(d >= 1 for d in witness)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices up to 5x5, built directly so that zero-row shapes keep
+    their declared column count."""
+    nrows = draw(st.integers(0, 5))
+    ncols = draw(st.integers(0, 5))
+    bound = draw(st.sampled_from([1, 4, 30]))
+    rows = tuple(
+        tuple(draw(st.lists(st.integers(-bound, bound), min_size=ncols, max_size=ncols)))
+        for _ in range(nrows)
+    )
+    return IntegerMatrix(nrows, ncols, rows)
+
+
+class TestSmithProperties:
+    @PROPERTY
+    @given(integer_matrices())
+    def test_decomposition(self, a):
+        snf = smith_normal_form(a)
+        check_decomposition(a, snf)
+        assert (snf.U.rows, snf.V.rows) == (a.rows, a.cols)
+        assert snf.rank == rational_rank(a.entries)
+
+    @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_shapes(self, rows, cols):
+        a = IntegerMatrix.zero(rows, cols) if rows else IntegerMatrix(0, cols, ())
+        snf = smith_normal_form(a)
+        assert snf.U.entries == IntegerMatrix.identity(rows).entries
+        assert snf.V.entries == IntegerMatrix.identity(cols).entries
+        assert snf.diagonal == ()
+
+
+VERDICTS = {
+    UnderdeterminedError: "underdetermined",
+    InconsistentError: "inconsistent",
+    NonIntegralError: "non_integral",
+    NonPositiveError: "non_positive",
+}
+
+
+def reference_completion(n_matrix, pins):
+    """The verdict of degree completion from a kernel lattice basis: the
+    pinned rows of the basis must determine the coefficients."""
+    basis = kernel_basis(n_matrix)
+    if pins:
+        kind, y = rational_solve(
+            [[b[i] for b in basis] for i in sorted(pins)], [pins[i] for i in sorted(pins)]
+        )
+    else:
+        kind, y = ("underdetermined", None) if basis else ("unique", [])
+    if kind != "unique":
+        return kind
+    x = [sum(Fraction(b[k]) * c for b, c in zip(basis, y)) for k in range(n_matrix.cols)]
+    if any(xk.denominator != 1 for xk in x):
+        return "non_integral"
+    if any(xk < 1 for xk in x):
+        return "non_positive"
+    return tuple(int(xk) for xk in x)
+
+
+@st.composite
+def completion_problems(draw):
+    """A kernel problem and pins, half of them read off a positive kernel
+    vector so that unique positive completions occur."""
+    m = draw(kernel_problems())
+    pinned = draw(st.sets(st.integers(0, max(m.cols - 1, 0)), max_size=m.cols))
+    witness = positive_kernel_vector(m)
+    if witness is not None and draw(st.booleans()):
+        return m, {i: witness[i] for i in pinned}
+    return m, {i: draw(st.integers(1, 6)) for i in pinned}
+
+
+class TestCompletionProperties:
+    @PROPERTY
+    @given(completion_problems())
+    def test_matches_the_kernel_basis_reference(self, problem):
+        m, pins = problem
+        try:
+            got = complete_degrees(m, pins)
+        except tuple(VERDICTS) as error:
+            got = VERDICTS[type(error)]
+        assert got == reference_completion(m, pins)
+        if isinstance(got, tuple):
+            assert not any(m.apply(got))
+            assert all(got[i] == v for i, v in pins.items())
+
+    def test_zero_row_matrix(self):
+        with pytest.raises(UnderdeterminedError, match="kernel rank 3 exceeds what 0 pinned"):
+            complete_degrees(IntegerMatrix(0, 3, ()), {})
+        assert complete_degrees(IntegerMatrix(0, 2, ()), {0: 2, 1: 5}) == (2, 5)
+        assert complete_degrees(IntegerMatrix(0, 0, ()), {}) == ()
