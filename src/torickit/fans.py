@@ -1,8 +1,10 @@
-"""Fans stored as (generator table, underlying simplicial complex) pairs.
+"""Fans stored as (generator table, maximal cones) pairs.
 
-A fan is the pair of its ray generator list and the complex of index sets
-that span cones; all cone-level reasoning derives `SimplicialCone` objects
-on demand. This keeps subfan enumeration pure set combinatorics.
+A fan is the pair of its ray generator list and the maximal index sets
+that span cones; every face is a subset of some maximal cone and is never
+listed. All cone-level reasoning derives `SimplicialCone` objects on
+demand, and the combinatorial questions (non-faces, primitive
+collections, subfans) are answered from the maximal cones alone.
 """
 
 from __future__ import annotations
@@ -27,51 +29,49 @@ Face = frozenset
 Complex = frozenset
 
 
+def _maximal(family) -> Complex:
+    """The inclusion-maximal nonempty members of a family of index sets,
+    taken largest first, so each is compared only with those kept before."""
+    maximal = []
+    for f in sorted(set(family) - {frozenset()}, key=len, reverse=True):
+        if not any(f < g for g in maximal):
+            maximal.append(f)
+    return frozenset(maximal)
+
+
 @dataclass(frozen=True)
 class Fan:
-    """Generator table plus underlying simplicial complex (0-based indices).
+    """Generator table plus maximal cones (0-based index sets).
 
-    Construction is deliberately permissive: `validate_fan` is the
-    gatekeeper and reports every violated axiom instead of raising.
+    `cones` holds nonempty, pairwise incomparable index sets; a face is
+    any subset of one of them, the empty set included. Construction is
+    deliberately permissive: `validate_fan` is the gatekeeper and reports
+    every violated axiom instead of raising.
     """
 
     dim: int
     generators: tuple[tuple[int, ...], ...]
-    faces: Complex
+    cones: Complex
 
     @classmethod
     def create(cls, generators, faces) -> "Fan":
+        """A fan whose faces are the given index sets and their subsets."""
         gens = tuple(tuple(int(e) for e in g) for g in generators)
         dim = len(gens[0]) if gens else 0
-        face_set = {frozenset(int(i) for i in face) for face in faces}
-        face_set.add(frozenset())
-        return cls(dim, gens, frozenset(face_set))
+        return cls(dim, gens, _maximal(frozenset(int(i) for i in face) for face in faces))
 
     @classmethod
     def from_maximal(cls, generators, maximal_cones) -> "Fan":
-        """Build a fan whose complex is the downward closure of the given
-        maximal index sets, plus all singletons."""
-        gens = tuple(tuple(int(e) for e in g) for g in generators)
-        faces = {frozenset()}
-        faces.update(frozenset({k}) for k in range(len(gens)))
-        for cone in maximal_cones:
-            cone = tuple(int(i) for i in cone)
-            for size in range(1, len(cone) + 1):
-                faces.update(frozenset(c) for c in itertools.combinations(cone, size))
-        return cls.create(gens, faces)
+        """A fan with the given maximal index sets plus every ray."""
+        gens = tuple(generators)
+        return cls.create(gens, [*maximal_cones, *((k,) for k in range(len(gens)))])
 
     @property
     def ray_count(self) -> int:
         return len(self.generators)
 
     def maximal_faces(self) -> list[Face]:
-        # Largest first: a face inside a larger one lies inside a maximal one
-        # found before it, so only those need comparing.
-        maximal = []
-        for f in sorted((f for f in self.faces if f), key=len, reverse=True):
-            if not any(f < g for g in maximal):
-                maximal.append(f)
-        return sorted(maximal, key=lambda f: (len(f), sorted(f)))
+        return sorted(self.cones, key=lambda f: (len(f), sorted(f)))
 
     def cone(self, face) -> SimplicialCone:
         return SimplicialCone.from_generators(
@@ -101,12 +101,20 @@ def _sorted_report(valid: bool, violations) -> ValidationReport:
     return ValidationReport(valid, ordered)
 
 
+def _subsets(cone, smallest: int):
+    """The subsets of a cone with at least `smallest` elements."""
+    for size in range(smallest, len(cone) + 1):
+        for sub in itertools.combinations(sorted(cone), size):
+            yield frozenset(sub)
+
+
 def validate_fan(fan: Fan) -> ValidationReport:
     """Check every fan axiom and report all violations with witnesses.
 
     Structural and complex-level axioms are checked first; the pairwise
     intersection axiom is only evaluated once those hold, since cones over
-    dependent or out-of-range index sets are not well defined.
+    dependent or out-of-range index sets are not well defined. A complex
+    stored as its maximal cones is downward closed by construction.
     """
     violations = []
     r = fan.ray_count
@@ -124,41 +132,36 @@ def validate_fan(fan: Fan) -> ValidationReport:
         else:
             seen[g] = i
 
-    for face in fan.faces:
-        if any(not 0 <= i < r for i in face):
-            violations.append(Violation("INDEX_RANGE", (tuple(sorted(face)),)))
+    for cone in fan.cones:
+        if any(not 0 <= i < r for i in cone):
+            violations.append(Violation("INDEX_RANGE", (tuple(sorted(cone)),)))
     if violations:
         return _sorted_report(False, violations)
 
-    if all(not face for face in fan.faces):
+    if not fan.cones:
         violations.append(Violation("NONTRIVIAL", ()))
+    covered = set().union(*fan.cones)
     for k in range(r):
-        if frozenset({k}) not in fan.faces:
+        if k not in covered:
             violations.append(Violation("RAY_COVERAGE", ((k,),)))
-    for face in fan.faces:
-        if len(face) > 1:
-            for sub in itertools.combinations(sorted(face), len(face) - 1):
-                if frozenset(sub) not in fan.faces:
-                    violations.append(
-                        Violation("DOWNWARD_CLOSURE", (tuple(sub), tuple(sorted(face))))
-                    )
 
     def independent(face):
         return rational_rank([fan.generators[i] for i in sorted(face)]) == len(face)
 
-    # Subsets of independent generators are independent, so a face needs its
-    # own rank test only when no independent maximal face contains it.
-    maximal = fan.maximal_faces()
-    spanning = [m for m in maximal if independent(m)]
-    for face in fan.faces:
-        if not face or any(face <= m for m in spanning):
+    # Subsets of independent generators are independent, so beyond the cones
+    # only the faces of dependent cones that no independent cone contains
+    # need a rank test of their own.
+    spanning = {cone for cone in fan.cones if independent(cone)}
+    dependent = fan.cones - spanning
+    for face in {sub for cone in dependent for sub in _subsets(cone, 1)}:
+        if any(face <= cone for cone in spanning):
             continue
-        if face in maximal or not independent(face):
+        if face in dependent or not independent(face):
             violations.append(Violation("SIMPLICIALITY", (tuple(sorted(face)),)))
     if violations:
         return _sorted_report(False, violations)
 
-    for a, b in itertools.combinations(maximal, 2):
+    for a, b in itertools.combinations(fan.maximal_faces(), 2):
         shared = a & b
         if not intersection_is_common_face(fan.cone(a), fan.cone(b), fan.cone(shared)):
             violations.append(
@@ -169,7 +172,9 @@ def validate_fan(fan: Fan) -> ValidationReport:
 
 
 def is_nonface(fan: Fan, subset) -> bool:
-    return frozenset(subset) not in fan.faces
+    """Whether a nonempty index set lies in no cone of the fan."""
+    subset = frozenset(subset)
+    return bool(subset) and not any(subset <= cone for cone in fan.cones)
 
 
 def nonface_family(fan: Fan) -> set[Face]:
@@ -181,36 +186,32 @@ def nonface_family(fan: Fan) -> set[Face]:
     r = fan.ray_count
     if r > 20:
         raise ValueError("non-face family is only materialized for r <= 20")
-    family = set()
-    indices = list(range(r))
-    for size in range(1, r + 1):
-        for combo in itertools.combinations(indices, size):
-            if frozenset(combo) not in fan.faces:
-                family.add(frozenset(combo))
-    return family
+    return {face for face in _subsets(range(r), 1) if is_nonface(fan, face)}
 
 
 def primitive_collections(fan: Fan) -> frozenset[Face]:
-    """Minimal non-faces of the complex.
+    """Minimal non-faces of the complex (Batyrev's primitive collections).
 
-    Every minimal non-face is a face plus one extra vertex, so candidates
-    are generated that way instead of scanning all subsets.
+    A set of rays is a non-face iff it meets the complement of every cone,
+    so these are the minimal transversals of the complements, built one
+    complement at a time (Berge): a transversal that misses it grows by
+    each of its elements, and a grown set is kept unless it contains one
+    that met it. Grown sets never contain one another.
     """
-    r = fan.ray_count
-    found = set()
-    for face in fan.faces:
-        for j in range(r):
-            if j in face:
-                continue
-            candidate = face | {j}
-            if candidate in fan.faces or candidate in found:
-                continue
-            if all(
-                frozenset(sub) in fan.faces
-                for sub in itertools.combinations(sorted(candidate), len(candidate) - 1)
-            ):
-                found.add(candidate)
-    return frozenset(found)
+    rays = frozenset(range(fan.ray_count))
+    # The minimal transversals of the complement of the empty face.
+    transversals = [frozenset({k}) for k in rays]
+    for cone in fan.maximal_faces():
+        complement = rays - cone
+        met = [t for t in transversals if t & complement]
+        transversals = met + [
+            grown
+            for t in transversals
+            if not t & complement
+            for grown in (t | {k} for k in complement)
+            if not any(m <= grown for m in met)
+        ]
+    return frozenset(transversals)
 
 
 def r_min(fan: Fan) -> int:
@@ -271,7 +272,8 @@ def enumerate_subfans(fan: Fan) -> list[Fan]:
     axiom.
     """
     non_singleton = sorted(
-        (f for f in fan.faces if len(f) >= 2), key=lambda f: (len(f), sorted(f))
+        {face for cone in fan.cones for face in _subsets(cone, 2)},
+        key=lambda f: (len(f), sorted(f)),
     )
     ideals: list[frozenset] = []
 
@@ -281,26 +283,20 @@ def enumerate_subfans(fan: Fan) -> list[Fan]:
             return
         face = non_singleton[pos]
         extend(pos + 1, chosen)
-        closed = all(
-            frozenset(sub) in chosen
-            for size in range(2, len(face))
-            for sub in itertools.combinations(sorted(face), size)
-        )
-        if closed:
+        if all(sub in chosen for sub in _subsets(face, 2) if sub != face):
             chosen.add(face)
             extend(pos + 1, chosen)
             chosen.remove(face)
 
     extend(0, set())
     full = frozenset(non_singleton)
-    base = {frozenset()} | {frozenset({k}) for k in range(fan.ray_count)}
-    subfans = [
-        Fan(fan.dim, fan.generators, frozenset(base | set(ideal)))
-        for ideal in ideals
-        if ideal != full
-    ]
-    subfans.sort(key=lambda f: sorted((len(face), sorted(face)) for face in f.faces))
-    return subfans
+    rays = [frozenset({k}) for k in range(fan.ray_count)]
+    # Every subfan has the same faces of size <= 1, so the ideal alone orders them.
+    ideals = sorted(
+        (ideal for ideal in ideals if ideal != full),
+        key=lambda ideal: sorted((len(face), sorted(face)) for face in ideal),
+    )
+    return [Fan(fan.dim, fan.generators, _maximal([*ideal, *rays])) for ideal in ideals]
 
 
 def _scaled_inverse(rows):
@@ -327,8 +323,8 @@ def fan_isomorphism(a: Fan, b: Fan):
     saturation of their spans (so rank-deficient fans are handled), then
     a frame of independent rays of a is matched against every ordered
     tuple of rays of b; each candidate linear map is accepted iff it is
-    integral, maps the ray set bijectively and carries the complex of a
-    exactly onto the complex of b.
+    integral, maps the ray set bijectively and carries the cones of a
+    exactly onto the cones of b.
     """
     if a.dim != b.dim or a.ray_count != b.ray_count:
         return None
@@ -380,8 +376,8 @@ def fan_isomorphism(a: Fan, b: Fan):
         permutation = [lookup.get(w.apply(v)) for v in coords_a]
         if None in permutation or len(set(permutation)) != r:
             continue
-        mapped = frozenset(frozenset(permutation[i] for i in face) for face in a.faces)
-        if mapped == b.faces:
+        mapped = frozenset(frozenset(permutation[i] for i in cone) for cone in a.cones)
+        if mapped == b.cones:
             n = a.dim
             block = [
                 [

@@ -230,7 +230,7 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
 
     return SmithDecomposition(
         U=IntegerMatrix.from_rows([row[r:] for row in m[:n]]),
-        S=IntegerMatrix.from_rows([row[:r] for row in m[:n]]),
+        S=IntegerMatrix(n, r, tuple(tuple(row[:r]) for row in m[:n])),
         V=IntegerMatrix.from_rows(m[n:]),
     )
 

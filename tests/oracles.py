@@ -8,7 +8,9 @@ that the library replaced by an exact LP (cone intersections by extreme
 rays, the positive kernel vector by basic solutions) and by a subset sum
 (the jump sums of `replay`) are kept here verbatim as cross-checks, as
 are the angular completeness test for plane fans and the quadratic
-definition of maximal faces.
+definition of maximal faces. So are the primitive collections and the
+SIMPLICIALITY witnesses computed over the materialised face lattice,
+which the library replaced by reasoning on the maximal cones alone.
 """
 
 from __future__ import annotations
@@ -327,9 +329,62 @@ def enumerated_replay(rmin: int, dmin: int) -> ReplayResult:
     )
 
 
+def closure(fan: Fan) -> frozenset:
+    """Every face of the fan: the empty set and each subset of a cone."""
+    faces = {frozenset()}
+    for cone in fan.cones:
+        for size in range(1, len(cone) + 1):
+            faces.update(frozenset(c) for c in itertools.combinations(sorted(cone), size))
+    return frozenset(faces)
+
+
+def face_lattice_primitive_collections(fan: Fan) -> frozenset:
+    """Minimal non-faces of the complex.
+
+    Every minimal non-face is a face plus one extra vertex, so candidates
+    are generated that way instead of scanning all subsets.
+    """
+    faces = closure(fan)
+    r = fan.ray_count
+    found = set()
+    for face in faces:
+        for j in range(r):
+            if j in face:
+                continue
+            candidate = face | {j}
+            if candidate in faces or candidate in found:
+                continue
+            if all(
+                frozenset(sub) in faces
+                for sub in itertools.combinations(sorted(candidate), len(candidate) - 1)
+            ):
+                found.add(candidate)
+    return frozenset(found)
+
+
+def face_lattice_simpliciality(fan: Fan) -> list:
+    """The SIMPLICIALITY witnesses of `validate_fan`, by a loop over every
+    face: a face that no independent maximal face contains is a witness if
+    it is maximal or its generators are dependent."""
+    faces = closure(fan)
+
+    def independent(face):
+        return rational_rank([fan.generators[i] for i in sorted(face)]) == len(face)
+
+    maximal = brute_force_maximal_faces(fan)
+    spanning = [m for m in maximal if independent(m)]
+    witnesses = []
+    for face in faces:
+        if not face or any(face <= m for m in spanning):
+            continue
+        if face in maximal or not independent(face):
+            witnesses.append((tuple(sorted(face)),))
+    return sorted(witnesses)
+
+
 def brute_force_maximal_faces(fan: Fan):
     """Nonempty faces contained in no other face, by comparing every pair."""
-    faces = [f for f in fan.faces if f]
+    faces = [f for f in closure(fan) if f]
     maximal = [f for f in faces if not any(f < g for g in faces)]
     return sorted(maximal, key=lambda f: (len(f), sorted(f)))
 
@@ -364,9 +419,10 @@ def angular_is_complete(fan: Fan) -> bool:
     if fan.ray_count < 3:
         return False
     order = _angular_order(fan.generators)
+    faces = closure(fan)
     for a, b in zip(order, order[1:] + order[:1]):
         if _cross(fan.generators[a], fan.generators[b]) <= 0:
             return False
-        if frozenset({a, b}) not in fan.faces:
+        if frozenset({a, b}) not in faces:
             return False
     return True

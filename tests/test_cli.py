@@ -41,6 +41,13 @@ class TestAnalyze:
         assert out["primitive_collections"] == [[1, 3], [2, 4]]
         assert out["smooth"] and out["complete"]
 
+    def test_cp19_at_the_default_cap(self, write_fan, run_cli, monkeypatch):
+        monkeypatch.delenv("TORICKIT_MAX_R", raising=False)
+        code, out = run_cli("analyze", write_fan(cp_fan(19), "cp19"))
+        assert code == 0
+        assert out["ray_count"] == 20 and out["r_min"] == 20
+        assert out["smooth"] and out["complete"]
+
     def test_c2(self, write_fan, run_cli):
         code, out = run_cli("analyze", write_fan(c2_fan(), "c2"))
         assert code == 0

@@ -7,7 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import torickit.fans
-from oracles import _angular_order, angular_is_complete, brute_force_maximal_faces
+from oracles import (
+    _angular_order,
+    angular_is_complete,
+    brute_force_maximal_faces,
+    closure,
+    face_lattice_primitive_collections,
+    face_lattice_simpliciality,
+)
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cox import cox_report
 from torickit.errors import NoPrimitiveCollectionError
@@ -57,11 +64,10 @@ class TestValidation:
         assert "RAY_COVERAGE" in violation_axioms(fan)
 
     def test_downward_closure(self):
-        fan = Fan.create([(1, 0), (0, 1)], [[0], [1], [0, 1]])
+        # A complex stored as its maximal cones holds every face of them.
+        fan = Fan.create([(1, 0), (0, 1)], [[0, 1]])
         assert validate_fan(fan).valid
-        broken = Fan(2, ((1, 0), (0, 1)), frozenset({frozenset(), frozenset({0}),
-                                                     frozenset({1}), frozenset({0, 1})}) - {frozenset({0})})
-        assert {"RAY_COVERAGE", "DOWNWARD_CLOSURE"} <= violation_axioms(broken)
+        assert not is_nonface(fan, {0})
 
     def test_trivial_complex(self):
         fan = Fan.create([(1, 0)], [])
@@ -89,6 +95,13 @@ class TestValidation:
         fan = cp_fan(8)
         assert validate_fan(fan).valid
         assert tuple(cox_report(fan).witness_degree) == (1,) * 9
+
+    def test_cp19_terminates(self):
+        # 20 rays, the default TORICKIT_MAX_R, and 2^20 - 2 nonempty faces.
+        fan = cp_fan(19)
+        assert validate_fan(fan).valid
+        assert primitive_collections(fan) == {frozenset(range(20))}
+        assert is_complete(fan)
 
     def test_simpliciality_rank_tests_maximal_faces(self, monkeypatch):
         # cp13 has 2^14 - 2 nonempty faces but only 14 maximal ones, and
@@ -155,7 +168,7 @@ class TestPrimitiveCollections:
                 assert any(c <= nonface for c in collections)
             for c in collections:
                 for sub in itertools.combinations(sorted(c), len(c) - 1):
-                    assert frozenset(sub) in fan.faces
+                    assert frozenset(sub) in closure(fan)
 
 
 class TestRMin:
@@ -223,6 +236,59 @@ class TestMaximalFaces:
     def test_matches_the_pairwise_definition(self, fan):
         assert fan.maximal_faces() == brute_force_maximal_faces(fan)
 
+    def test_create_keeps_the_maximal_members(self):
+        fan = Fan.create([(1, 0), (0, 1), (-1, 0)], [[0], [1, 0], [], [1], [2], [2]])
+        assert fan.cones == {frozenset({0, 1}), frozenset({2})}
+        assert not is_nonface(fan, {1})
+        assert is_nonface(fan, {0, 2})
+        # The empty set is a face even of a complex with no cones.
+        assert not is_nonface(Fan.create([(1, 0)], []), ())
+
+
+NONZERO_GENERATORS = st.tuples(*[st.integers(-2, 2)] * 3).filter(any)
+
+
+class TestFaceLatticeOracles:
+    """Answers from the maximal cones against the same answers read off the
+    materialised face lattice."""
+
+    @staticmethod
+    def check(fan):
+        assert primitive_collections(fan) == face_lattice_primitive_collections(fan)
+        faces = closure(fan)
+        assert nonface_family(fan) == {
+            frozenset(s)
+            for size in range(1, fan.ray_count + 1)
+            for s in itertools.combinations(range(fan.ray_count), size)
+            if frozenset(s) not in faces
+        }
+        witnesses = [
+            v.witness for v in validate_fan(fan).violations if v.axiom == "SIMPLICIALITY"
+        ]
+        assert witnesses == face_lattice_simpliciality(fan)
+
+    @PROPERTY
+    @given(complexes(), st.data())
+    def test_complexes(self, fan, data):
+        # Distinct nonzero generators in R^3, so that validation reaches
+        # SIMPLICIALITY; every cone of four or more rays is dependent.
+        generators = data.draw(
+            st.lists(NONZERO_GENERATORS, min_size=fan.ray_count, max_size=fan.ray_count, unique=True)
+        )
+        self.check(Fan(3, tuple(generators), fan.cones))
+
+    @PROPERTY
+    @given(plane_fans())
+    def test_plane_fans(self, fan):
+        self.check(fan)
+
+    @pytest.mark.parametrize(
+        "base", [cp_fan(3)] + [hirzebruch_fan(k) for k in (1, 2, 3)], ids=["cp3", "h1", "h2", "h3"]
+    )
+    def test_every_subfan(self, base):
+        for fan in [base] + enumerate_subfans(base):
+            self.check(fan)
+
 
 class TestSmooth:
     def test_examples(self, hirzebruch1):
@@ -256,7 +322,7 @@ class TestComplete:
     def test_one_dimensional(self):
         assert is_complete(Fan.from_maximal([(2,), (-1,)], []))
         assert not is_complete(Fan.from_maximal([(1,)], []))
-        assert not is_complete(Fan(1, (), frozenset({frozenset()})))
+        assert not is_complete(Fan(1, (), frozenset()))
 
     @PROPERTY
     @given(plane_fans())
@@ -282,12 +348,17 @@ class TestSubfans:
         for sub in enumerate_subfans(hirzebruch1):
             assert validate_fan(sub).valid
             assert sub.generators == hirzebruch1.generators
-            assert sub.faces < hirzebruch1.faces
+            assert closure(sub) < closure(hirzebruch1)
 
     def test_rays_only_and_cp1(self):
         rays_only = Fan.from_maximal([(1, 0), (0, 1)], [(0,), (1,)])
         assert enumerate_subfans(rays_only) == []
         assert enumerate_subfans(cp_fan(1)) == []
+
+    @pytest.mark.parametrize("base", [cp_fan(2), cp_fan(3), hirzebruch_fan(1)], ids=["cp2", "cp3", "h1"])
+    def test_ordered_by_their_face_lists(self, base):
+        subs = enumerate_subfans(base)
+        assert subs == sorted(subs, key=lambda f: sorted((len(x), sorted(x)) for x in closure(f)))
 
     def test_cp2_subfan_count(self):
         # Three incomparable 2-faces, all subsets are ideals: 2^3 - 1 proper.
@@ -325,8 +396,8 @@ class TestIsomorphism:
                 assert image in b.generators
                 mapping[i] = b.generators.index(image)
             assert len(set(mapping.values())) == len(mapping)
-            mapped = frozenset(frozenset(mapping[i] for i in f) for f in a.faces)
-            assert mapped == b.faces
+            mapped = frozenset(frozenset(mapping[i] for i in f) for f in closure(a))
+            assert mapped == closure(b)
         assert found > 0
 
     def test_symmetry(self, hirzebruch1):
@@ -359,10 +430,10 @@ class TestIsomorphism:
                 new_generators[perm[i]] = tuple(
                     sum(u[row][col] * g[col] for col in range(n)) for row in range(n)
                 )
-            new_faces = frozenset(
-                frozenset(perm[i] for i in face) for face in fan.faces
+            new_cones = frozenset(
+                frozenset(perm[i] for i in cone) for cone in fan.cones
             )
-            transformed = Fan(n, tuple(new_generators), new_faces)
+            transformed = Fan(n, tuple(new_generators), new_cones)
             witness = fan_isomorphism(fan, transformed)
             assert witness is not None
             assert abs(witness.determinant()) == 1

@@ -433,6 +433,13 @@ class TestSmithProperties:
         assert snf.V.entries == IntegerMatrix.identity(cols).entries
         assert snf.diagonal == ()
 
+    @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0), (2, 4)])
+    def test_s_has_the_shape_of_a(self, rows, cols):
+        a = IntegerMatrix.zero(rows, cols) if rows else IntegerMatrix(0, cols, ())
+        snf = smith_normal_form(a)
+        assert (snf.S.rows, snf.S.cols) == (rows, cols)
+        assert (snf.V.rows, snf.V.cols) == (cols, cols)
+
 
 VERDICTS = {
     UnderdeterminedError: "underdetermined",
