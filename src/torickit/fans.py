@@ -5,6 +5,13 @@ that span cones; every face is a subset of some maximal cone and is never
 listed. All cone-level reasoning derives `SimplicialCone` objects on
 demand, and the combinatorial questions (non-faces, primitive
 collections, subfans) are answered from the maximal cones alone.
+
+Isomorphism first compares invariants under GL(n,Z) x S_r (dimension,
+ray count, maximal-cone sizes, per-ray profiles of the sizes of the
+cones through each ray, elementary divisors) and rejects on any
+difference; only then does it search, mapping each frame ray only to the
+rays of the same profile. Classification buckets the fans by these
+invariants and searches within a bucket only.
 """
 
 from __future__ import annotations
@@ -224,7 +231,12 @@ def r_min(fan: Fan) -> int:
 
 
 def is_smooth(fan: Fan) -> bool:
-    """True iff every maximal cone is smooth (faces of smooth cones are)."""
+    """True iff every maximal cone is smooth (faces of smooth cones are).
+
+    The fan must be valid (see `validate_fan`); the answer on an
+    invalid fan is unspecified, and an out-of-range cone index may raise
+    IndexError.
+    """
     return all(is_smooth_cone(fan.cone(face)) for face in fan.maximal_faces())
 
 
@@ -316,32 +328,63 @@ def _integer_inverse(m: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix.from_rows([[e * last for e in row] for row in scaled])
 
 
+def _ray_profiles(fan: Fan) -> list[tuple[int, ...]]:
+    """Per ray, the sorted sizes of the maximal cones that contain it."""
+    sizes: list[list[int]] = [[] for _ in range(fan.ray_count)]
+    for cone in fan.cones:
+        for i in cone:
+            sizes[i].append(len(cone))
+    return [tuple(sorted(s)) for s in sizes]
+
+
+def _invariants(fan: Fan, snf=None) -> tuple:
+    """Invariants of a valid fan under GL(n,Z) acting on the lattice and
+    S_r relabelling the rays: dimension, ray count, the sorted maximal-cone
+    sizes, the sorted per-ray profiles and the elementary divisors of the
+    generator matrix. `snf` is that matrix's Smith form, if already known.
+    """
+    if snf is None:
+        snf = smith_normal_form(fan.generator_matrix())
+    return (
+        fan.dim,
+        fan.ray_count,
+        tuple(sorted(len(cone) for cone in fan.cones)),
+        tuple(sorted(_ray_profiles(fan))),
+        snf.elementary_divisors,
+    )
+
+
 def fan_isomorphism(a: Fan, b: Fan):
     """A unimodular matrix carrying fan a onto fan b, or None.
 
-    The generator lattices are first reduced to coordinates on the
-    saturation of their spans (so rank-deficient fans are handled), then
-    a frame of independent rays of a is matched against every ordered
-    tuple of rays of b; each candidate linear map is accepted iff it is
-    integral, maps the ray set bijectively and carries the cones of a
-    exactly onto the cones of b.
+    Both fans must be valid (see `validate_fan`); the answer on an
+    invalid fan is unspecified, and an out-of-range cone index may raise
+    IndexError.
+
+    Fans whose invariants differ are rejected at once. Otherwise the
+    generator lattices are reduced to coordinates on the saturation of
+    their spans (so rank-deficient fans are handled), and a frame of
+    independent rays of a is matched, in lexicographic order, against every
+    tuple of distinct rays of b with the same profiles; each candidate
+    linear map is accepted iff it is integral, maps the ray set bijectively
+    and carries the cones of a exactly onto the cones of b. An isomorphism
+    preserves profiles, so the first match is the first over all ordered
+    tuples.
     """
-    if a.dim != b.dim or a.ray_count != b.ray_count:
+    snf_a = smith_normal_form(a.generator_matrix())
+    snf_b = smith_normal_form(b.generator_matrix())
+    if _invariants(a, snf_a) != _invariants(b, snf_b):
         return None
     r = a.ray_count
     if r == 0:
         return IntegerMatrix.identity(a.dim)
 
-    snf_a = smith_normal_form(a.generator_matrix())
-    snf_b = smith_normal_form(b.generator_matrix())
     rank = snf_a.rank
-    # The rays span sublattices with these elementary divisors in the
+    # The rays span sublattices with equal elementary divisors in the
     # saturation coordinates below, and a unimodular map preserves them.
-    # Once they agree, an integral W that maps the rays of a bijectively
-    # onto those of b carries one sublattice onto the other, so
-    # |det W| = 1 follows and needs no test per candidate.
-    if snf_a.elementary_divisors != snf_b.elementary_divisors:
-        return None
+    # So an integral W that maps the rays of a bijectively onto those of
+    # b carries one sublattice onto the other, and |det W| = 1 follows
+    # and needs no test per candidate.
 
     # Coordinates of every generator on the saturation of its span: the
     # first `rank` entries of U g (the rest vanish because UGV = S).
@@ -356,13 +399,17 @@ def fan_isomorphism(a: Fan, b: Fan):
 
     # The first independent rays of a: the pivot columns of its coordinates.
     frame = _fraction_free_rref([[v[k] for v in coords_a] for k in range(rank)])[1]
+    profiles_a, profiles_b = _ray_profiles(a), _ray_profiles(b)
+    candidates = [[t for t in range(r) if profiles_b[t] == profiles_a[i]] for i in frame]
 
     # W F = T for the frame matrix F (columns coords_a[frame]) and each
     # target matrix T, so W = T (last F^-1) / last with F inverted once.
     last, scaled_inverse = _scaled_inverse(
         [[coords_a[i][k] for i in frame] for k in range(rank)]
     )
-    for target in itertools.permutations(range(r), rank):
+    for target in itertools.product(*candidates):
+        if len(set(target)) != rank:
+            continue
         product = [
             [
                 sum(coords_b[t][k] * scaled_inverse[c][j] for c, t in enumerate(target))
@@ -391,13 +438,22 @@ def fan_isomorphism(a: Fan, b: Fan):
 
 
 def isomorphism_classes(fans: list[Fan]) -> list[list[int]]:
-    """Group fans into GL(n,Z)-equivalence classes (lists of input indices)."""
+    """Group fans into GL(n,Z)-equivalence classes (lists of input indices,
+    each in input order, the classes in order of their first member).
+
+    Every fan must be valid (see `validate_fan`), as for `fan_isomorphism`.
+    Fans are bucketed by their invariants, and each fan is compared only
+    with the first members of the classes in its bucket.
+    """
     classes: list[list[int]] = []
+    buckets: dict[tuple, list[list[int]]] = {}
     for idx, fan in enumerate(fans):
-        for group in classes:
+        bucket = buckets.setdefault(_invariants(fan), [])
+        for group in bucket:
             if fan_isomorphism(fans[group[0]], fan) is not None:
                 group.append(idx)
                 break
         else:
-            classes.append([idx])
+            bucket.append([idx])
+            classes.append(bucket[-1])
     return classes

@@ -10,7 +10,10 @@ rays, the positive kernel vector by basic solutions) and by a subset sum
 are the angular completeness test for plane fans and the quadratic
 definition of maximal faces. So are the primitive collections and the
 SIMPLICIALITY witnesses computed over the materialised face lattice,
-which the library replaced by reasoning on the maximal cones alone.
+which the library replaced by reasoning on the maximal cones alone, and
+the fan isomorphism search over every ordered tuple of target rays with
+its pairwise classification, which the library replaced by rejection on
+invariants and a search over rays of matching profile.
 """
 
 from __future__ import annotations
@@ -33,14 +36,16 @@ from torickit.cones import (
     halfspace_description,
 )
 from torickit.errors import DimensionMismatchError
-from torickit.fans import Fan
+from torickit.fans import Fan, _integer_inverse, _scaled_inverse
 from torickit.lattice import (
     IntegerMatrix,
+    _fraction_free_rref,
     clear_denominators,
     kernel_basis,
     rational_nullspace,
     rational_rank,
     rational_solve,
+    smith_normal_form,
 )
 from torickit.stability import ReplayResult
 
@@ -426,3 +431,90 @@ def angular_is_complete(fan: Fan) -> bool:
         if frozenset({a, b}) not in faces:
             return False
     return True
+
+
+def permutation_search_isomorphism(a: Fan, b: Fan):
+    """A unimodular matrix carrying fan a onto fan b, or None.
+
+    The generator lattices are first reduced to coordinates on the
+    saturation of their spans (so rank-deficient fans are handled), then
+    a frame of independent rays of a is matched against every ordered
+    tuple of rays of b; each candidate linear map is accepted iff it is
+    integral, maps the ray set bijectively and carries the cones of a
+    exactly onto the cones of b.
+    """
+    if a.dim != b.dim or a.ray_count != b.ray_count:
+        return None
+    r = a.ray_count
+    if r == 0:
+        return IntegerMatrix.identity(a.dim)
+
+    snf_a = smith_normal_form(a.generator_matrix())
+    snf_b = smith_normal_form(b.generator_matrix())
+    rank = snf_a.rank
+    # The rays span sublattices with these elementary divisors in the
+    # saturation coordinates below, and a unimodular map preserves them.
+    # Once they agree, an integral W that maps the rays of a bijectively
+    # onto those of b carries one sublattice onto the other, so
+    # |det W| = 1 follows and needs no test per candidate.
+    if snf_a.elementary_divisors != snf_b.elementary_divisors:
+        return None
+
+    # Coordinates of every generator on the saturation of its span: the
+    # first `rank` entries of U g (the rest vanish because UGV = S).
+    coords_a = [snf_a.U.apply(g)[:rank] for g in a.generators]
+    coords_b = [snf_b.U.apply(g)[:rank] for g in b.generators]
+
+    lookup = {}
+    for idx, vec in enumerate(coords_b):
+        if vec in lookup:
+            return None
+        lookup[vec] = idx
+
+    # The first independent rays of a: the pivot columns of its coordinates.
+    frame = _fraction_free_rref([[v[k] for v in coords_a] for k in range(rank)])[1]
+
+    # W F = T for the frame matrix F (columns coords_a[frame]) and each
+    # target matrix T, so W = T (last F^-1) / last with F inverted once.
+    last, scaled_inverse = _scaled_inverse(
+        [[coords_a[i][k] for i in frame] for k in range(rank)]
+    )
+    for target in itertools.permutations(range(r), rank):
+        product = [
+            [
+                sum(coords_b[t][k] * scaled_inverse[c][j] for c, t in enumerate(target))
+                for j in range(rank)
+            ]
+            for k in range(rank)
+        ]
+        if any(x % last for row in product for x in row):
+            continue
+        w = IntegerMatrix.from_rows([[x // last for x in row] for row in product])
+        permutation = [lookup.get(w.apply(v)) for v in coords_a]
+        if None in permutation or len(set(permutation)) != r:
+            continue
+        mapped = frozenset(frozenset(permutation[i] for i in cone) for cone in a.cones)
+        if mapped == b.cones:
+            n = a.dim
+            block = [
+                [
+                    w.entries[i][j] if i < rank and j < rank else (1 if i == j else 0)
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+            return _integer_inverse(snf_b.U) @ IntegerMatrix.from_rows(block) @ snf_a.U
+    return None
+
+
+def pairwise_isomorphism_classes(fans: list[Fan]) -> list[list[int]]:
+    """Group fans into GL(n,Z)-equivalence classes (lists of input indices)."""
+    classes: list[list[int]] = []
+    for idx, fan in enumerate(fans):
+        for group in classes:
+            if permutation_search_isomorphism(fans[group[0]], fan) is not None:
+                group.append(idx)
+                break
+        else:
+            classes.append([idx])
+    return classes

@@ -14,12 +14,15 @@ from oracles import (
     closure,
     face_lattice_primitive_collections,
     face_lattice_simpliciality,
+    pairwise_isomorphism_classes,
+    permutation_search_isomorphism,
 )
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cox import cox_report
 from torickit.errors import NoPrimitiveCollectionError
 from torickit.fans import (
     Fan,
+    _invariants,
     enumerate_subfans,
     fan_isomorphism,
     is_complete,
@@ -365,6 +368,51 @@ class TestSubfans:
         assert len(enumerate_subfans(cp_fan(2))) == 7
 
 
+def product_fan(*ns: int) -> Fan:
+    """cp_{n1} x cp_{n2} x ...: each factor's rays in their own block of
+    coordinates, and every product of maximal cones."""
+    factors = [cp_fan(n) for n in ns]
+    dim = sum(f.dim for f in factors)
+    gens, cones, offset = [], [()], 0
+    for f in factors:
+        base = len(gens)
+        gens += [(0,) * offset + g + (0,) * (dim - offset - f.dim) for g in f.generators]
+        cones = [c + tuple(base + i for i in sorted(m)) for c in cones for m in f.cones]
+        offset += f.dim
+    return Fan.from_maximal(gens, cones)
+
+
+@st.composite
+def unimodular_rows(draw, n):
+    """An n x n unimodular matrix: the identity under a few row additions,
+    sign flips and a row permutation."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 6))):
+            a, b = draw(st.permutations(range(n)))[:2]
+            factor = draw(st.sampled_from([-2, -1, 1, 2]))
+            u[a] = [x + factor * y for x, y in zip(u[a], u[b])]
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    return [[signs[i] * x for x in u[order[i]]] for i in range(n)]
+
+
+def acted_on(fan: Fan, u, perm) -> Fan:
+    """The image of a fan under the matrix u, with ray i renamed perm[i]."""
+    generators = [None] * fan.ray_count
+    for i, g in enumerate(fan.generators):
+        generators[perm[i]] = tuple(sum(x * y for x, y in zip(row, g)) for row in u)
+    cones = frozenset(frozenset(perm[i] for i in cone) for cone in fan.cones)
+    return Fan(fan.dim, tuple(generators), cones)
+
+
+ISOMORPHISM_POOL = [
+    fan
+    for base in [hirzebruch_fan(1), hirzebruch_fan(3), cp_fan(2), cp_fan(3), c2_fan(), product_fan(1, 1)]
+    for fan in [base] + enumerate_subfans(base)
+]
+
+
 class TestIsomorphism:
     def test_identity(self, hirzebruch1):
         u = fan_isomorphism(hirzebruch1, hirzebruch1)
@@ -372,6 +420,16 @@ class TestIsomorphism:
 
     def test_cp1_vs_c2(self, c2):
         assert fan_isomorphism(cp_fan(1), c2) is None
+
+    def test_rejects_on_elementary_divisors(self):
+        # Same complex, but the second cone spans a sublattice of index 2:
+        # e1 -> (1, 0), e2 -> (1, 2) is integral with determinant 2.
+        smooth = Fan.from_maximal([(1, 0), (0, 1)], [(0, 1)])
+        singular = Fan.from_maximal([(1, 0), (1, 2)], [(0, 1)])
+        assert _invariants(smooth)[:4] == _invariants(singular)[:4]
+        assert _invariants(smooth) != _invariants(singular)
+        assert fan_isomorphism(smooth, singular) is None
+        assert fan_isomorphism(singular, smooth) is None
 
     def test_axis_swap(self):
         f1 = Fan.from_maximal([(1, 0), (-1, 0)], [(0,), (1,)])
@@ -448,3 +506,48 @@ class TestIsomorphism:
         classes = isomorphism_classes(subs)
         assert sorted(len(c) for c in classes) == [1, 1, 1, 2, 2, 2, 2, 2, 2]
         assert sum(len(c) for c in classes) == 15
+
+    @pytest.mark.parametrize(
+        "base",
+        [cp_fan(2)] + [hirzebruch_fan(k) for k in (1, 2, 3)] + [product_fan(1, 1)],
+        ids=["cp2", "h1", "h2", "h3", "cp1xcp1"],
+    )
+    def test_matrices_match_the_permutation_search(self, base):
+        fans = [base] + enumerate_subfans(base)
+        for a, b in itertools.product(fans, repeat=2):
+            found, expected = fan_isomorphism(a, b), permutation_search_isomorphism(a, b)
+            assert (found is None) == (expected is None)
+            if found is not None:
+                assert found.entries == expected.entries
+
+    @pytest.mark.parametrize(
+        "fans", [enumerate_subfans(cp_fan(3)), ISOMORPHISM_POOL], ids=["cp3_subfans", "pool"]
+    )
+    def test_classes_match_the_pairwise_search(self, fans):
+        # The pool mixes fans of several buckets, so the classes must come
+        # back in the order of their first members, not bucket by bucket.
+        assert isomorphism_classes(fans) == pairwise_isomorphism_classes(fans)
+
+    @PROPERTY
+    @given(st.sampled_from(ISOMORPHISM_POOL), st.data())
+    def test_invariant_under_lattice_and_relabelling(self, fan, data):
+        u = data.draw(unimodular_rows(fan.dim))
+        perm = data.draw(st.permutations(range(fan.ray_count)))
+        image = acted_on(fan, u, perm)
+        assert _invariants(image) == _invariants(fan)
+        witness = fan_isomorphism(fan, image)
+        assert witness is not None and abs(witness.determinant()) == 1
+        mapping = [image.generators.index(witness.apply(g)) for g in fan.generators]
+        assert frozenset(frozenset(mapping[i] for i in c) for c in fan.cones) == image.cones
+
+    def test_cp2xcp1_subfans_classify(self):
+        # About two minutes with the search over every ordered target tuple.
+        subs = enumerate_subfans(product_fan(2, 1))
+        classes = isomorphism_classes(subs)
+        assert len(subs) == 1194 and len(classes) == 157
+        assert sorted(i for group in classes for i in group) == list(range(1194))
+
+    def test_cp7_minus_a_cone_is_rejected(self):
+        # About 3 s with the search over every ordered target tuple.
+        cp7 = cp_fan(7)
+        assert fan_isomorphism(cp7, Fan(7, cp7.generators, cp7.cones - {frozenset(range(7))})) is None
