@@ -169,9 +169,10 @@ def cmd_stability(args) -> int:
     else:
         for index in args.free:
             if not 0 <= index < fan.ray_count:
-                raise ValueError(
-                    f"pin index {index + 1} out of range 1..{fan.ray_count}"
-                )
+                raise ValueError(f"pin index {index + 1} out of range 1..{fan.ray_count}")
+        low = [index + 1 for index, value in args.free.items() if value < 1]
+        if low:
+            raise ValueError(f"pinned value at index {low[0]} must be a positive integer")
         degrees = complete_degrees(fan, args.free)
     collections = primitive_collections(fan)
     # Never empty here: a strictly positive relation among the rays keeps

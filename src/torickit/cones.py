@@ -3,7 +3,9 @@
 Smooth cones are simplicial, so simpliciality is enforced at construction
 (INDEPENDENCE_VIOLATION otherwise); strong convexity is then automatic and
 needs no separate check. All predicates are decided exactly over the
-rationals, the common-face test by one exact LP (`lattice._lex_min`).
+rationals. The common-face LP (`lattice._lex_min`) and the Z-basis test
+are each stated once, on plain vector lists, and both the cone predicates
+here and the fan checks in `fans` call them.
 """
 
 from __future__ import annotations
@@ -69,20 +71,18 @@ class SimplicialCone:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def generator_matrix(self) -> IntegerMatrix:
-        return IntegerMatrix.from_columns(list(self.generators))
+
+def _extends_to_basis(vectors) -> bool:
+    """Whether the vectors extend to a Z-basis of the lattice: the matrix
+    with them as columns has one elementary divisor per column, all 1."""
+    divisors = smith_normal_form(IntegerMatrix.from_columns(vectors)).elementary_divisors
+    return len(divisors) == len(vectors) and all(d == 1 for d in divisors)
 
 
 def is_smooth_cone(cone: SimplicialCone) -> bool:
-    """True iff the generators extend to a Z-basis of the ambient lattice.
-
-    Equivalently, all elementary divisors of the generator matrix are 1;
-    the zero cone is smooth.
-    """
-    if cone.is_zero:
-        return True
-    divisors = smith_normal_form(cone.generator_matrix()).elementary_divisors
-    return len(divisors) == len(cone.generators) and all(d == 1 for d in divisors)
+    """True iff the generators extend to a Z-basis of the ambient lattice;
+    the zero cone is smooth."""
+    return _extends_to_basis(cone.generators)
 
 
 def cone_contains(cone: SimplicialCone, point) -> bool:
@@ -131,26 +131,29 @@ def halfspace_description(cone: SimplicialCone):
     return equalities, inequalities
 
 
+def _meet_only_in(dim: int, a_gens, b_gens, common) -> bool:
+    """Whether the cones on independent vectors a_gens and b_gens meet only
+    in the cone on `common`, a set of vectors listed in both. Coefficients
+    are unique, so iff no common point has a positive coefficient off
+    `common`: iff the LP alpha, beta >= 0, sum alpha_i u_i == sum beta_j v_j
+    with the coefficients off `common` summing to 1 is infeasible. Its Farkas
+    alternative is the separation lemma (Cox-Little-Schenck, Toric
+    Varieties, §1.2). Positive scaling or reordering keeps the answer."""
+    gens = [*a_gens, *b_gens]
+    signs = [1] * len(a_gens) + [-1] * len(b_gens)
+    rows = [[sign * g[i] for sign, g in zip(signs, gens)] for i in range(dim)]
+    rows.append([int(g not in common) for g in gens])
+    return _lex_min(rows, [0] * dim + [1], []) is None
+
+
 def intersection_is_common_face(
     a: SimplicialCone, b: SimplicialCone, shared: SimplicialCone
 ) -> bool:
-    """Decide whether `shared` is a face of both cones and a ∩ b == shared.
-
-    False unless the generators of `shared` generate both a and b. Then
-    a ∩ b == shared iff no point of a ∩ b has a positive coefficient on a
-    generator outside `shared` (coefficients in a simplicial cone are
-    unique), i.e. iff this LP in the coefficients alpha, beta >= 0 of a and
-    b is infeasible: sum alpha_i u_i == sum beta_j v_j, with the
-    coefficients off `shared` summing to 1. Its Farkas alternative is the
-    separation lemma (Cox-Little-Schenck, Toric Varieties, §1.2).
-    """
+    """Whether `shared` is a face of both cones and a ∩ b == shared: false
+    unless its generators generate both a and b, else one LP decides."""
     if not (a.dim == b.dim == shared.dim):
         raise DimensionMismatchError("cones live in different ambient spaces")
     common = set(shared.generators)
     if not common <= set(a.generators) & set(b.generators):
         return False
-    gens = a.generators + b.generators
-    signs = [1] * len(a.generators) + [-1] * len(b.generators)
-    rows = [[sign * g[i] for sign, g in zip(signs, gens)] for i in range(a.dim)]
-    rows.append([int(g not in common) for g in gens])
-    return _lex_min(rows, [0] * a.dim + [1], []) is None
+    return _meet_only_in(a.dim, a.generators, b.generators, common)

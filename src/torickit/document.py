@@ -36,9 +36,11 @@ def _require(condition: bool, message: str):
 
 def fan_document_from_obj(obj) -> FanDocument:
     _require(isinstance(obj, dict), "fan document must be a JSON object")
-    _require(obj.get("schema_version") == SCHEMA_VERSION, "unsupported schema_version")
+    # JSON true and false load as bool, a subclass of int equal to 1 and 0.
+    version = obj.get("schema_version")
+    _require(version == SCHEMA_VERSION and type(version) is not bool, "unsupported schema_version")
     dimension = obj.get("dimension")
-    _require(isinstance(dimension, int) and dimension >= 1, "dimension must be a positive integer")
+    _require(type(dimension) is int and dimension >= 1, "dimension must be a positive integer")
 
     generators = obj.get("generators")
     _require(isinstance(generators, list) and generators, "generators must be a nonempty list")
@@ -47,7 +49,7 @@ def fan_document_from_obj(obj) -> FanDocument:
         _require(
             isinstance(g, list)
             and len(g) == dimension
-            and all(isinstance(e, int) for e in g),
+            and all(type(e) is int for e in g),
             "each generator must be a list of integers of the fan dimension",
         )
         gens.append(tuple(g))
@@ -59,7 +61,7 @@ def fan_document_from_obj(obj) -> FanDocument:
     for cone in cones:
         _require(
             isinstance(cone, list)
-            and all(isinstance(i, int) and 1 <= i <= r for i in cone),
+            and all(type(i) is int and 1 <= i <= r for i in cone),
             f"cone indices must be integers in [1, {r}]",
         )
         _require(len(set(cone)) == len(cone), "cone indices must be distinct")
@@ -125,7 +127,8 @@ def load_fan_file(path) -> tuple[Fan, FanDocument]:
 
 def poly_tuple_from_obj(obj) -> PolyTuple:
     _require(isinstance(obj, dict), "tuple document must be a JSON object")
-    _require(obj.get("schema_version") == SCHEMA_VERSION, "unsupported schema_version")
+    version = obj.get("schema_version")
+    _require(version == SCHEMA_VERSION and type(version) is not bool, "unsupported schema_version")
     polys = obj.get("polynomials")
     _require(isinstance(polys, list) and polys, "polynomials must be a nonempty list")
     parsed = []

@@ -2,9 +2,10 @@
 
 A fan is the pair of its ray generator list and the maximal index sets
 that span cones; every face is a subset of some maximal cone and is never
-listed. All cone-level reasoning derives `SimplicialCone` objects on
-demand, and the combinatorial questions (non-faces, primitive
-collections, subfans) are answered from the maximal cones alone.
+listed. Validation and smoothness read the generators through the index
+sets and pass plain vector lists to the LP and Z-basis tests of `cones`;
+the combinatorial questions (non-faces, primitive collections, subfans)
+are answered from the maximal cones alone.
 
 Isomorphism first compares invariants under GL(n,Z) x S_r (dimension,
 ray count, maximal-cone sizes, per-ray profiles of the sizes of the
@@ -19,11 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cones import (
-    SimplicialCone,
-    intersection_is_common_face,
-    is_smooth_cone,
-)
+from .cones import _extends_to_basis, _meet_only_in, primitivize
 from .errors import NoPrimitiveCollectionError
 from .lattice import (
     IntegerMatrix,
@@ -80,11 +77,6 @@ class Fan:
     def maximal_faces(self) -> list[Face]:
         return sorted(self.cones, key=lambda f: (len(f), sorted(f)))
 
-    def cone(self, face) -> SimplicialCone:
-        return SimplicialCone.from_generators(
-            self.dim, [self.generators[i] for i in sorted(face)]
-        )
-
     def generator_matrix(self) -> IntegerMatrix:
         """The n x r matrix whose columns are the ray generators."""
         return IntegerMatrix.from_columns(list(self.generators))
@@ -126,18 +118,14 @@ def validate_fan(fan: Fan) -> ValidationReport:
     violations = []
     r = fan.ray_count
 
+    seen = {}
     for i, g in enumerate(fan.generators):
         if len(g) != fan.dim:
             violations.append(Violation("GENERATOR_DIMENSION", ((i,),)))
-    for i in range(r):
-        if not any(fan.generators[i]):
+        if not any(g):
             violations.append(Violation("ZERO_GENERATOR", ((i,),)))
-    seen = {}
-    for i, g in enumerate(fan.generators):
-        if g in seen:
+        if seen.setdefault(g, i) != i:
             violations.append(Violation("DISTINCT_GENERATORS", ((seen[g], i),)))
-        else:
-            seen[g] = i
 
     for cone in fan.cones:
         if any(not 0 <= i < r for i in cone):
@@ -168,9 +156,11 @@ def validate_fan(fan: Fan) -> ValidationReport:
     if violations:
         return _sorted_report(False, violations)
 
+    # Generators are distinct and independent here: a & b indexes the common ones.
+    gens = fan.generators
     for a, b in itertools.combinations(fan.maximal_faces(), 2):
-        shared = a & b
-        if not intersection_is_common_face(fan.cone(a), fan.cone(b), fan.cone(shared)):
+        common = {gens[i] for i in a & b}
+        if not _meet_only_in(fan.dim, [gens[i] for i in a], [gens[j] for j in b], common):
             violations.append(
                 Violation("INTERSECTION", (tuple(sorted(a)), tuple(sorted(b))))
             )
@@ -237,7 +227,9 @@ def is_smooth(fan: Fan) -> bool:
     invalid fan is unspecified, and an out-of-range cone index may raise
     IndexError.
     """
-    return all(is_smooth_cone(fan.cone(face)) for face in fan.maximal_faces())
+    return all(
+        _extends_to_basis([primitivize(fan.generators[i]) for i in cone]) for cone in fan.cones
+    )
 
 
 def is_complete(fan: Fan) -> bool:

@@ -13,7 +13,10 @@ SIMPLICIALITY witnesses computed over the materialised face lattice,
 which the library replaced by reasoning on the maximal cones alone, and
 the fan isomorphism search over every ordered tuple of target rays with
 its pairwise classification, which the library replaced by rejection on
-invariants and a search over rays of matching profile.
+invariants and a search over rays of matching profile. The INTERSECTION
+loop and smoothness test that build a `SimplicialCone` for every cone
+they look at are kept as well; the library now reads the generators
+through the index sets instead.
 """
 
 from __future__ import annotations
@@ -34,9 +37,11 @@ from torickit.cones import (
     SimplicialCone,
     cone_contains,
     halfspace_description,
+    intersection_is_common_face,
+    is_smooth_cone,
 )
 from torickit.errors import DimensionMismatchError
-from torickit.fans import Fan, _integer_inverse, _scaled_inverse
+from torickit.fans import Fan, Violation, _integer_inverse, _scaled_inverse
 from torickit.lattice import (
     IntegerMatrix,
     _fraction_free_rref,
@@ -385,6 +390,36 @@ def face_lattice_simpliciality(fan: Fan) -> list:
         if face in maximal or not independent(face):
             witnesses.append((tuple(sorted(face)),))
     return sorted(witnesses)
+
+
+def cone_object_intersection_violations(fan: Fan) -> list:
+    """The INTERSECTION violations of `validate_fan`, in pair order, from a
+    `SimplicialCone` for each cone of every pair of maximal cones and for
+    their common face. The fan must pass every earlier check of
+    `validate_fan`."""
+    violations = []
+    for a, b in itertools.combinations(fan.maximal_faces(), 2):
+        shared = a & b
+        if not intersection_is_common_face(
+            SimplicialCone.from_generators(fan.dim, [fan.generators[i] for i in sorted(a)]),
+            SimplicialCone.from_generators(fan.dim, [fan.generators[i] for i in sorted(b)]),
+            SimplicialCone.from_generators(fan.dim, [fan.generators[i] for i in sorted(shared)]),
+        ):
+            violations.append(
+                Violation("INTERSECTION", (tuple(sorted(a)), tuple(sorted(b))))
+            )
+    return violations
+
+
+def cone_object_is_smooth(fan: Fan) -> bool:
+    """`is_smooth` of a valid fan from a `SimplicialCone` for each maximal
+    cone."""
+    return all(
+        is_smooth_cone(
+            SimplicialCone.from_generators(fan.dim, [fan.generators[i] for i in sorted(face)])
+        )
+        for face in fan.maximal_faces()
+    )
 
 
 def brute_force_maximal_faces(fan: Fan):

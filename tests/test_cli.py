@@ -62,6 +62,18 @@ class TestAnalyze:
         jsonschema.validate(out, ERROR_OUTPUT_SCHEMA)
         assert out["error"] == "DOCUMENT_ERROR"
 
+    def test_booleans_are_not_integers(self, write_tuple, run_cli):
+        obj = {
+            "schema_version": True,
+            "dimension": True,
+            "generators": [[1], [-1]],
+            "maximal_cones": [[True], [2]],
+        }
+        code, out = run_cli("analyze", write_tuple(obj, "booleans"))
+        assert code == 1
+        jsonschema.validate(out, ERROR_OUTPUT_SCHEMA)
+        assert out["error"] == "DOCUMENT_ERROR"
+
     def test_invalid_fan_exits_2(self, tmp_path, run_cli):
         obj = {
             "schema_version": 1,
@@ -149,6 +161,16 @@ class TestStability:
         assert code == 3
         assert out["error"] == "VALUE_ERROR"
         assert "pin index 0 " in out["message"]
+
+    @pytest.mark.parametrize("pins, index", [("1=0", 1), ("2=-3", 2), ("1=2,3=0", 3)])
+    def test_pinned_value_reported_one_based(self, pins, index, write_fan, run_cli):
+        code, out = run_cli("stability", write_fan(hirzebruch_fan(1), "h1"), "--free", pins)
+        assert code == 3
+        assert out["error"] == "VALUE_ERROR"
+        assert out["message"] == f"pinned value at index {index} must be a positive integer"
+        # The standing conditions are still checked before the pins.
+        code, out = run_cli("stability", write_fan(c2_fan(), "c2"), "--free", pins)
+        assert code == 3 and out["error"] == "CONDITION_2_FAILED"
 
     def test_degree_errors_propagate(self, write_fan, run_cli):
         path = write_fan(hirzebruch_fan(1), "h1")

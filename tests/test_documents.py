@@ -50,6 +50,23 @@ class TestFanDocuments:
             with pytest.raises(DocumentError):
                 fan_document_from_obj(broken)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("schema_version", True),
+            ("dimension", True),
+            ("generators", [[True], [-1]]),
+            ("maximal_cones", [[True], [2]]),
+        ],
+    )
+    def test_rejects_booleans_as_integers(self, field, value):
+        # JSON true loads as a bool, which is an int equal to 1.
+        obj = {"schema_version": 1, "dimension": 1, "generators": [[1], [-1]], "maximal_cones": [[1], [2]]}
+        fan_document_from_obj(obj)
+        obj[field] = value
+        with pytest.raises(DocumentError):
+            fan_document_from_obj(obj)
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(DocumentError):
             load_fan_file(tmp_path / "nope.json")
@@ -87,6 +104,7 @@ class TestPolyTupleDocuments:
             {"schema_version": 1, "polynomials": [[["1/0", "0"]]]},
             {"schema_version": 1, "polynomials": [[["1", "0", "2"]]]},
             {"schema_version": 2, "polynomials": [[["1", "0"]]]},
+            {"schema_version": True, "polynomials": [[["1", "0"]]]},
         ]:
             with pytest.raises(DocumentError):
                 poly_tuple_from_obj(obj)

@@ -6,18 +6,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import torickit.cones
 import torickit.fans
 from oracles import (
     _angular_order,
     angular_is_complete,
     brute_force_maximal_faces,
     closure,
+    cone_object_intersection_violations,
+    cone_object_is_smooth,
     face_lattice_primitive_collections,
     face_lattice_simpliciality,
     pairwise_isomorphism_classes,
     permutation_search_isomorphism,
 )
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
+from torickit.cones import primitivize
 from torickit.cox import cox_report
 from torickit.errors import NoPrimitiveCollectionError
 from torickit.fans import (
@@ -119,6 +123,22 @@ class TestValidation:
         monkeypatch.setattr(torickit.fans, "rational_rank", counted)
         assert validate_fan(cp_fan(13)).valid
         assert len(calls) <= 14
+
+    def test_cp19_rank_tests_one_per_maximal_cone(self, monkeypatch):
+        # The SIMPLICIALITY step tests each of the 20 maximal cones once;
+        # the intersection LPs and the smoothness test need no rank test,
+        # so building cone objects (which test rank again) would show here.
+        calls = []
+        for module in (torickit.fans, torickit.cones):
+
+            def counted(rows, _original=module.rational_rank):
+                calls.append(len(rows))
+                return _original(rows)
+
+            monkeypatch.setattr(module, "rational_rank", counted)
+        fan = cp_fan(19)
+        assert validate_fan(fan).valid and is_smooth(fan)
+        assert len(calls) <= 20
 
     def test_dependent_face_with_independent_edges(self):
         fan = Fan.from_maximal([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], [(0, 1, 2), (0, 1, 3)])
@@ -291,6 +311,52 @@ class TestFaceLatticeOracles:
     def test_every_subfan(self, base):
         for fan in [base] + enumerate_subfans(base):
             self.check(fan)
+
+
+class TestConeObjectOracles:
+    """The INTERSECTION witnesses and smoothness read through the fan's
+    index sets against the same loops over `SimplicialCone` objects."""
+
+    @staticmethod
+    def check(fan):
+        report = validate_fan(fan)
+        found = [v for v in report.violations if v.axiom == "INTERSECTION"]
+        if len(found) < len(report.violations):
+            # An earlier check failed, and validation stopped before INTERSECTION.
+            assert not found
+            return
+        assert found == sorted(cone_object_intersection_violations(fan), key=lambda v: v.witness)
+        if report.valid:
+            assert is_smooth(fan) == cone_object_is_smooth(fan)
+
+    @PROPERTY
+    @given(complexes(), st.data())
+    def test_complexes(self, fan, data):
+        # Every ray is a cone, so more of these reach INTERSECTION.
+        generators = data.draw(
+            st.lists(NONZERO_GENERATORS, min_size=fan.ray_count, max_size=fan.ray_count, unique=True)
+        )
+        self.check(Fan.from_maximal(generators, fan.cones))
+
+    @PROPERTY
+    @given(plane_fans())
+    def test_plane_fans(self, fan):
+        self.check(fan)
+
+    @pytest.mark.parametrize(
+        "base", [cp_fan(3)] + [hirzebruch_fan(k) for k in (1, 2, 3)], ids=["cp3", "h1", "h2", "h3"]
+    )
+    def test_every_subfan(self, base):
+        for fan in [base] + enumerate_subfans(base):
+            self.check(fan)
+
+    def test_interior_ray_and_singular_cone(self):
+        interior = Fan.from_maximal([(1, 0), (0, 1), (1, 1)], [(0, 1), (2,)])
+        assert cone_object_intersection_violations(interior)
+        self.check(interior)
+        singular = Fan.from_maximal([(2, 0), (1, 2)], [(0, 1)])
+        assert not cone_object_is_smooth(singular)
+        self.check(singular)
 
 
 class TestSmooth:
@@ -551,3 +617,58 @@ class TestIsomorphism:
         # About 3 s with the search over every ordered target tuple.
         cp7 = cp_fan(7)
         assert fan_isomorphism(cp7, Fan(7, cp7.generators, cp7.cones - {frozenset(range(7))})) is None
+
+
+def scaled(fan: Fan, factors) -> Fan:
+    """The fan with generator i multiplied by factors[i]."""
+    generators = tuple(tuple(m * e for e in g) for m, g in zip(factors, fan.generators))
+    return Fan(fan.dim, generators, fan.cones)
+
+
+class TestValidationInvariance:
+    """`validate_fan` and `is_smooth` under GL(n,Z) x S_r and positive
+    scaling of the generators, on fans where no generator is a positive
+    multiple of another (scaling could make two such generators equal)."""
+
+    @staticmethod
+    def check(fan, data):
+        u = data.draw(unimodular_rows(fan.dim))
+        perm = data.draw(st.permutations(range(fan.ray_count)))
+        factors = data.draw(st.lists(st.integers(1, 4), min_size=fan.ray_count, max_size=fan.ray_count))
+        image = scaled(acted_on(fan, u, perm), factors)
+
+        def witnesses(report, relabel):
+            # The order of the two cones of a pair follows their labels.
+            return sorted(
+                (v.axiom, sorted(sorted(relabel[i] for i in group) for group in v.witness))
+                for v in report.violations
+            )
+
+        before, after = validate_fan(fan), validate_fan(image)
+        assert after.valid == before.valid
+        assert witnesses(after, range(fan.ray_count)) == witnesses(before, perm)
+        if before.valid:
+            assert is_smooth(image) == is_smooth(fan)
+
+    @PROPERTY
+    @given(complexes(), st.data())
+    def test_complexes(self, fan, data):
+        generators = data.draw(
+            st.lists(
+                NONZERO_GENERATORS,
+                min_size=fan.ray_count,
+                max_size=fan.ray_count,
+                unique_by=primitivize,
+            )
+        )
+        self.check(Fan.from_maximal(generators, fan.cones), data)
+
+    @PROPERTY
+    @given(plane_fans(), st.data())
+    def test_plane_fans(self, fan, data):
+        self.check(fan, data)
+
+    @PROPERTY
+    @given(st.sampled_from(ISOMORPHISM_POOL), st.data())
+    def test_catalog_subfans(self, fan, data):
+        self.check(fan, data)
