@@ -8,9 +8,8 @@ fixture tests double as a conformance report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
 
+from ._record import record
 from .document import fan_document_from_obj, fan_from_document
 from .fans import Fan
 
@@ -49,13 +48,13 @@ def c2_fan() -> Fan:
     return Fan.from_maximal([(1, 0), (0, 1)], [(0,), (1,)])
 
 
-@dataclass(frozen=True)
+@record
 class ExpectedValue:
     value: object
     source: str
 
 
-@dataclass(frozen=True)
+@record
 class CatalogEntry:
     name: str
     fan: Fan
@@ -64,6 +63,8 @@ class CatalogEntry:
 
 def load_catalog() -> list[CatalogEntry]:
     """Parse the bundled fixture file."""
+    from importlib import resources
+
     raw = resources.files("torickit.data").joinpath("catalog.json").read_text("utf-8")
     entries = []
     for obj in json.loads(raw):

@@ -117,7 +117,10 @@ def _parse_free(raw: str) -> dict:
     try:
         for part in raw.split(","):
             index, value = part.split("=")
-            pins[int(index) - 1] = int(value)
+            key = int(index) - 1
+            if key in pins:
+                raise argparse.ArgumentTypeError(f"repeated pin index {key + 1} in {raw!r}")
+            pins[key] = int(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad pin list {raw!r}") from exc
     return pins

@@ -10,9 +10,9 @@ here and the fan checks in `fans` call them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from ._record import record
 from .errors import DimensionMismatchError, IndependenceViolationError, ZeroVectorError
 from .lattice import (
     IntegerMatrix,
@@ -37,7 +37,7 @@ def primitivize(vector) -> LatticeVector:
     return tuple(e // g for e in vec)
 
 
-@dataclass(frozen=True)
+@record
 class SimplicialCone:
     """Cone spanned by rationally independent primitive lattice vectors.
 

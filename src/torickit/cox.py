@@ -7,15 +7,13 @@ computation needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from . import lattice
+from ._record import record
 from .errors import NonPositiveError, NotInKernelError
 from .fans import Fan
 
 
-@dataclass(frozen=True)
+@record
 class DegreeVector:
     """Positive integer r-tuple grading based holomorphic maps.
 
@@ -48,7 +46,7 @@ class DegreeVector:
         return sum(self.entries)
 
 
-@dataclass(frozen=True)
+@record
 class CoxGroupReport:
     """Character data of the Cox quotient group plus the two standing conditions."""
 
@@ -56,8 +54,8 @@ class CoxGroupReport:
     finite_part: tuple[int, ...]
     condition_span: bool
     condition_positive_degree: bool
-    witness_degree: Optional[DegreeVector]
-    pi2_rank: Optional[int]
+    witness_degree: DegreeVector | None
+    pi2_rank: int | None
 
 
 def degree_of(fan: Fan, entries) -> DegreeVector:
@@ -81,7 +79,7 @@ def complete_degrees(fan: Fan, partial: dict) -> DegreeVector:
     return DegreeVector(entries)
 
 
-def positive_kernel_vector(fan: Fan) -> Optional[DegreeVector]:
+def positive_kernel_vector(fan: Fan) -> DegreeVector | None:
     witness = lattice.positive_kernel_vector(fan.generator_matrix())
     if witness is None:
         return None

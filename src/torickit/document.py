@@ -9,9 +9,8 @@ polynomial coefficients).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
 
+from ._record import record
 from .errors import DocumentError
 from .fans import Fan
 from .gaussian import ONE, gaussian_from_pair, gaussian_to_pair, poly
@@ -20,13 +19,13 @@ from .holmap import PolyTuple
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
+@record
 class FanDocument:
     schema_version: int
     dimension: int
     generators: tuple[tuple[int, ...], ...]
     maximal_cones: tuple[tuple[int, ...], ...]
-    name: Optional[str] = None
+    name: str | None = None
 
 
 def _require(condition: bool, message: str):
@@ -84,7 +83,7 @@ def fan_from_document(doc: FanDocument) -> Fan:
     )
 
 
-def document_from_fan(fan: Fan, name: Optional[str] = None) -> FanDocument:
+def document_from_fan(fan: Fan, name: str | None = None) -> FanDocument:
     return FanDocument(
         schema_version=SCHEMA_VERSION,
         dimension=fan.dim,

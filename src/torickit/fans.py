@@ -18,8 +18,8 @@ invariants and searches within a bucket only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._record import record
 from .cones import _extends_to_basis, _meet_only_in, primitivize
 from .errors import NoPrimitiveCollectionError
 from .lattice import (
@@ -43,7 +43,7 @@ def _maximal(family) -> Complex:
     return frozenset(maximal)
 
 
-@dataclass(frozen=True)
+@record
 class Fan:
     """Generator table plus maximal cones (0-based index sets).
 
@@ -82,13 +82,13 @@ class Fan:
         return IntegerMatrix.from_columns(list(self.generators))
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     axiom: str
     witness: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     valid: bool
     violations: tuple[Violation, ...]
@@ -367,6 +367,12 @@ def fan_isomorphism(a: Fan, b: Fan):
     snf_b = smith_normal_form(b.generator_matrix())
     if _invariants(a, snf_a) != _invariants(b, snf_b):
         return None
+    return _isomorphism(a, snf_a, b, snf_b)
+
+
+def _isomorphism(a: Fan, snf_a, b: Fan, snf_b):
+    """The search of `fan_isomorphism` for two fans with equal invariants,
+    given the Smith forms of their generator matrices."""
     r = a.ray_count
     if r == 0:
         return IntegerMatrix.identity(a.dim)
@@ -435,17 +441,20 @@ def isomorphism_classes(fans: list[Fan]) -> list[list[int]]:
 
     Every fan must be valid (see `validate_fan`), as for `fan_isomorphism`.
     Fans are bucketed by their invariants, and each fan is compared only
-    with the first members of the classes in its bucket.
+    with the first members of the classes in its bucket; every fan's Smith
+    form is computed once.
     """
     classes: list[list[int]] = []
-    buckets: dict[tuple, list[list[int]]] = {}
+    # Per invariant tuple: (first member's Smith form, class) pairs.
+    buckets: dict[tuple, list[tuple]] = {}
     for idx, fan in enumerate(fans):
-        bucket = buckets.setdefault(_invariants(fan), [])
-        for group in bucket:
-            if fan_isomorphism(fans[group[0]], fan) is not None:
+        snf = smith_normal_form(fan.generator_matrix())
+        bucket = buckets.setdefault(_invariants(fan, snf), [])
+        for first_snf, group in bucket:
+            if _isomorphism(fans[group[0]], first_snf, fan, snf) is not None:
                 group.append(idx)
                 break
         else:
-            bucket.append([idx])
-            classes.append(bucket[-1])
+            bucket.append((snf, [idx]))
+            classes.append(bucket[-1][1])
     return classes

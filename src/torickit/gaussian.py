@@ -18,12 +18,13 @@ trailing zeros; the zero polynomial is the empty tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from ._record import record
 
-@dataclass(frozen=True)
+
+@record
 class GaussianRational:
     real: Fraction
     imag: Fraction

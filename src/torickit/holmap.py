@@ -9,9 +9,9 @@ models are implemented and kept interchangeable. The base point convention
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import (
     DegreeMismatchError,
     DuplicatePointsError,
@@ -38,7 +38,7 @@ def _point_key(point: GaussianRational):
     return (point.real, point.imag)
 
 
-@dataclass(frozen=True)
+@record
 class PolyTuple:
     """Tuple of monic polynomials, one per ray; degrees are their degrees."""
 
@@ -60,7 +60,7 @@ class PolyTuple:
         return sum(self.degrees)
 
 
-@dataclass(frozen=True)
+@record
 class Configuration:
     """Root multisets, one per ray; point keys within a slot are distinct."""
 
@@ -91,14 +91,14 @@ class Configuration:
         return {_point_key(p) for p, _ in self.slots[index]}
 
 
-@dataclass(frozen=True)
+@record
 class EvaluationResult:
     point: tuple[GaussianRational, ...]
     in_u_k: bool
     violated_collections: tuple[frozenset, ...]
 
 
-@dataclass(frozen=True)
+@record
 class StabilizationResult:
     poly_tuple: "PolyTuple"
     member: bool

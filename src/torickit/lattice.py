@@ -12,10 +12,10 @@ and column operations carry U and V along with S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._record import record
 from .errors import (
     DimensionMismatchError,
     InconsistentError,
@@ -29,7 +29,7 @@ from .errors import (
 RationalVector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
+@record
 class IntegerMatrix:
     """Immutable integer matrix with row-major entries."""
 
@@ -132,7 +132,7 @@ class IntegerMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
 
-@dataclass(frozen=True)
+@record
 class SmithDecomposition:
     """Unimodular U, V and diagonal S with U @ A @ V == S.
 

@@ -13,8 +13,7 @@ reading off the first diagonal the unknown region can touch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .cox import DegreeVector, cox_report, degree_of
 from .errors import Condition1FailedError, Condition2FailedError, KOutOfRangeError
 from .fans import Fan, r_min
@@ -23,7 +22,7 @@ KIND_HOMOTOPY = "HOMOTOPY"
 KIND_HOMOLOGY = "HOMOLOGY"
 
 
-@dataclass(frozen=True)
+@record
 class StabilityReport:
     r_min: int
     d_min: int
@@ -34,7 +33,7 @@ class StabilityReport:
     oracle_dim: int
 
 
-@dataclass(frozen=True)
+@record
 class DiscriminantDims:
     dim_l: int
     dim_c_k: int
@@ -42,7 +41,7 @@ class DiscriminantDims:
     n_d: int
 
 
-@dataclass(frozen=True)
+@record
 class ReplayResult:
     stable_dim: int
     min_unknown_diagonal: int

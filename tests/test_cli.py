@@ -172,6 +172,14 @@ class TestStability:
         code, out = run_cli("stability", write_fan(c2_fan(), "c2"), "--free", pins)
         assert code == 3 and out["error"] == "CONDITION_2_FAILED"
 
+    @pytest.mark.parametrize("pins", ["1=3,1=7,2=5", "2=5,1=3,01=3"])
+    def test_repeated_pin_index_is_a_usage_error(self, pins, write_fan, run_cli):
+        code, out = run_cli("stability", write_fan(hirzebruch_fan(1), "h1"), "--free", pins)
+        assert code == 1
+        jsonschema.validate(out, ERROR_OUTPUT_SCHEMA)
+        assert out["error"] == "USAGE_ERROR"
+        assert "repeated pin index 1" in out["message"]
+
     def test_degree_errors_propagate(self, write_fan, run_cli):
         path = write_fan(hirzebruch_fan(1), "h1")
         code, out = run_cli("stability", path, "--degrees", "1,1,2,2")

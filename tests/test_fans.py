@@ -594,6 +594,22 @@ class TestIsomorphism:
         # back in the order of their first members, not bucket by bucket.
         assert isomorphism_classes(fans) == pairwise_isomorphism_classes(fans)
 
+    def test_classes_compute_each_smith_form_once(self, monkeypatch):
+        subs = enumerate_subfans(cp_fan(3))
+        calls = []
+        original = torickit.fans.smith_normal_form
+
+        def counted(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(torickit.fans, "smith_normal_form", counted)
+        classes = isomorphism_classes(subs)
+        # Far more comparisons than fans, so two forms per comparison
+        # would show.
+        assert sum(len(group) - 1 for group in classes) > len(subs) // 2
+        assert len(calls) == len(subs)
+
     @PROPERTY
     @given(st.sampled_from(ISOMORPHISM_POOL), st.data())
     def test_invariant_under_lattice_and_relabelling(self, fan, data):
