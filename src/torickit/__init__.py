@@ -5,113 +5,108 @@ data, decides membership in spaces of based holomorphic maps from the
 sphere by exact polynomial arithmetic, and computes the stability
 dimension of the inclusion into the double loop space, cross-checked by an
 independent region-propagation oracle.
+
+The package is lazy: each library module below is registered in
+`sys.modules` and as a package attribute at import, but its code is
+compiled and run only when one of its attributes is first read, so a CLI
+subcommand pays start-up only for the modules it runs. The public names
+resolve through the module-level `__getattr__` (PEP 562). `cli` is not
+registered: `python -m torickit.cli` runs it as `__main__`.
 """
 
-from .catalog import CatalogEntry, builder_for, c2_fan, cp_fan, hirzebruch_fan, load_catalog
-from .cones import (
-    SimplicialCone,
-    cone_contains,
-    intersection_is_common_face,
-    is_smooth_cone,
-    primitivize,
-)
-from .cox import CoxGroupReport, DegreeVector, complete_degrees, cox_report, degree_of
-from .fans import (
-    Fan,
-    ValidationReport,
-    enumerate_subfans,
-    fan_isomorphism,
-    is_complete,
-    is_nonface,
-    is_smooth,
-    isomorphism_classes,
-    nonface_family,
-    primitive_collections,
-    r_min,
-    validate_fan,
-)
-from .gaussian import GaussianRational
-from .holmap import (
-    Configuration,
-    EvaluationResult,
-    PolyTuple,
-    StabilizationResult,
-    config_is_member,
-    config_to_polytuple,
-    evaluate,
-    is_member,
-    scanning_snapshot,
-    stabilize,
-    violating_collections,
-)
-from .lattice import (
-    IntegerMatrix,
-    SmithDecomposition,
-    kernel_basis,
-    positive_kernel_vector,
-    smith_normal_form,
-    spans_lattice,
-)
-from .stability import (
-    DiscriminantDims,
-    StabilityReport,
-    discriminant_dims,
-    stability_report,
-    stable_range_replay,
-)
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CatalogEntry",
-    "Configuration",
-    "CoxGroupReport",
-    "DegreeVector",
-    "DiscriminantDims",
-    "EvaluationResult",
-    "Fan",
-    "GaussianRational",
-    "IntegerMatrix",
-    "PolyTuple",
-    "SimplicialCone",
-    "SmithDecomposition",
-    "StabilityReport",
-    "StabilizationResult",
-    "ValidationReport",
-    "builder_for",
-    "c2_fan",
-    "complete_degrees",
-    "cone_contains",
-    "config_is_member",
-    "config_to_polytuple",
-    "cox_report",
-    "cp_fan",
-    "degree_of",
-    "discriminant_dims",
-    "enumerate_subfans",
-    "evaluate",
-    "fan_isomorphism",
-    "hirzebruch_fan",
-    "intersection_is_common_face",
-    "is_complete",
-    "is_member",
-    "is_nonface",
-    "is_smooth",
-    "is_smooth_cone",
-    "isomorphism_classes",
-    "kernel_basis",
-    "load_catalog",
-    "nonface_family",
-    "positive_kernel_vector",
-    "primitive_collections",
-    "primitivize",
-    "r_min",
-    "scanning_snapshot",
-    "smith_normal_form",
-    "spans_lattice",
-    "stability_report",
-    "stabilize",
-    "stable_range_replay",
-    "validate_fan",
-    "violating_collections",
-]
+# The public names, grouped by the module that defines them.
+_EXPORTS = {
+    "catalog": ("CatalogEntry", "builder_for", "c2_fan", "cp_fan", "hirzebruch_fan", "load_catalog"),
+    "cones": (
+        "SimplicialCone",
+        "cone_contains",
+        "intersection_is_common_face",
+        "is_smooth_cone",
+        "primitivize",
+    ),
+    "cox": ("CoxGroupReport", "DegreeVector", "complete_degrees", "cox_report", "degree_of"),
+    "fans": (
+        "Fan",
+        "ValidationReport",
+        "enumerate_subfans",
+        "fan_isomorphism",
+        "is_complete",
+        "is_nonface",
+        "is_smooth",
+        "isomorphism_classes",
+        "nonface_family",
+        "primitive_collections",
+        "r_min",
+        "validate_fan",
+    ),
+    "gaussian": ("GaussianRational",),
+    "holmap": (
+        "Configuration",
+        "EvaluationResult",
+        "PolyTuple",
+        "StabilizationResult",
+        "config_is_member",
+        "config_to_polytuple",
+        "evaluate",
+        "is_member",
+        "scanning_snapshot",
+        "stabilize",
+        "violating_collections",
+    ),
+    "lattice": (
+        "IntegerMatrix",
+        "SmithDecomposition",
+        "kernel_basis",
+        "positive_kernel_vector",
+        "smith_normal_form",
+        "spans_lattice",
+    ),
+    "stability": (
+        "DiscriminantDims",
+        "StabilityReport",
+        "discriminant_dims",
+        "stability_report",
+        "stable_range_replay",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def _register_lazy(name: str):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    loader.exec_module(module)
+    return module
+
+
+lattice = _register_lazy("lattice")
+cones = _register_lazy("cones")
+fans = _register_lazy("fans")
+cox = _register_lazy("cox")
+gaussian = _register_lazy("gaussian")
+holmap = _register_lazy("holmap")
+document = _register_lazy("document")
+stability = _register_lazy("stability")
+catalog = _register_lazy("catalog")
+
+
+def __getattr__(name: str):
+    try:
+        module = _ORIGIN[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(globals()[module], name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

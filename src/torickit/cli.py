@@ -15,22 +15,19 @@ import json
 import os
 import sys
 
+# Modules that only some subcommands run are bound as (lazy) modules and
+# read at call time, so a subcommand compiles and runs only what it uses.
+from . import cox, gaussian, holmap, stability
 from . import document as doc_module
-from .cox import complete_degrees, cox_report, degree_of
-from .errors import InvalidFanError, ToricKitError
+from .errors import DocumentError, InvalidFanError, ToricKitError
 from .fans import (
-    Fan,
     enumerate_subfans,
     is_complete,
     is_smooth,
     isomorphism_classes,
     primitive_collections,
-    r_min,
     validate_fan,
 )
-from .gaussian import gaussian_to_pair
-from .holmap import default_stabilization_points, stabilize, violating_collections
-from .stability import report_from_invariants, require_standing_conditions
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -63,7 +60,7 @@ def _max_r() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise doc_module.DocumentError(
+        raise DocumentError(
             f"TORICKIT_MAX_R must be an integer, got {raw!r}"
         ) from None
 
@@ -72,7 +69,7 @@ def _load_fan(path: str):
     fan, doc = doc_module.load_fan_file(path)
     cap = _max_r()
     if fan.ray_count > cap:
-        raise doc_module.DocumentError(
+        raise DocumentError(
             f"fan has {fan.ray_count} rays, above the cap of {cap} (TORICKIT_MAX_R)"
         )
     return fan, doc
@@ -131,7 +128,7 @@ def cmd_analyze(args) -> int:
     _require_valid(fan, doc)
 
     collections = primitive_collections(fan)
-    cox = cox_report(fan)
+    report = cox.cox_report(fan)
     _emit(
         {
             "schema_version": 1,
@@ -145,12 +142,12 @@ def cmd_analyze(args) -> int:
             "primitive_collections": _one_based(collections),
             "r_min": min(len(c) for c in collections) if collections else None,
             "cox": {
-                "free_rank": cox.free_rank,
-                "finite_part": list(cox.finite_part),
-                "condition_span": cox.condition_span,
-                "condition_positive_degree": cox.condition_positive_degree,
-                "witness_degree": list(cox.witness_degree) if cox.witness_degree else None,
-                "pi2_rank": cox.pi2_rank,
+                "free_rank": report.free_rank,
+                "finite_part": list(report.finite_part),
+                "condition_span": report.condition_span,
+                "condition_positive_degree": report.condition_positive_degree,
+                "witness_degree": list(report.witness_degree) if report.witness_degree else None,
+                "pi2_rank": report.pi2_rank,
             },
         },
         args.output,
@@ -165,10 +162,10 @@ def cmd_stability(args) -> int:
     # The two standing conditions are preconditions of the whole operation;
     # check them before degree resolution so their codes are not masked by
     # degree errors on fans where no degree vector can exist at all.
-    require_standing_conditions(fan)
+    stability.require_standing_conditions(fan)
 
     if args.degrees is not None:
-        degrees = degree_of(fan, args.degrees)
+        degrees = cox.degree_of(fan, args.degrees)
     else:
         for index in args.free:
             if not 0 <= index < fan.ray_count:
@@ -176,11 +173,11 @@ def cmd_stability(args) -> int:
         low = [index + 1 for index, value in args.free.items() if value < 1]
         if low:
             raise ValueError(f"pinned value at index {low[0]} must be a positive integer")
-        degrees = complete_degrees(fan, args.free)
+        degrees = cox.complete_degrees(fan, args.free)
     collections = primitive_collections(fan)
     # Never empty here: a strictly positive relation among the rays keeps
     # them out of any one simplicial cone.
-    result = report_from_invariants(min(len(c) for c in collections), degrees.minimum)
+    result = stability.report_from_invariants(min(len(c) for c in collections), degrees.minimum)
     article = "a homotopy" if result.kind == "HOMOTOPY" else "a homology"
     _emit(
         {
@@ -209,7 +206,7 @@ def cmd_holcheck(args) -> int:
     fan, _ = _load_fan(args.fan)
     _require_valid(fan)
     tup = doc_module.load_poly_tuple_file(args.tuple)
-    violated = violating_collections(tup, fan)
+    violated = holmap.violating_collections(tup, fan)
     _emit(
         {
             "schema_version": 1,
@@ -226,8 +223,8 @@ def cmd_stabilize(args) -> int:
     fan, _ = _load_fan(args.fan)
     _require_valid(fan)
     tup = doc_module.load_poly_tuple_file(args.tuple)
-    points = default_stabilization_points(tup.total_degree, fan.ray_count)
-    result = stabilize(tup, args.increment, fan, points)
+    points = holmap.default_stabilization_points(tup.total_degree, fan.ray_count)
+    result = holmap.stabilize(tup, args.increment, fan, points)
     _emit(
         {
             "schema_version": 1,
@@ -235,7 +232,7 @@ def cmd_stabilize(args) -> int:
             "increment": list(args.increment),
             "degrees_after": list(result.poly_tuple.degrees),
             "member": result.member,
-            "points": [gaussian_to_pair(p) for p in points],
+            "points": [gaussian.gaussian_to_pair(p) for p in points],
             "polynomials": doc_module.poly_tuple_to_obj(result.poly_tuple)["polynomials"],
         },
         args.output,
@@ -334,7 +331,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentError as exc:
         _error("USAGE_ERROR", str(exc), "json")  # --output may be unparsed
         return EXIT_PARSE
-    except doc_module.DocumentError as exc:
+    except DocumentError as exc:
         _error(exc.code, str(exc), args.output)
         return EXIT_PARSE
     except InvalidFanError as exc:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 
+from . import gaussian, holmap
 from ._record import record
 from .errors import DocumentError
 from .fans import Fan
-from .gaussian import ONE, gaussian_from_pair, gaussian_to_pair, poly
-from .holmap import PolyTuple
 
 SCHEMA_VERSION = 1
 
@@ -107,13 +106,19 @@ def document_to_obj(doc: FanDocument) -> dict:
     return obj
 
 
-def load_fan_file(path) -> tuple[Fan, FanDocument]:
+def _read_json(path, kind: str):
+    """The parsed JSON file; every way reading it can fail is a DocumentError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DocumentError(f"cannot read fan document: {exc}") from exc
-    doc = fan_document_from_obj(obj)
+            return json.load(handle)
+    # ValueError covers JSONDecodeError and UnicodeDecodeError; deep nesting
+    # exhausts the decoder's recursion limit.
+    except (OSError, ValueError, RecursionError) as exc:
+        raise DocumentError(f"cannot read {kind} document: {exc}") from exc
+
+
+def load_fan_file(path) -> tuple[Fan, FanDocument]:
+    doc = fan_document_from_obj(_read_json(path, "fan"))
     return fan_from_document(doc), doc
 
 
@@ -124,7 +129,7 @@ def load_fan_file(path) -> tuple[Fan, FanDocument]:
 # [real, imaginary] pair of exact fraction strings like "3/4".
 
 
-def poly_tuple_from_obj(obj) -> PolyTuple:
+def poly_tuple_from_obj(obj) -> holmap.PolyTuple:
     _require(isinstance(obj, dict), "tuple document must be a JSON object")
     version = obj.get("schema_version")
     _require(version == SCHEMA_VERSION and type(version) is not bool, "unsupported schema_version")
@@ -140,26 +145,21 @@ def poly_tuple_from_obj(obj) -> PolyTuple:
                 "each coefficient is a [real, imaginary] pair of fraction strings",
             )
             try:
-                coeffs.append(gaussian_from_pair(pair))
+                coeffs.append(gaussian.gaussian_from_pair(pair))
             except (ValueError, ZeroDivisionError) as exc:
                 raise DocumentError(f"bad coefficient {pair!r}: {exc}") from exc
-        parsed.append(poly(coeffs + [ONE]))
-    return PolyTuple.from_polys(parsed)
+        parsed.append(gaussian.poly(coeffs + [gaussian.ONE]))
+    return holmap.PolyTuple.from_polys(parsed)
 
 
-def poly_tuple_to_obj(tup: PolyTuple) -> dict:
+def poly_tuple_to_obj(tup: holmap.PolyTuple) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "polynomials": [
-            [gaussian_to_pair(c) for c in p[:-1]] for p in tup.polys
+            [gaussian.gaussian_to_pair(c) for c in p[:-1]] for p in tup.polys
         ],
     }
 
 
-def load_poly_tuple_file(path) -> PolyTuple:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DocumentError(f"cannot read tuple document: {exc}") from exc
-    return poly_tuple_from_obj(obj)
+def load_poly_tuple_file(path) -> holmap.PolyTuple:
+    return poly_tuple_from_obj(_read_json(path, "tuple"))

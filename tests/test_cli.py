@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 import torickit.cli
+import torickit.cox
 import torickit.fans
 import torickit.stability
 
@@ -140,7 +141,7 @@ class TestStability:
     def test_cox_data_computed_once(self, write_fan, run_cli, monkeypatch):
         calls = collections.Counter()
         for module, name in (
-            (torickit.cli, "cox_report"),
+            (torickit.cox, "cox_report"),
             (torickit.stability, "cox_report"),
             (torickit.cli, "primitive_collections"),
             (torickit.fans, "primitive_collections"),
@@ -199,6 +200,28 @@ class TestUsageErrors:
         assert code == 1
         jsonschema.validate(out, ERROR_OUTPUT_SCHEMA)
         assert out["error"] == "USAGE_ERROR"
+
+
+class TestUnreadableDocuments:
+    """Every way a document file can fail to parse is DOCUMENT_ERROR, exit 1."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"[" * 100_000],
+        ids=["not-utf8", "deeply-nested"],
+    )
+    @pytest.mark.parametrize("kind", ["fan", "tuple"])
+    def test_document_error(self, kind, content, tmp_path, write_fan, run_cli):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
+        if kind == "fan":
+            code, out = run_cli("analyze", str(path))
+        else:
+            code, out = run_cli("holcheck", write_fan(hirzebruch_fan(1), "h1"), str(path))
+        assert code == 1
+        jsonschema.validate(out, ERROR_OUTPUT_SCHEMA)
+        assert out["error"] == "DOCUMENT_ERROR"
+        assert out["message"].startswith(f"cannot read {kind} document: ")
 
 
 class TestHolcheck:
