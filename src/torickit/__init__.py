@@ -16,6 +16,8 @@ registered: `python -m torickit.cli` runs it as `__main__`.
 
 import importlib.util
 import sys
+from _thread import RLock
+from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -79,13 +81,59 @@ _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_ORIGIN)
 
 
+# Held while a registered module's code runs. One lock for all of them: a
+# module's code reads the modules it imports, so per-module locks taken in
+# different orders by two threads could deadlock.
+_RUN_LOCK = RLock()
+_running = set()  # names of the modules whose code is running now
+_module_dict = ModuleType.__dict__["__dict__"].__get__
+
+
+def _run(module) -> None:
+    """Run a registered module's code once, then make it a plain module.
+
+    The class switches only after the code has run, so another thread that
+    reads the module meanwhile waits on the lock instead of seeing a
+    half-filled namespace. A read from the running code itself (on this
+    thread) returns at once.
+    """
+    with _RUN_LOCK:
+        if module.__class__ is not _LazyModule or module.__name__ in _running:
+            return
+        _running.add(module.__name__)
+        try:
+            module.__spec__.loader.exec_module(module)
+        finally:
+            _running.discard(module.__name__)
+        module.__class__ = ModuleType
+
+
+class _LazyModule(ModuleType):
+    """A registered module whose code has not run yet.
+
+    Only the import attributes (`__name__`, `__spec__`, `__file__`, ...)
+    are set; reading any other attribute, `vars()` or `dir()` runs the code.
+    """
+
+    def __getattr__(self, name):
+        _run(self)
+        if self.__class__ is _LazyModule:  # read by its own running code
+            raise AttributeError(
+                f"partially initialized module {self.__name__!r} has no attribute {name!r}"
+            )
+        return getattr(self, name)
+
+    @property
+    def __dict__(self):
+        _run(self)
+        return _module_dict(self)
+
+
 def _register_lazy(name: str):
     spec = importlib.util.find_spec(f"{__name__}.{name}")
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
     module = importlib.util.module_from_spec(spec)
+    module.__class__ = _LazyModule
     sys.modules[spec.name] = module
-    loader.exec_module(module)
     return module
 
 
@@ -105,7 +153,9 @@ def __getattr__(name: str):
         module = _ORIGIN[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(globals()[module], name)
+    # Bind the name in the package, so later reads are plain global reads.
+    value = globals()[name] = getattr(globals()[module], name)
+    return value
 
 
 def __dir__():

@@ -19,13 +19,15 @@ import sys
 # read at call time, so a subcommand compiles and runs only what it uses.
 from . import cox, gaussian, holmap, stability
 from . import document as doc_module
-from .errors import DocumentError, InvalidFanError, ToricKitError
+from .errors import InvalidFanError, ToricKitError
 from .fans import (
+    Fan,
     enumerate_subfans,
     is_complete,
     is_smooth,
     isomorphism_classes,
     primitive_collections,
+    r_min,
     validate_fan,
 )
 
@@ -60,7 +62,7 @@ def _max_r() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise DocumentError(
+        raise doc_module.DocumentError(
             f"TORICKIT_MAX_R must be an integer, got {raw!r}"
         ) from None
 
@@ -69,7 +71,7 @@ def _load_fan(path: str):
     fan, doc = doc_module.load_fan_file(path)
     cap = _max_r()
     if fan.ray_count > cap:
-        raise DocumentError(
+        raise doc_module.DocumentError(
             f"fan has {fan.ray_count} rays, above the cap of {cap} (TORICKIT_MAX_R)"
         )
     return fan, doc
@@ -331,7 +333,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentError as exc:
         _error("USAGE_ERROR", str(exc), "json")  # --output may be unparsed
         return EXIT_PARSE
-    except DocumentError as exc:
+    except doc_module.DocumentError as exc:
         _error(exc.code, str(exc), args.output)
         return EXIT_PARSE
     except InvalidFanError as exc:

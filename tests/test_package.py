@@ -113,6 +113,56 @@ class TestPublicNames:
             torickit.not_a_name
 
 
+# Four threads per module, released together by a barrier right after
+# `import torickit`, each read every public name of a module whose code has
+# not run yet: two as attributes, two by `from ... import`.
+THREADS_SCRIPT = """
+import importlib, sys, threading
+import torickit
+sys.setswitchinterval(1e-6)
+errors = []
+
+def read(module, names, by_import, barrier):
+    barrier.wait()
+    try:
+        if by_import:
+            exec(f"from torickit.{module} import {', '.join(names)}", {})
+        else:
+            lazy = getattr(torickit, module)
+            for name in names:
+                getattr(lazy, name)
+    except Exception as exc:
+        errors.append(f"{module}: {exc!r}")
+
+for module, names in torickit._EXPORTS.items():
+    barrier = threading.Barrier(4)
+    threads = [threading.Thread(target=read, args=(module, names, i % 2, barrier)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+print("\\n".join(errors))
+"""
+
+
+def test_threads_first_reading_a_module_see_it_whole():
+    proc = run_fresh("-c", THREADS_SCRIPT)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.strip() == ""
+
+
+def test_vars_and_dir_run_the_module():
+    # The benchmark tracer finds the bindings to patch through `vars()`.
+    script = "import torickit; print('is_member' in vars(torickit.holmap), 'cox_report' in dir(torickit.cox))"
+    proc = run_fresh("-c", script)
+    assert proc.returncode == 0 and proc.stdout.strip() == "True True", proc.stderr
+
+
+def test_package_binds_a_public_name_on_first_read():
+    proc = run_fresh("-c", "import torickit; torickit.cox_report; print('cox_report' in vars(torickit))")
+    assert proc.returncode == 0 and proc.stdout.strip() == "True", proc.stderr
+
+
 # Installs the benchmark tracer after `import torickit, torickit.cli`, which
 # leaves the subcommand modules unexecuted, and prints calls per function.
 TRACE_SCRIPT = """
