@@ -6,6 +6,14 @@ indentation) and every number is exact. Exit codes are part of the
 contract: 0 success, 1 document/parse error or malformed command line, 2 fan
 validation failure, 3 computation error (condition or degree failures),
 with the error code carried in the JSON body.
+
+`main` runs every job the same way: parse the arguments, load the fan
+(capped at TORICKIT_MAX_R rays), validate it, run the subcommand on a valid
+fan or build the violations body on an invalid one, then emit one body
+stamped with `schema_version`, on success and on every error. `analyze`,
+`stability` and `subfans` echo the document's `name` (null when unnamed)
+in their success and violation bodies; `holcheck` and `stabilize` do not.
+A closed stdout does not change the exit code.
 """
 
 from __future__ import annotations
@@ -19,15 +27,13 @@ import sys
 # read at call time, so a subcommand compiles and runs only what it uses.
 from . import cox, gaussian, holmap, stability
 from . import document as doc_module
-from .errors import InvalidFanError, ToricKitError
+from .errors import ToricKitError
 from .fans import (
-    Fan,
     enumerate_subfans,
     is_complete,
     is_smooth,
     isomorphism_classes,
     primitive_collections,
-    r_min,
     validate_fan,
 )
 
@@ -41,14 +47,10 @@ DEFAULT_MAX_R = 20
 
 def _emit(obj: dict, output: str) -> None:
     if output == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True))
-        return
-    for key in sorted(obj):
-        print(f"{key}: {json.dumps(obj[key], sort_keys=True)}")
-
-
-def _error(code: str, message: str, output: str) -> None:
-    _emit({"schema_version": 1, "error": code, "message": message}, output)
+        text = json.dumps(obj, indent=2, sort_keys=True)
+    else:
+        text = "\n".join(f"{key}: {json.dumps(obj[key], sort_keys=True)}" for key in sorted(obj))
+    print(text, flush=True)
 
 
 def _one_based(faces) -> list[list[int]]:
@@ -77,31 +79,17 @@ def _load_fan(path: str):
     return fan, doc
 
 
-def _require_valid(fan, doc=None) -> None:
-    """Raise InvalidFanError unless the fan is valid.
-
-    Subcommands whose violation body echoes the document name pass `doc`.
-    """
-    report = validate_fan(fan)
-    if not report.valid:
-        raise InvalidFanError(report, doc)
-
-
-def _invalid_fan_body(exc: InvalidFanError) -> dict:
-    body = {
-        "schema_version": 1,
+def _invalid_fan_body(report) -> dict:
+    return {
         "valid": False,
         "violations": [
             {
                 "axiom": violation.axiom,
                 "witness": [sorted(i + 1 for i in group) for group in violation.witness],
             }
-            for violation in exc.report.violations
+            for violation in report.violations
         ],
     }
-    if exc.doc is not None:
-        body["name"] = exc.doc.name
-    return body
 
 
 def _parse_degrees(raw: str) -> tuple[int, ...]:
@@ -125,42 +113,30 @@ def _parse_free(raw: str) -> dict:
     return pins
 
 
-def cmd_analyze(args) -> int:
-    fan, doc = _load_fan(args.fan)
-    _require_valid(fan, doc)
-
+def cmd_analyze(fan, args) -> dict:
     collections = primitive_collections(fan)
     report = cox.cox_report(fan)
-    _emit(
-        {
-            "schema_version": 1,
-            "name": doc.name,
-            "valid": True,
-            "violations": [],
-            "dimension": fan.dim,
-            "ray_count": fan.ray_count,
-            "smooth": is_smooth(fan),
-            "complete": is_complete(fan),
-            "primitive_collections": _one_based(collections),
-            "r_min": min(len(c) for c in collections) if collections else None,
-            "cox": {
-                "free_rank": report.free_rank,
-                "finite_part": list(report.finite_part),
-                "condition_span": report.condition_span,
-                "condition_positive_degree": report.condition_positive_degree,
-                "witness_degree": list(report.witness_degree) if report.witness_degree else None,
-                "pi2_rank": report.pi2_rank,
-            },
+    return {
+        "valid": True,
+        "violations": [],
+        "dimension": fan.dim,
+        "ray_count": fan.ray_count,
+        "smooth": is_smooth(fan),
+        "complete": is_complete(fan),
+        "primitive_collections": _one_based(collections),
+        "r_min": min(len(c) for c in collections) if collections else None,
+        "cox": {
+            "free_rank": report.free_rank,
+            "finite_part": list(report.finite_part),
+            "condition_span": report.condition_span,
+            "condition_positive_degree": report.condition_positive_degree,
+            "witness_degree": list(report.witness_degree) if report.witness_degree else None,
+            "pi2_rank": report.pi2_rank,
         },
-        args.output,
-    )
-    return EXIT_OK
+    }
 
 
-def cmd_stability(args) -> int:
-    fan, doc = _load_fan(args.fan)
-    _require_valid(fan, doc)
-
+def cmd_stability(fan, args) -> dict:
     # The two standing conditions are preconditions of the whole operation;
     # check them before degree resolution so their codes are not masked by
     # degree errors on fans where no degree vector can exist at all.
@@ -181,75 +157,50 @@ def cmd_stability(args) -> int:
     # them out of any one simplicial cone.
     result = stability.report_from_invariants(min(len(c) for c in collections), degrees.minimum)
     article = "a homotopy" if result.kind == "HOMOTOPY" else "a homology"
-    _emit(
-        {
-            "schema_version": 1,
-            "name": doc.name,
-            "degrees": list(degrees),
-            "r_min": result.r_min,
-            "d_min": result.d_min,
-            "stability_dim": result.stability_dim,
-            "kind": result.kind,
-            "connectivity": result.connectivity,
-            "vanishing_line": result.vanishing_line,
-            "oracle_dim": result.oracle_dim,
-            "primitive_collections": _one_based(collections),
-            "sentence": (
-                f"inclusion is {article} equivalence through dimension "
-                f"{result.stability_dim}"
-            ),
-        },
-        args.output,
-    )
-    return EXIT_OK
+    return {
+        "degrees": list(degrees),
+        "r_min": result.r_min,
+        "d_min": result.d_min,
+        "stability_dim": result.stability_dim,
+        "kind": result.kind,
+        "connectivity": result.connectivity,
+        "vanishing_line": result.vanishing_line,
+        "oracle_dim": result.oracle_dim,
+        "primitive_collections": _one_based(collections),
+        "sentence": (
+            f"inclusion is {article} equivalence through dimension "
+            f"{result.stability_dim}"
+        ),
+    }
 
 
-def cmd_holcheck(args) -> int:
-    fan, _ = _load_fan(args.fan)
-    _require_valid(fan)
+def cmd_holcheck(fan, args) -> dict:
     tup = doc_module.load_poly_tuple_file(args.tuple)
     violated = holmap.violating_collections(tup, fan)
-    _emit(
-        {
-            "schema_version": 1,
-            "member": not violated,
-            "degrees": list(tup.degrees),
-            "violated_collections": _one_based(violated),
-        },
-        args.output,
-    )
-    return EXIT_OK
+    return {
+        "member": not violated,
+        "degrees": list(tup.degrees),
+        "violated_collections": _one_based(violated),
+    }
 
 
-def cmd_stabilize(args) -> int:
-    fan, _ = _load_fan(args.fan)
-    _require_valid(fan)
+def cmd_stabilize(fan, args) -> dict:
     tup = doc_module.load_poly_tuple_file(args.tuple)
     points = holmap.default_stabilization_points(tup.total_degree, fan.ray_count)
     result = holmap.stabilize(tup, args.increment, fan, points)
-    _emit(
-        {
-            "schema_version": 1,
-            "degrees_before": list(tup.degrees),
-            "increment": list(args.increment),
-            "degrees_after": list(result.poly_tuple.degrees),
-            "member": result.member,
-            "points": [gaussian.gaussian_to_pair(p) for p in points],
-            "polynomials": doc_module.poly_tuple_to_obj(result.poly_tuple)["polynomials"],
-        },
-        args.output,
-    )
-    return EXIT_OK
+    return {
+        "degrees_before": list(tup.degrees),
+        "increment": list(args.increment),
+        "degrees_after": list(result.poly_tuple.degrees),
+        "member": result.member,
+        "points": [gaussian.gaussian_to_pair(p) for p in points],
+        "polynomials": doc_module.poly_tuple_to_obj(result.poly_tuple)["polynomials"],
+    }
 
 
-def cmd_subfans(args) -> int:
-    fan, doc = _load_fan(args.fan)
-    _require_valid(fan, doc)
-
+def cmd_subfans(fan, args) -> dict:
     subfans = enumerate_subfans(fan)
     body = {
-        "schema_version": 1,
-        "name": doc.name,
         "count": len(subfans),
         "subfans": [
             {
@@ -267,8 +218,7 @@ def cmd_subfans(args) -> int:
             "members": [sorted(group) for group in classes],
             "collisions": [sorted(group) for group in classes if len(group) > 1],
         }
-    _emit(body, args.output)
-    return EXIT_OK
+    return body
 
 
 class _Parser(argparse.ArgumentParser):
@@ -291,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="validate a fan and report its invariants")
     p_analyze.add_argument("fan", help="path to a fan document")
-    p_analyze.set_defaults(func=cmd_analyze)
+    p_analyze.set_defaults(func=cmd_analyze, echo_name=True)
 
     p_stability = sub.add_parser(
         "stability", help="stability dimension of the holomorphic-map inclusion"
@@ -302,12 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--free", type=_parse_free, help="pinned coordinates i=d,... (1-based)"
     )
-    p_stability.set_defaults(func=cmd_stability)
+    p_stability.set_defaults(func=cmd_stability, echo_name=True)
 
     p_holcheck = sub.add_parser("holcheck", help="membership test for a polynomial tuple")
     p_holcheck.add_argument("fan")
     p_holcheck.add_argument("tuple", help="path to a polynomial tuple document")
-    p_holcheck.set_defaults(func=cmd_holcheck)
+    p_holcheck.set_defaults(func=cmd_holcheck, echo_name=False)
 
     p_stabilize = sub.add_parser("stabilize", help="apply the degree-raising stabilization")
     p_stabilize.add_argument("fan")
@@ -315,36 +265,46 @@ def build_parser() -> argparse.ArgumentParser:
     p_stabilize.add_argument(
         "--increment", type=_parse_degrees, required=True, help="degree increment a1,a2,..."
     )
-    p_stabilize.set_defaults(func=cmd_stabilize)
+    p_stabilize.set_defaults(func=cmd_stabilize, echo_name=False)
 
     p_subfans = sub.add_parser("subfans", help="enumerate proper subfans on the same rays")
     p_subfans.add_argument("fan")
     p_subfans.add_argument(
         "--classify", action="store_true", help="group subfans into GL(n,Z) classes"
     )
-    p_subfans.set_defaults(func=cmd_subfans)
+    p_subfans.set_defaults(func=cmd_subfans, echo_name=True)
     return parser
 
 
 def main(argv=None) -> int:
+    output = "json"  # until --output is parsed
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        output = args.output
+        fan, doc = _load_fan(args.fan)
+        report = validate_fan(fan)
+        if report.valid:
+            body, code = args.func(fan, args), EXIT_OK
+        else:
+            body, code = _invalid_fan_body(report), EXIT_INVALID
+        if args.echo_name:
+            body["name"] = doc.name
     except argparse.ArgumentError as exc:
-        _error("USAGE_ERROR", str(exc), "json")  # --output may be unparsed
-        return EXIT_PARSE
+        body, code = {"error": "USAGE_ERROR", "message": str(exc)}, EXIT_PARSE
     except doc_module.DocumentError as exc:
-        _error(exc.code, str(exc), args.output)
-        return EXIT_PARSE
-    except InvalidFanError as exc:
-        _emit(_invalid_fan_body(exc), args.output)
-        return EXIT_INVALID
+        body, code = {"error": exc.code, "message": str(exc)}, EXIT_PARSE
     except ToricKitError as exc:
-        _error(exc.code, str(exc), args.output)
-        return EXIT_COMPUTE
+        body, code = {"error": exc.code, "message": str(exc)}, EXIT_COMPUTE
     except ValueError as exc:
-        _error("VALUE_ERROR", str(exc), args.output)
-        return EXIT_COMPUTE
+        body, code = {"error": "VALUE_ERROR", "message": str(exc)}, EXIT_COMPUTE
+    body["schema_version"] = 1
+    try:
+        _emit(body, output)
+    except BrokenPipeError:
+        # The reader has gone. Point stdout at devnull so that the flush at
+        # interpreter exit cannot fail again, and keep the job's exit code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

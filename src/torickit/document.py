@@ -32,11 +32,15 @@ def _require(condition: bool, message: str):
         raise DocumentError(message)
 
 
-def fan_document_from_obj(obj) -> FanDocument:
-    _require(isinstance(obj, dict), "fan document must be a JSON object")
+def _require_versioned_object(obj, kind: str):
+    _require(isinstance(obj, dict), f"{kind} document must be a JSON object")
     # JSON true and false load as bool, a subclass of int equal to 1 and 0.
     version = obj.get("schema_version")
     _require(version == SCHEMA_VERSION and type(version) is not bool, "unsupported schema_version")
+
+
+def fan_document_from_obj(obj) -> FanDocument:
+    _require_versioned_object(obj, "fan")
     dimension = obj.get("dimension")
     _require(type(dimension) is int and dimension >= 1, "dimension must be a positive integer")
 
@@ -130,9 +134,7 @@ def load_fan_file(path) -> tuple[Fan, FanDocument]:
 
 
 def poly_tuple_from_obj(obj) -> holmap.PolyTuple:
-    _require(isinstance(obj, dict), "tuple document must be a JSON object")
-    version = obj.get("schema_version")
-    _require(version == SCHEMA_VERSION and type(version) is not bool, "unsupported schema_version")
+    _require_versioned_object(obj, "tuple")
     polys = obj.get("polynomials")
     _require(isinstance(polys, list) and polys, "polynomials must be a nonempty list")
     parsed = []

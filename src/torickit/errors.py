@@ -55,21 +55,6 @@ class NoPrimitiveCollectionError(ToricKitError):
     code = "NO_PRIMITIVE_COLLECTION"
 
 
-class InvalidFanError(ToricKitError):
-    """An operation requiring a valid fan received an invalid one.
-
-    Carries the failing validation report and, when the caller echoes the
-    fan's name, the fan document.
-    """
-
-    code = "INVALID_FAN"
-
-    def __init__(self, report, doc=None):
-        super().__init__("fan fails validation")
-        self.report = report
-        self.doc = doc
-
-
 class DegreeMismatchError(ToricKitError):
     code = "DEGREE_MISMATCH"
 

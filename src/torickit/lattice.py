@@ -79,9 +79,6 @@ class IntegerMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.column(j) for j in range(self.cols))
-
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise DimensionMismatchError(

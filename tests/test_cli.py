@@ -1,5 +1,9 @@
 import collections
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -310,3 +314,49 @@ class TestTextOutput:
         assert main(["--output", "text", "analyze", path]) == 0
         out = capsys.readouterr().out
         assert "r_min: 2" in out
+
+
+class TestClosedStdout:
+    """A reader that has gone away, or no stdout at all, keeps the job's exit
+    code and leaves no traceback."""
+
+    @pytest.fixture(params=[("analyze", 0), ("invalid", 2), ("condition-2", 3)], ids=lambda p: p[0])
+    def job(self, request, write_fan, write_tuple):
+        name, expected = request.param
+        invalid = {
+            "schema_version": 1,
+            "dimension": 2,
+            "generators": [[1, 0], [0, 1], [1, 1]],
+            "maximal_cones": [[1, 2], [3]],
+        }
+        argv = {
+            "analyze": ["analyze", write_fan(hirzebruch_fan(1), "h1")],
+            "invalid": ["analyze", write_tuple(invalid, "invalid")],
+            "condition-2": ["stability", write_fan(c2_fan(), "c2"), "--degrees", "1,1"],
+        }[name]
+        return argv, expected
+
+    def test_reader_closed_first(self, job):
+        argv, expected = job
+        src = str(Path(torickit.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error", "-m", "torickit.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == expected
+        assert proc.stderr == b""
+
+    def test_no_stdout(self, job, monkeypatch):
+        # Python sets sys.stdout to None when file descriptor 1 is closed at start-up.
+        argv, expected = job
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(argv) == expected
