@@ -89,6 +89,18 @@ class KOutOfRangeError(ToricKitError):
     code = "K_OUT_OF_RANGE"
 
 
+class DMinAboveCapError(ToricKitError):
+    """d_min is above the cap of the stability replay."""
+
+    code = "D_MIN_ABOVE_CAP"
+
+
+class DegreeAboveCapError(ToricKitError):
+    """A polynomial's degree is, or would become, above the degree cap."""
+
+    code = "DEGREE_ABOVE_CAP"
+
+
 class DocumentError(ToricKitError):
     """A fan or polynomial-tuple document failed to parse."""
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from ._record import record
 from .errors import (
+    DegreeAboveCapError,
     DegreeMismatchError,
     DuplicatePointsError,
     NonKernelIncrementError,
@@ -32,6 +33,11 @@ from .gaussian import (
 )
 
 PointMultiset = tuple[tuple[GaussianRational, int], ...]
+
+# The largest polynomial degree that membership and stabilization accept.
+# The gcds and products grow superlinearly with the degree; at this cap the
+# slower CLI job, `stabilize` on cp4, takes about a second.
+MAX_DEGREE = 320
 
 
 def _point_key(point: GaussianRational):
@@ -109,9 +115,18 @@ def _check_length(count: int, fan: Fan, error):
         raise error(f"expected {fan.ray_count} components, got {count}")
 
 
+def _check_degrees(degrees, verb: str):
+    for index, degree in enumerate(degrees, 1):
+        if degree > MAX_DEGREE:
+            raise DegreeAboveCapError(
+                f"polynomial {index} {verb} degree {degree}, above the cap of {MAX_DEGREE}"
+            )
+
+
 def _violations(tup: PolyTuple, fan: Fan):
     """Primitive collections whose polynomials share a root, in sorted order."""
     _check_length(len(tup.polys), fan, DegreeMismatchError)
+    _check_degrees(tup.degrees, "has")
     for collection in sorted(primitive_collections(fan), key=sorted):
         g = poly_multi_gcd(tup.polys[i] for i in sorted(collection))
         if poly_degree(g) != 0:
@@ -123,13 +138,14 @@ def is_member(tup: PolyTuple, fan: Fan) -> bool:
 
     Checking only primitive collections suffices because they are the
     minimal non-faces and the no-common-root condition is inherited by
-    supersets.
+    supersets. A polynomial above MAX_DEGREE raises DegreeAboveCapError.
     """
     return next(_violations(tup, fan), None) is None
 
 
 def violating_collections(tup: PolyTuple, fan: Fan) -> tuple[frozenset, ...]:
-    """All primitive collections whose polynomials share a root."""
+    """All primitive collections whose polynomials share a root; a
+    polynomial above MAX_DEGREE raises DegreeAboveCapError."""
     return tuple(_violations(tup, fan))
 
 
@@ -180,7 +196,8 @@ def stabilize(tup: PolyTuple, increment, fan: Fan, points=None) -> Stabilization
     canonical real choice is fixed for reproducibility; callers may
     override. Membership of the result is re-verified rather than assumed,
     since roots of the input may lie beyond the region the configuration
-    model guarantees.
+    model guarantees. An increment that would take a polynomial above
+    MAX_DEGREE raises DegreeAboveCapError before any product is formed.
     """
     _check_length(len(tup.polys), fan, DegreeMismatchError)
     increment = tuple(int(e) for e in increment)
@@ -189,6 +206,7 @@ def stabilize(tup: PolyTuple, increment, fan: Fan, points=None) -> Stabilization
         raise NonKernelIncrementError("increment entries must all be >= 1")
     if any(fan.generator_matrix().apply(increment)):
         raise NonKernelIncrementError("increment is not a kernel vector of the rays")
+    _check_degrees((d + e for d, e in zip(tup.degrees, increment)), "would have")
 
     r = fan.ray_count
     if points is None:

@@ -8,18 +8,30 @@ r_min >= 3 and a homology equivalence when r_min = 2.
 `stable_range_replay` recomputes that number by a route independent of the
 closed form: it replays the comparison argument over the truncated
 spectral sequences, propagating the unknown index region page by page and
-reading off the first diagonal the unknown region can touch.
+reading off the first diagonal the unknown region can touch. Which columns
+a page reaches comes from the lemma that t distinct positive jump lengths
+sum to exactly the integers s >= t(t+1)/2, so the replay costs
+O(d_min^1.5) integer operations; it refuses d_min above MAX_D_MIN.
 """
 
 from __future__ import annotations
 
 from ._record import record
 from .cox import DegreeVector, cox_report, degree_of
-from .errors import Condition1FailedError, Condition2FailedError, KOutOfRangeError
+from .errors import (
+    Condition1FailedError,
+    Condition2FailedError,
+    DMinAboveCapError,
+    KOutOfRangeError,
+)
 from .fans import Fan, r_min
 
 KIND_HOMOTOPY = "HOMOTOPY"
 KIND_HOMOLOGY = "HOMOLOGY"
+
+# The largest d_min that `replay` accepts; the replay takes about a second
+# there (see its docstring).
+MAX_D_MIN = 15_000
 
 
 @record
@@ -58,13 +70,15 @@ def replay(rmin: int, dmin: int) -> ReplayResult:
     and v + sum(l_j - 1) >= (2*r_min - 2)*d_min. A_t is read off literally
     from those inequalities inside the grid k in [0, d_min+1],
     s in [0, (2*r_min-2)*d_min + d_min + 4]; the jump-length budget
-    sum(l_j) <= d_min + 1 caps the page count at O(sqrt(d_min)). The
-    reachable (page, jump sum) pairs come from one subset sum over the
-    lengths 1..d_min+1; the set holds O(d_min^1.5) pairs and is rebuilt
-    once per length, so the replay costs O(d_min^2.5) set operations
-    (about 0.5 s at d_min = 400 on a 2 vCPU machine). The diagonal s - k
-    grows with s, so each reachable column k contributes only its least
-    admissible row s, which is read off directly.
+    sum(l_j) <= d_min + 1 caps the page count at O(sqrt(d_min)). Which
+    columns a page reaches follows from one lemma: t strictly increasing
+    positive lengths sum to exactly the integers s >= t(t+1)/2 (the
+    lengths 1, ..., t-1 and s - t(t-1)/2 reach any such s), so column k is
+    on page t iff k <= d_min + 1 - t(t+1)/2. The diagonal s - k grows with
+    s, so each reachable column k contributes only its least admissible
+    row s, which is read off directly. The scan costs O(d_min^1.5) integer
+    operations (about 1 s at d_min = MAX_D_MIN on a 2 vCPU machine), and
+    d_min above MAX_D_MIN raises DMinAboveCapError before any of it.
 
     The returned dimension is the largest diagonal untouched by every A_t
     (with the proof's one-dimension safety margin) combined with the
@@ -75,24 +89,20 @@ def replay(rmin: int, dmin: int) -> ReplayResult:
         raise ValueError("r_min must be at least 2")
     if dmin < 1:
         raise ValueError("d_min must be at least 1")
+    if dmin > MAX_D_MIN:
+        raise DMinAboveCapError(f"d_min {dmin} is above the cap of {MAX_D_MIN}")
 
     threshold = (2 * rmin - 2) * dmin
     budget = dmin + 1
-    reachable = {(0, 0)}
-    for length in range(1, budget + 1):
-        reachable |= {(t + 1, s + length) for t, s in reachable if s + length <= budget}
-
     page_minima = []
     t = 1
     while t * (t + 1) // 2 <= budget:
         # The least row of column k in A_t; t <= budget keeps it in the grid.
         diagonals = [
             max(0, threshold - (budget - k) + t) - k
-            for k in range(budget + 1)
-            if (t, budget - k) in reachable
+            for k in range(budget - t * (t + 1) // 2 + 1)
         ]
-        if diagonals:
-            page_minima.append((t, min(diagonals)))
+        page_minima.append((t, min(diagonals)))
         t += 1
 
     min_unknown = min(a for _, a in page_minima)

@@ -16,6 +16,7 @@ import torickit.stability
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cli import main
 from torickit.fans import Fan
+from torickit.holmap import MAX_DEGREE
 from torickit.schemas import (
     ANALYZE_OUTPUT_SCHEMA,
     ERROR_OUTPUT_SCHEMA,
@@ -192,6 +193,18 @@ class TestStability:
         code, out = run_cli("stability", path, "--free", "1=1")
         assert code == 3 and out["error"] == "UNDERDETERMINED"
 
+    def test_d_min_cap_is_checked_last(self, write_fan, run_cli):
+        above = torickit.stability.MAX_D_MIN + 1
+        cases = [
+            (c2_fan(), (above, above), "CONDITION_2_FAILED"),
+            (hirzebruch_fan(1), (above, above, above, above), "NOT_IN_KERNEL"),
+            (cp_fan(2), (above, above, above), "D_MIN_ABOVE_CAP"),
+        ]
+        for fan, degrees, error in cases:
+            degree_list = ",".join(map(str, degrees))
+            code, out = run_cli("stability", write_fan(fan), "--degrees", degree_list)
+            assert code == 3 and out["error"] == error
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize(
@@ -246,6 +259,25 @@ class TestHolcheck:
         assert code == 0
         assert out["member"] is False
         assert out["violated_collections"] == [[1, 3]]
+
+    @pytest.mark.parametrize("excess", [0, 1])
+    def test_degree_cap(self, excess, write_fan, write_tuple, run_cli):
+        degree = MAX_DEGREE + excess
+        # z^degree + 1 in place of the first polynomial.
+        polys = [[["1", "0"]] + [["0", "0"]] * (degree - 1), *TUPLE_OK["polynomials"][1:]]
+        code, out = run_cli(
+            "holcheck",
+            write_fan(hirzebruch_fan(1), "h1"),
+            write_tuple(dict(TUPLE_OK, polynomials=polys)),
+        )
+        if excess:
+            assert code == 3 and out["error"] == "DEGREE_ABOVE_CAP"
+            assert out["message"] == (
+                f"polynomial 1 has degree {degree}, above the cap of {MAX_DEGREE}"
+            )
+        else:
+            assert code == 0 and out["member"] is True
+            assert out["degrees"] == [degree, 1, 1, 2]
 
 
 class TestStabilize:

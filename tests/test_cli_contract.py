@@ -1,7 +1,7 @@
 """Byte-level CLI contract: the stdout bytes and exit code of every
 subcommand on success, an invalid fan, an unreadable or malformed document,
 a computation error and a usage error, in json and in text mode, plus
-unnamed documents and the TORICKIT_MAX_R cap.
+unnamed documents, the TORICKIT_MAX_R cap and the d_min and degree caps.
 
 The expected output is in cli_contract.json next to this file. After an
 intended change of output, rewrite it with
@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 from torickit.cli import main
+from torickit.holmap import MAX_DEGREE
+from torickit.stability import MAX_D_MIN
 
 GOLDEN = Path(__file__).with_name("cli_contract.json")
 
@@ -96,6 +98,7 @@ CASES = {
     "stability-usage-bad-degrees": (["stability", "h1.json", "--degrees", "1,x"], None),
     "stability-usage-repeated-pin": (["stability", "h1.json", "--free", "1=3,1=7"], None),
     "stability-above-max-r": (["stability", "h1.json", "--free", "1=3,2=5"], "3"),
+    "stability-above-d-min-cap": (["stability", "cp2.json", "--degrees", f"{MAX_D_MIN + 1},{MAX_D_MIN + 1},{MAX_D_MIN + 1}"], None),
     "holcheck-member": (["holcheck", "h1.json", "member.json"], None),
     "holcheck-common-root": (["holcheck", "h1.json", "common_root.json"], None),
     "holcheck-unnamed": (["holcheck", "h1_unnamed.json", "member.json"], None),
@@ -114,6 +117,8 @@ CASES = {
     "stabilize-missing-tuple": (["stabilize", "h1.json", "missing.json", "--increment", "1,1,1,2"], None),
     "stabilize-tuple-version": (["stabilize", "h1.json", "boolean_version_tuple.json", "--increment", "1,1,1,2"], None),
     "stabilize-non-kernel": (["stabilize", "h1.json", "member.json", "--increment", "1,1,1,1"], None),
+    # A kernel vector of H1 that lifts the first polynomial to MAX_DEGREE + 1.
+    "stabilize-above-degree-cap": (["stabilize", "h1.json", "member.json", "--increment", f"{MAX_DEGREE},1,{MAX_DEGREE},{MAX_DEGREE + 1}"], None),
     "stabilize-degree-mismatch": (["stabilize", "cp2.json", "member.json", "--increment", "1,1,1"], None),
     "stabilize-usage": (["stabilize", "h1.json", "member.json"], None),
     "subfans": (["subfans", "h1.json"], None),

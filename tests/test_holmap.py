@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 import torickit.gaussian as gaussian_module
+import torickit.holmap as holmap_module
 from oracles import numeric_is_member, resultant_is_member
 from torickit.catalog import cp_fan
 from torickit.errors import (
+    DegreeAboveCapError,
     DegreeMismatchError,
     DuplicatePointsError,
     NonKernelIncrementError,
@@ -22,6 +24,7 @@ from torickit.gaussian import (
     poly_mul,
 )
 from torickit.holmap import (
+    MAX_DEGREE,
     Configuration,
     PolyTuple,
     config_is_member,
@@ -230,6 +233,56 @@ class TestStabilize:
         points = default_stabilization_points(7, 3)
         assert len(set(points)) == 3
         assert all(p.real >= 7 and p.imag == 0 for p in points)
+
+
+class TestDegreeCap:
+    """Membership takes polynomials up to MAX_DEGREE, and stabilization an
+    increment that keeps every polynomial within it."""
+
+    def test_membership_at_the_cap(self):
+        tup = PolyTuple.from_polys([poly_from_roots([(gaussian(0), MAX_DEGREE)]), linear(1)])
+        assert tup.degrees == (MAX_DEGREE, 1)
+        assert is_member(tup, cp_fan(1))
+        assert violating_collections(tup, cp_fan(1)) == ()
+
+    def test_membership_above_the_cap(self):
+        tup = PolyTuple.from_polys([linear(1), poly_from_roots([(gaussian(0), MAX_DEGREE + 1)])])
+        message = f"polynomial 2 has degree {MAX_DEGREE + 1}, above the cap of {MAX_DEGREE}"
+        for check in (is_member, violating_collections):
+            with pytest.raises(DegreeAboveCapError, match=message) as caught:
+                check(tup, cp_fan(1))
+            assert caught.value.code == "DEGREE_ABOVE_CAP"
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        counts = collections.Counter()
+
+        def counted(*args):
+            counts["poly_mul"] += 1
+            return poly_mul(*args)
+
+        monkeypatch.setattr(holmap_module, "poly_mul", counted)
+        return counts
+
+    def test_stabilize_to_the_cap(self, products):
+        tup = PolyTuple.from_polys([poly_from_roots([(gaussian(0), MAX_DEGREE - 1)]), linear(1)])
+        result = stabilize(tup, (1, 1), cp_fan(1))
+        assert result.poly_tuple.degrees == (MAX_DEGREE, 2)
+        assert result.member
+        assert products["poly_mul"] == 2
+
+    def test_stabilize_above_the_cap(self, products):
+        tup = PolyTuple.from_polys([poly_from_roots([(gaussian(0), MAX_DEGREE - 1)]), linear(1)])
+        message = f"polynomial 1 would have degree {MAX_DEGREE + 1}, above the cap of {MAX_DEGREE}"
+        with pytest.raises(DegreeAboveCapError, match=message):
+            stabilize(tup, (2, 2), cp_fan(1))
+        assert products["poly_mul"] == 0
+
+    def test_increment_checks_run_first(self, hirzebruch1):
+        tup = PolyTuple.from_polys([linear(-1), linear(-2), linear(-3), linear(-4)])
+        for increment in ((MAX_DEGREE, 1, MAX_DEGREE, MAX_DEGREE), (0, 1, 0, MAX_DEGREE + 1)):
+            with pytest.raises(NonKernelIncrementError):
+                stabilize(tup, increment, hirzebruch1)
 
 
 class TestScanningSnapshot:

@@ -1,17 +1,19 @@
 import pytest
 
-from oracles import enumerated_replay
+from oracles import enumerated_replay, subset_sum_replay
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cox import complete_degrees, degree_of
 from torickit.errors import (
     Condition1FailedError,
     Condition2FailedError,
+    DMinAboveCapError,
     KOutOfRangeError,
 )
 from torickit.fans import Fan, enumerate_subfans
 from torickit.stability import (
     KIND_HOMOLOGY,
     KIND_HOMOTOPY,
+    MAX_D_MIN,
     discriminant_dims,
     replay,
     stability_report,
@@ -139,8 +141,34 @@ class TestReplay:
             for dmin in range(1, 16):
                 assert replay(rmin, dmin) == enumerated_replay(rmin, dmin)
 
+    def test_matches_subset_sum(self):
+        for rmin in range(2, 8):
+            for dmin in [*range(1, 121), 200]:
+                assert replay(rmin, dmin) == subset_sum_replay(rmin, dmin)
+
     def test_large_d_min_terminates(self):
         assert replay(2, 60).stable_dim == 58
+
+    @pytest.mark.parametrize("rmin", [2, 7])
+    def test_at_the_cap(self, rmin):
+        result = replay(rmin, MAX_D_MIN)
+        closed = (2 * rmin - 3) * MAX_D_MIN - 2
+        assert result.stable_dim == closed
+        assert result.min_unknown_diagonal == closed + 2
+        pages = max(t for t in range(1, MAX_D_MIN) if t * (t + 1) // 2 <= MAX_D_MIN + 1)
+        assert result.page_minima == tuple((t, closed + 1 + t) for t in range(1, pages + 1))
+
+    def test_above_the_cap(self):
+        message = f"d_min {MAX_D_MIN + 1} is above the cap of {MAX_D_MIN}"
+        with pytest.raises(DMinAboveCapError, match=message) as caught:
+            replay(2, MAX_D_MIN + 1)
+        assert caught.value.code == "D_MIN_ABOVE_CAP"
+        fan = cp_fan(2)
+        with pytest.raises(DMinAboveCapError):
+            stability_report(fan, degree_of(fan, (MAX_D_MIN + 1,) * 3))
+        # The argument checks come first.
+        with pytest.raises(ValueError):
+            replay(1, MAX_D_MIN + 1)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
