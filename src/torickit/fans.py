@@ -114,6 +114,9 @@ def validate_fan(fan: Fan) -> ValidationReport:
     intersection axiom is only evaluated once those hold, since cones over
     dependent or out-of-range index sets are not well defined. A complex
     stored as its maximal cones is downward closed by construction.
+
+    A SIMPLICIALITY witness is a maximal cone whose generators are linearly
+    dependent; its dependent subsets are not listed separately.
     """
     violations = []
     r = fan.ray_count
@@ -140,19 +143,12 @@ def validate_fan(fan: Fan) -> ValidationReport:
         if k not in covered:
             violations.append(Violation("RAY_COVERAGE", ((k,),)))
 
-    def independent(face):
-        return rational_rank([fan.generators[i] for i in sorted(face)]) == len(face)
-
-    # Subsets of independent generators are independent, so beyond the cones
-    # only the faces of dependent cones that no independent cone contains
-    # need a rank test of their own.
-    spanning = {cone for cone in fan.cones if independent(cone)}
-    dependent = fan.cones - spanning
-    for face in {sub for cone in dependent for sub in _subsets(cone, 1)}:
-        if any(face <= cone for cone in spanning):
-            continue
-        if face in dependent or not independent(face):
-            violations.append(Violation("SIMPLICIALITY", (tuple(sorted(face)),)))
+    # Subsets of independent generators are independent, so every cone is
+    # simplicial iff every maximal cone is: one rank test per maximal cone.
+    for cone in fan.cones:
+        indices = tuple(sorted(cone))
+        if rational_rank([fan.generators[i] for i in indices]) < len(indices):
+            violations.append(Violation("SIMPLICIALITY", (indices,)))
     if violations:
         return _sorted_report(False, violations)
 

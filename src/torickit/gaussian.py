@@ -18,6 +18,7 @@ trailing zeros; the zero polynomial is the empty tuple.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -83,10 +84,20 @@ def gaussian(real, imag=0) -> GaussianRational:
     return GaussianRational(Fraction(real), Fraction(imag))
 
 
+# The fraction-string pattern of the published schemas, repeated here
+# because the CLI never loads `schemas`.
+_FRACTION_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def gaussian_from_pair(pair) -> GaussianRational:
-    """Parse the wire form: a two-element [real, imaginary] fraction-string pair."""
-    re, im = pair
-    return GaussianRational(Fraction(str(re)), Fraction(str(im)))
+    """Parse the wire form: a two-element [real, imaginary] fraction-string
+    pair. Each part must be a string like "3", "-3/4" or "007"; any other
+    form, a JSON number included, raises ValueError."""
+    for part in pair:
+        if not (isinstance(part, str) and _FRACTION_STRING.fullmatch(part)):
+            raise ValueError(f"not a fraction string: {part!r}")
+    real, imag = pair
+    return GaussianRational(Fraction(real), Fraction(imag))
 
 
 def gaussian_to_pair(value: GaussianRational) -> list[str]:

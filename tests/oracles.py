@@ -433,9 +433,10 @@ def face_lattice_primitive_collections(fan: Fan) -> frozenset:
 
 
 def face_lattice_simpliciality(fan: Fan) -> list:
-    """The SIMPLICIALITY witnesses of `validate_fan`, by a loop over every
-    face: a face that no independent maximal face contains is a witness if
-    it is maximal or its generators are dependent."""
+    """Every face that no independent maximal face contains and that is
+    maximal or has dependent generators, by a loop over every face.
+    `validate_fan` reports the inclusion-maximal ones as its SIMPLICIALITY
+    witnesses: exactly the maximal faces with dependent generators."""
     faces = closure(fan)
 
     def independent(face):

@@ -44,6 +44,14 @@ INVALID = {
     "maximal_cones": [[1, 2], [3]],
 }
 
+# One cone on four plane rays: dependent, like each of its triples.
+NONSIMPLICIAL = {
+    "schema_version": 1,
+    "dimension": 2,
+    "generators": [[1, 0], [1, 1], [1, 2], [1, 3]],
+    "maximal_cones": [[1, 2, 3, 4]],
+}
+
 DOCUMENTS = {
     "h1.json": dict(H1, name="h1"),
     "h1_unnamed.json": H1,
@@ -51,6 +59,7 @@ DOCUMENTS = {
     "c2.json": dict(C2, name="c2"),
     "invalid.json": dict(INVALID, name="invalid"),
     "invalid_unnamed.json": INVALID,
+    "nonsimplicial.json": dict(NONSIMPLICIAL, name="nonsimplicial"),
     "bad_version.json": dict(H1, schema_version=2),
     "member.json": {
         "schema_version": 1,
@@ -74,6 +83,7 @@ CASES = {
     "analyze-no-positive-degree": (["analyze", "c2.json"], None),
     "analyze-invalid": (["analyze", "invalid.json"], None),
     "analyze-invalid-unnamed": (["analyze", "invalid_unnamed.json"], None),
+    "analyze-nonsimplicial": (["analyze", "nonsimplicial.json"], None),
     "analyze-missing": (["analyze", "missing.json"], None),
     "analyze-malformed": (["analyze", "malformed.json"], None),
     "analyze-bad-version": (["analyze", "bad_version.json"], None),

@@ -108,6 +108,23 @@ class TestPolyTupleDocuments:
         ]:
             with pytest.raises(DocumentError):
                 poly_tuple_from_obj(obj)
+        # Forms that Fraction(str(x)) reads but the schema's fraction pattern
+        # does not match. The JSON number 1.0000000000000001 arrives as the
+        # float 1.0, already rounded.
+        near_misses = [3, 0.5, json.loads("1.0000000000000001")]
+        near_misses += ["1e3", " 3/4", "3/4 ", "1_000", "+3", "3.25", "\u0663"]
+        for part in near_misses:
+            for pair in ([part, "0"], ["0", part]):
+                obj = {"schema_version": 1, "polynomials": [[pair]]}
+                with pytest.raises(jsonschema.ValidationError):
+                    jsonschema.validate(obj, POLY_TUPLE_SCHEMA)
+                with pytest.raises(DocumentError):
+                    poly_tuple_from_obj(obj)
+        # Both accept these.
+        for part, value in [("3/4", "3/4"), ("-3/4", "-3/4"), ("0", 0), ("007", 7)]:
+            obj = {"schema_version": 1, "polynomials": [[[part, "0"]]]}
+            jsonschema.validate(obj, POLY_TUPLE_SCHEMA)
+            assert poly_tuple_from_obj(obj).polys[0][0] == gaussian(value)
 
 
 class TestBundledCatalogFile:

@@ -147,6 +147,33 @@ class TestValidation:
             ("SIMPLICIALITY", ((0, 1, 2),))
         ]
 
+    def test_cp19_rays_in_one_cone_take_one_rank_test(self, monkeypatch):
+        # Any 19 of cp19's 20 rays are a basis, so the one cone on all of them
+        # is the only dependent face. The counter raises past one rank test
+        # per maximal cone, so a scan over the 2^20 subsets stops at once.
+        fan = Fan.from_maximal(cp_fan(19).generators, [range(20)])
+        calls = []
+        original = torickit.fans.rational_rank
+
+        def counted(rows):
+            calls.append(len(rows))
+            if len(calls) > len(fan.cones):
+                raise AssertionError("more than one rank test per maximal cone")
+            return original(rows)
+
+        monkeypatch.setattr(torickit.fans, "rational_rank", counted)
+        report = validate_fan(fan)
+        assert calls == [20]
+        assert [(v.axiom, v.witness) for v in report.violations] == [
+            ("SIMPLICIALITY", (tuple(range(20)),))
+        ]
+
+    def test_dependent_cone_is_the_only_witness(self):
+        # Every triple of these plane rays is dependent too, but the witness
+        # is the maximal cone alone.
+        fan = Fan.from_maximal([(1, 0), (1, 1), (1, 2), (1, 3)], [(0, 1, 2, 3)])
+        assert [v.witness for v in validate_fan(fan).violations] == [((0, 1, 2, 3),)]
+
 
 class TestNonfaces:
     def test_hirzebruch_family(self, hirzebruch1):
@@ -288,7 +315,10 @@ class TestFaceLatticeOracles:
         witnesses = [
             v.witness for v in validate_fan(fan).violations if v.axiom == "SIMPLICIALITY"
         ]
-        assert witnesses == face_lattice_simpliciality(fan)
+        # validate_fan lists only the inclusion-maximal faces of the oracle.
+        oracle = face_lattice_simpliciality(fan)
+        faces = [frozenset(w[0]) for w in oracle]
+        assert witnesses == [w for w, f in zip(oracle, faces) if not any(f < g for g in faces)]
 
     @PROPERTY
     @given(complexes(), st.data())
