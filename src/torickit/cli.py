@@ -200,12 +200,15 @@ def cmd_stabilize(fan, args) -> dict:
 
 def cmd_subfans(fan, args) -> dict:
     subfans = enumerate_subfans(fan)
+    # A subfan's cones are faces of the fan's cones, and faces of smooth
+    # cones are smooth, so only a non-smooth fan needs a test per subfan.
+    smooth = is_smooth(fan)
     body = {
         "count": len(subfans),
         "subfans": [
             {
                 "maximal_cones": _one_based(sub.maximal_faces()),
-                "smooth": is_smooth(sub),
+                "smooth": smooth or is_smooth(sub),
                 "complete": is_complete(sub),
             }
             for sub in subfans

@@ -101,6 +101,12 @@ class DegreeAboveCapError(ToricKitError):
     code = "DEGREE_ABOVE_CAP"
 
 
+class SubfanCountAboveCapError(ToricKitError):
+    """A fan has more proper subfans than the subfan-count cap."""
+
+    code = "SUBFAN_COUNT_ABOVE_CAP"
+
+
 class DocumentError(ToricKitError):
     """A fan or polynomial-tuple document failed to parse."""
 

@@ -21,7 +21,7 @@ import itertools
 
 from ._record import record
 from .cones import _extends_to_basis, _meet_only_in, primitivize
-from .errors import NoPrimitiveCollectionError
+from .errors import NoPrimitiveCollectionError, SubfanCountAboveCapError
 from .lattice import (
     IntegerMatrix,
     _fraction_free_rref,
@@ -31,6 +31,10 @@ from .lattice import (
 
 Face = frozenset
 Complex = frozenset
+
+# `subfans` prints every subfan, and their number is exponential in the
+# number of faces: larger enumerations are refused.
+MAX_SUBFANS = 20_000
 
 
 def _maximal(family) -> Complex:
@@ -98,13 +102,6 @@ def _sorted_report(valid: bool, violations) -> ValidationReport:
     # Canonical violation order keeps CLI output byte-stable across runs.
     ordered = tuple(sorted(violations, key=lambda v: (v.axiom, v.witness)))
     return ValidationReport(valid, ordered)
-
-
-def _subsets(cone, smallest: int):
-    """The subsets of a cone with at least `smallest` elements."""
-    for size in range(smallest, len(cone) + 1):
-        for sub in itertools.combinations(sorted(cone), size):
-            yield frozenset(sub)
 
 
 def validate_fan(fan: Fan) -> ValidationReport:
@@ -179,7 +176,12 @@ def nonface_family(fan: Fan) -> set[Face]:
     r = fan.ray_count
     if r > 20:
         raise ValueError("non-face family is only materialized for r <= 20")
-    return {face for face in _subsets(range(r), 1) if is_nonface(fan, face)}
+    return {
+        frozenset(sub)
+        for size in range(1, r + 1)
+        for sub in itertools.combinations(range(r), size)
+        if is_nonface(fan, sub)
+    }
 
 
 def primitive_collections(fan: Fan) -> frozenset[Face]:
@@ -269,33 +271,34 @@ def enumerate_subfans(fan: Fan) -> list[Fan]:
     Subfans correspond to proper order ideals of the poset of non-singleton
     faces (downward-closed subfamilies containing every singleton); any
     such subfamily of a valid fan automatically satisfies the intersection
-    axiom.
+    axiom. One pass over the faces, smallest first, adds each face to every
+    ideal built so far that holds its facets; the faces of a size are listed
+    only when that size is reached. Ideals are never dropped, so the count
+    is checked after each face: a fan with more than MAX_SUBFANS proper
+    subfans raises SubfanCountAboveCapError, one with 15 or more edges
+    before any face larger than an edge is built.
     """
-    non_singleton = sorted(
-        {face for cone in fan.cones for face in _subsets(cone, 2)},
-        key=lambda f: (len(f), sorted(f)),
-    )
-    ideals: list[frozenset] = []
-
-    def extend(pos: int, chosen: set):
-        if pos == len(non_singleton):
-            ideals.append(frozenset(chosen))
-            return
-        face = non_singleton[pos]
-        extend(pos + 1, chosen)
-        if all(sub in chosen for sub in _subsets(face, 2) if sub != face):
-            chosen.add(face)
-            extend(pos + 1, chosen)
-            chosen.remove(face)
-
-    extend(0, set())
-    full = frozenset(non_singleton)
+    ideals = [frozenset()]
+    for size in range(2, max(map(len, fan.cones), default=0) + 1):
+        faces = {
+            frozenset(sub)
+            for cone in fan.cones
+            for sub in itertools.combinations(sorted(cone), size)
+        }
+        for face in faces:
+            # An edge's facets are rays, which every subfan holds.
+            facets = [face - {i} for i in face] if size > 2 else []
+            ideals += [ideal | {face} for ideal in ideals if all(f in ideal for f in facets)]
+            # The last ideal holds every face so far; in the end it is the
+            # fan itself, which is not a proper subfan.
+            if len(ideals) > MAX_SUBFANS + 1:
+                raise SubfanCountAboveCapError(
+                    f"fan has more proper subfans than the cap of {MAX_SUBFANS}"
+                )
+    ideals.pop()
     rays = [frozenset({k}) for k in range(fan.ray_count)]
     # Every subfan has the same faces of size <= 1, so the ideal alone orders them.
-    ideals = sorted(
-        (ideal for ideal in ideals if ideal != full),
-        key=lambda ideal: sorted((len(face), sorted(face)) for face in ideal),
-    )
+    ideals.sort(key=lambda ideal: sorted((len(face), sorted(face)) for face in ideal))
     return [Fan(fan.dim, fan.generators, _maximal([*ideal, *rays])) for ideal in ideals]
 
 

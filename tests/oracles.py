@@ -19,7 +19,10 @@ its pairwise classification, which the library replaced by rejection on
 invariants and a search over rays of matching profile. The INTERSECTION
 loop and smoothness test that build a `SimplicialCone` for every cone
 they look at are kept as well; the library now reads the generators
-through the index sets instead.
+through the index sets instead. So is the recursive subfan enumeration,
+which decides every non-singleton face in or out in one call per face and
+tests every subset of it; the library replaced it by one capped pass that
+adds each face, smallest first, to the ideals holding its facets.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from torickit.cones import (
     is_smooth_cone,
 )
 from torickit.errors import DimensionMismatchError
-from torickit.fans import Fan, Violation, _integer_inverse, _scaled_inverse
+from torickit.fans import Fan, Violation, _integer_inverse, _maximal, _scaled_inverse
 from torickit.lattice import (
     IntegerMatrix,
     _fraction_free_rref,
@@ -614,3 +617,46 @@ def pairwise_isomorphism_classes(fans: list[Fan]) -> list[list[int]]:
         else:
             classes.append([idx])
     return classes
+
+
+def _subsets(cone, smallest: int):
+    """The subsets of a cone with at least `smallest` elements."""
+    for size in range(smallest, len(cone) + 1):
+        for sub in itertools.combinations(sorted(cone), size):
+            yield frozenset(sub)
+
+
+def recursive_subfans(fan: Fan) -> list[Fan]:
+    """All proper subfans with the same rays.
+
+    Subfans correspond to proper order ideals of the poset of non-singleton
+    faces (downward-closed subfamilies containing every singleton); any
+    such subfamily of a valid fan automatically satisfies the intersection
+    axiom.
+    """
+    non_singleton = sorted(
+        {face for cone in fan.cones for face in _subsets(cone, 2)},
+        key=lambda f: (len(f), sorted(f)),
+    )
+    ideals: list[frozenset] = []
+
+    def extend(pos: int, chosen: set):
+        if pos == len(non_singleton):
+            ideals.append(frozenset(chosen))
+            return
+        face = non_singleton[pos]
+        extend(pos + 1, chosen)
+        if all(sub in chosen for sub in _subsets(face, 2) if sub != face):
+            chosen.add(face)
+            extend(pos + 1, chosen)
+            chosen.remove(face)
+
+    extend(0, set())
+    full = frozenset(non_singleton)
+    rays = [frozenset({k}) for k in range(fan.ray_count)]
+    # Every subfan has the same faces of size <= 1, so the ideal alone orders them.
+    ideals = sorted(
+        (ideal for ideal in ideals if ideal != full),
+        key=lambda ideal: sorted((len(face), sorted(face)) for face in ideal),
+    )
+    return [Fan(fan.dim, fan.generators, _maximal([*ideal, *rays])) for ideal in ideals]

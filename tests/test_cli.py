@@ -15,7 +15,7 @@ import torickit.stability
 
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cli import main
-from torickit.fans import Fan
+from torickit.fans import Fan, enumerate_subfans, is_smooth
 from torickit.holmap import MAX_DEGREE
 from torickit.schemas import (
     ANALYZE_OUTPUT_SCHEMA,
@@ -323,6 +323,35 @@ class TestSubfans:
         assert out["classes"]["count"] == 9
         assert len(out["classes"]["collisions"]) == 6
         assert sum(len(g) for g in out["classes"]["members"]) == 15
+
+    def test_smoothness_decided_once_on_a_smooth_fan(self, write_fan, run_cli, monkeypatch):
+        # cp2 x cp1: every subfan of a smooth fan is smooth, so only the
+        # fan's own six cones get a Z-basis test.
+        fan = Fan.from_maximal(
+            [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)],
+            [(a, b, c) for a, b in ((0, 1), (1, 2), (0, 2)) for c in (3, 4)],
+        )
+        calls = []
+        original = torickit.fans._extends_to_basis
+
+        def counted(vectors):
+            calls.append(vectors)
+            return original(vectors)
+
+        monkeypatch.setattr(torickit.fans, "_extends_to_basis", counted)
+        code, out = run_cli("subfans", write_fan(fan, "cp2xcp1"))
+        assert code == 0 and out["count"] == 1194
+        assert all(s["smooth"] for s in out["subfans"])
+        assert len(calls) == len(fan.cones) == 6
+
+    def test_subfans_of_a_singular_fan_are_tested_each(self, write_fan, run_cli):
+        # P(1,1,2): the cone on rays 1 and 3 has index 2.
+        fan = Fan.from_maximal([(1, 0), (0, 1), (-1, -2)], [(0, 1), (1, 2), (0, 2)])
+        code, out = run_cli("subfans", write_fan(fan, "p112"))
+        assert code == 0
+        flags = [s["smooth"] for s in out["subfans"]]
+        assert flags == [is_smooth(sub) for sub in enumerate_subfans(fan)]
+        assert True in flags and False in flags
 
 
 class TestDeterminism:

@@ -1,7 +1,8 @@
 """Byte-level CLI contract: the stdout bytes and exit code of every
 subcommand on success, an invalid fan, an unreadable or malformed document,
 a computation error and a usage error, in json and in text mode, plus
-unnamed documents, the TORICKIT_MAX_R cap and the d_min and degree caps.
+unnamed documents, the TORICKIT_MAX_R cap and the d_min, degree and
+subfan-count caps.
 
 The expected output is in cli_contract.json next to this file. After an
 intended change of output, rewrite it with
@@ -52,10 +53,19 @@ NONSIMPLICIAL = {
     "maximal_cones": [[1, 2, 3, 4]],
 }
 
+# cp9: 10 rays and 45 edges, so at least 2^45 proper subfans.
+CP9 = {
+    "schema_version": 1,
+    "dimension": 9,
+    "generators": [[int(i == j) for j in range(9)] for i in range(9)] + [[-1] * 9],
+    "maximal_cones": [[k for k in range(1, 11) if k != skip] for skip in range(1, 11)],
+}
+
 DOCUMENTS = {
     "h1.json": dict(H1, name="h1"),
     "h1_unnamed.json": H1,
     "cp2.json": dict(CP2, name="cp2"),
+    "cp9.json": dict(CP9, name="cp9"),
     "c2.json": dict(C2, name="c2"),
     "invalid.json": dict(INVALID, name="invalid"),
     "invalid_unnamed.json": INVALID,
@@ -138,6 +148,7 @@ CASES = {
     "subfans-invalid-unnamed": (["subfans", "invalid_unnamed.json", "--classify"], None),
     "subfans-bad-version": (["subfans", "bad_version.json"], None),
     "subfans-usage": (["subfans", "cp2.json", "--bogus"], None),
+    "subfans-above-count-cap": (["subfans", "cp9.json"], None),
     "no-subcommand": ([], None),
 }
 OUTPUTS = ("json", "text")
@@ -189,11 +200,12 @@ def test_every_exit_code_on_every_subcommand(golden):
     for key, expected in golden.items():
         command = (CASES[key.split()[0]][0] or ["none"])[0]
         codes.setdefault(command, set()).add(expected["exit"])
-    # analyze and subfans raise no computation error on a valid fan.
+    # analyze raises no computation error on a valid fan; subfans raises
+    # only the subfan-count cap.
     assert codes == {
         "none": {1},
         "analyze": {0, 1, 2},
-        "subfans": {0, 1, 2},
+        "subfans": {0, 1, 2, 3},
         "stability": {0, 1, 2, 3},
         "holcheck": {0, 1, 2, 3},
         "stabilize": {0, 1, 2, 3},

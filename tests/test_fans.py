@@ -19,11 +19,12 @@ from oracles import (
     face_lattice_simpliciality,
     pairwise_isomorphism_classes,
     permutation_search_isomorphism,
+    recursive_subfans,
 )
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cones import primitivize
 from torickit.cox import cox_report
-from torickit.errors import NoPrimitiveCollectionError
+from torickit.errors import NoPrimitiveCollectionError, SubfanCountAboveCapError
 from torickit.fans import (
     Fan,
     _invariants,
@@ -437,6 +438,20 @@ class TestComplete:
             assert spans_lattice(fan.generators)
 
 
+def blown_up_surface(r: int) -> Fan:
+    """A smooth complete surface with r >= 4 rays: cp1 x cp1, blown up at
+    torus-fixed points (a ray a + b inserted between neighbours a and b)
+    until it has r rays."""
+    rays = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    k = 0
+    while len(rays) < r:
+        k %= len(rays)
+        a, b = rays[k], rays[(k + 1) % len(rays)]
+        rays.insert(k + 1, (a[0] + b[0], a[1] + b[1]))
+        k += 2
+    return Fan.from_maximal(rays, [(i, (i + 1) % r) for i in range(r)])
+
+
 class TestSubfans:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_census_count(self, k):
@@ -462,6 +477,36 @@ class TestSubfans:
     def test_cp2_subfan_count(self):
         # Three incomparable 2-faces, all subsets are ideals: 2^3 - 1 proper.
         assert len(enumerate_subfans(cp_fan(2))) == 7
+
+    def test_equal_to_the_recursive_oracle(self):
+        cp2xcp1_subfans = recursive_subfans(product_fan(2, 1))
+        family = [
+            *(cp_fan(n) for n in range(1, 5)),
+            *(hirzebruch_fan(k) for k in range(1, 6)),
+            c2_fan(),
+            product_fan(1, 1),
+            product_fan(2, 1),
+            *(blown_up_surface(r) for r in (5, 8, 10, 12, 13)),
+            *recursive_subfans(cp_fan(3)),
+            *random.Random(15).sample(cp2xcp1_subfans, 200),
+        ]
+        assert len(family) == 329
+        for fan in family:
+            assert enumerate_subfans(fan) == recursive_subfans(fan)
+
+    def test_cp9_is_refused_at_the_cap(self):
+        # 45 edges: refused after the 15th, before any larger face is built.
+        with pytest.raises(SubfanCountAboveCapError) as caught:
+            enumerate_subfans(cp_fan(9))
+        assert caught.value.code == "SUBFAN_COUNT_ABOVE_CAP"
+
+    def test_the_cap_counts_proper_subfans_exactly(self, monkeypatch):
+        surface = blown_up_surface(5)  # 2^5 - 1 proper subfans
+        monkeypatch.setattr(torickit.fans, "MAX_SUBFANS", 31)
+        assert len(enumerate_subfans(surface)) == 31
+        monkeypatch.setattr(torickit.fans, "MAX_SUBFANS", 30)
+        with pytest.raises(SubfanCountAboveCapError):
+            enumerate_subfans(surface)
 
 
 def product_fan(*ns: int) -> Fan:
