@@ -24,13 +24,7 @@ __version__ = "0.1.0"
 # The public names, grouped by the module that defines them.
 _EXPORTS = {
     "catalog": ("CatalogEntry", "builder_for", "c2_fan", "cp_fan", "hirzebruch_fan", "load_catalog"),
-    "cones": (
-        "SimplicialCone",
-        "cone_contains",
-        "intersection_is_common_face",
-        "is_smooth_cone",
-        "primitivize",
-    ),
+    "cones": ("SimplicialCone", "cone_contains", "intersection_is_common_face", "is_smooth_cone"),
     "cox": ("CoxGroupReport", "DegreeVector", "complete_degrees", "cox_report", "degree_of"),
     "fans": (
         "Fan",
@@ -65,15 +59,14 @@ _EXPORTS = {
         "SmithDecomposition",
         "kernel_basis",
         "positive_kernel_vector",
+        "primitivize",
         "smith_normal_form",
-        "spans_lattice",
     ),
     "stability": (
         "DiscriminantDims",
         "StabilityReport",
         "discriminant_dims",
         "stability_report",
-        "stable_range_replay",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

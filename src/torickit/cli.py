@@ -8,12 +8,13 @@ validation failure, 3 computation error (condition or degree failures),
 with the error code carried in the JSON body.
 
 `main` runs every job the same way: parse the arguments, load the fan
-(capped at TORICKIT_MAX_R rays), validate it, run the subcommand on a valid
-fan or build the violations body on an invalid one, then emit one body
-stamped with `schema_version`, on success and on every error. `analyze`,
-`stability` and `subfans` echo the document's `name` (null when unnamed)
-in their success and violation bodies; `holcheck` and `stabilize` do not.
-A closed stdout does not change the exit code.
+(capped at TORICKIT_MAX_R rays and at that many dimensions), validate it,
+run the subcommand on a valid fan or build the violations body on an
+invalid one, then emit one body stamped with `schema_version`, on success
+and on every error. `analyze`, `stability` and `subfans` echo the
+document's `name` (null when unnamed) in their success and violation
+bodies; `holcheck` and `stabilize` do not. A closed stdout does not change
+the exit code.
 """
 
 from __future__ import annotations
@@ -75,6 +76,12 @@ def _load_fan(path: str):
     if fan.ray_count > cap:
         raise doc_module.DocumentError(
             f"fan has {fan.ray_count} rays, above the cap of {cap} (TORICKIT_MAX_R)"
+        )
+    # A fan whose rays span the lattice has dim <= r, and Smith forms cost
+    # O(dim^2) memory: larger dimensions are refused under the same cap.
+    if fan.dim > cap:
+        raise doc_module.DocumentError(
+            f"fan has dimension {fan.dim}, above the cap of {cap} (TORICKIT_MAX_R)"
         )
     return fan, doc
 

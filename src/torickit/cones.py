@@ -3,38 +3,28 @@
 Smooth cones are simplicial, so simpliciality is enforced at construction
 (INDEPENDENCE_VIOLATION otherwise); strong convexity is then automatic and
 needs no separate check. All predicates are decided exactly over the
-rationals. The common-face LP (`lattice._lex_min`) and the Z-basis test
-are each stated once, on plain vector lists, and both the cone predicates
-here and the fan checks in `fans` call them.
+rationals. The common-face LP (`lattice._meet_only_in`) and the Z-basis
+test (`lattice._extends_to_basis`) live in `lattice`, on plain vector
+lists; the fan checks in `fans` call them there, so no fan check loads
+this module.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 from ._record import record
-from .errors import DimensionMismatchError, IndependenceViolationError, ZeroVectorError
+from .errors import DimensionMismatchError, IndependenceViolationError
 from .lattice import (
     IntegerMatrix,
+    LatticeVector,
+    _extends_to_basis,
     _fraction_free_rref,
-    _lex_min,
+    _meet_only_in,
     clear_denominators,
+    primitivize,
     rational_nullspace,
     rational_rank,
     rational_solve,
-    smith_normal_form,
 )
-
-LatticeVector = tuple[int, ...]
-
-
-def primitivize(vector) -> LatticeVector:
-    """Divide an integer vector by the gcd of its entries."""
-    vec = tuple(int(e) for e in vector)
-    if not any(vec):
-        raise ZeroVectorError("zero vector has no primitive generator")
-    g = gcd(*vec)
-    return tuple(e // g for e in vec)
 
 
 @record
@@ -70,13 +60,6 @@ class SimplicialCone:
     @property
     def is_zero(self) -> bool:
         return not self.generators
-
-
-def _extends_to_basis(vectors) -> bool:
-    """Whether the vectors extend to a Z-basis of the lattice: the matrix
-    with them as columns has one elementary divisor per column, all 1."""
-    divisors = smith_normal_form(IntegerMatrix.from_columns(vectors)).elementary_divisors
-    return len(divisors) == len(vectors) and all(d == 1 for d in divisors)
 
 
 def is_smooth_cone(cone: SimplicialCone) -> bool:
@@ -129,21 +112,6 @@ def halfspace_description(cone: SimplicialCone):
     reduced = _fraction_free_rref(augmented)[0]
     inequalities = [clear_denominators(row[s:]) for row in reduced]
     return equalities, inequalities
-
-
-def _meet_only_in(dim: int, a_gens, b_gens, common) -> bool:
-    """Whether the cones on independent vectors a_gens and b_gens meet only
-    in the cone on `common`, a set of vectors listed in both. Coefficients
-    are unique, so iff no common point has a positive coefficient off
-    `common`: iff the LP alpha, beta >= 0, sum alpha_i u_i == sum beta_j v_j
-    with the coefficients off `common` summing to 1 is infeasible. Its Farkas
-    alternative is the separation lemma (Cox-Little-Schenck, Toric
-    Varieties, §1.2). Positive scaling or reordering keeps the answer."""
-    gens = [*a_gens, *b_gens]
-    signs = [1] * len(a_gens) + [-1] * len(b_gens)
-    rows = [[sign * g[i] for sign, g in zip(signs, gens)] for i in range(dim)]
-    rows.append([int(g not in common) for g in gens])
-    return _lex_min(rows, [0] * dim + [1], []) is None
 
 
 def intersection_is_common_face(

@@ -79,13 +79,6 @@ def complete_degrees(fan: Fan, partial: dict) -> DegreeVector:
     return DegreeVector(entries)
 
 
-def positive_kernel_vector(fan: Fan) -> DegreeVector | None:
-    witness = lattice.positive_kernel_vector(fan.generator_matrix())
-    if witness is None:
-        return None
-    return DegreeVector(witness)
-
-
 def cox_report(fan: Fan) -> CoxGroupReport:
     """Smith-normal-form analysis of the generator matrix.
 
@@ -99,13 +92,13 @@ def cox_report(fan: Fan) -> CoxGroupReport:
     rank = snf.rank
     finite = tuple(d for d in snf.elementary_divisors if d > 1)
     condition_span = rank == fan.dim and not finite
-    witness = positive_kernel_vector(fan)
+    witness = lattice.positive_kernel_vector(n_matrix)
     free_rank = fan.ray_count - rank
     return CoxGroupReport(
         free_rank=free_rank,
         finite_part=finite,
         condition_span=condition_span,
         condition_positive_degree=witness is not None,
-        witness_degree=witness,
+        witness_degree=None if witness is None else DegreeVector(witness),
         pi2_rank=free_rank if condition_span else None,
     )

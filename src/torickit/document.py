@@ -17,6 +17,10 @@ from .fans import Fan
 
 SCHEMA_VERSION = 1
 
+# Validation checks every pair of maximal cones with one LP, so a document
+# may list at most this many; at the cap that takes about 0.4 s on cp1^6.
+MAX_MAXIMAL_CONES = 64
+
 
 @record
 class FanDocument:
@@ -58,6 +62,10 @@ def fan_document_from_obj(obj) -> FanDocument:
 
     cones = obj.get("maximal_cones")
     _require(isinstance(cones, list), "maximal_cones must be a list")
+    _require(
+        len(cones) <= MAX_MAXIMAL_CONES,
+        f"fan lists {len(cones)} maximal cones, above the cap of {MAX_MAXIMAL_CONES}",
+    )
     r = len(gens)
     parsed_cones = []
     for cone in cones:

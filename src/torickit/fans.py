@@ -3,8 +3,9 @@
 A fan is the pair of its ray generator list and the maximal index sets
 that span cones; every face is a subset of some maximal cone and is never
 listed. Validation and smoothness read the generators through the index
-sets and pass plain vector lists to the LP and Z-basis tests of `cones`;
-the combinatorial questions (non-faces, primitive collections, subfans)
+sets and pass plain vector lists to the common-face LP and the Z-basis
+test of `lattice`, so no fan check loads the cone objects of `cones`; the
+combinatorial questions (non-faces, primitive collections, subfans)
 are answered from the maximal cones alone.
 
 Isomorphism first compares invariants under GL(n,Z) x S_r (dimension,
@@ -20,11 +21,13 @@ from __future__ import annotations
 import itertools
 
 from ._record import record
-from .cones import _extends_to_basis, _meet_only_in, primitivize
 from .errors import NoPrimitiveCollectionError, SubfanCountAboveCapError
 from .lattice import (
     IntegerMatrix,
+    _extends_to_basis,
     _fraction_free_rref,
+    _meet_only_in,
+    primitivize,
     rational_rank,
     smith_normal_form,
 )

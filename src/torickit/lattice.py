@@ -2,12 +2,16 @@
 
 Everything here runs on arbitrary-precision integers or `fractions.Fraction`;
 no floating point is used anywhere. All rational elimination (solving,
-rank, nullspace and determinant) goes through one fraction-free
-Gauss-Jordan core, `_fraction_free_rref`, which works on integer rows only
-and divides exactly; rows holding fractions are scaled to integers first.
-The exact simplex `_lex_min` pivots with the same step, `_pivot`.
-Smith normal form reduces one integer block, [A | I] over I, whose row
-and column operations carry U and V along with S.
+rank and nullspace) goes through one fraction-free Gauss-Jordan core,
+`_fraction_free_rref`, which works on integer rows only and divides
+exactly; rows holding fractions are scaled to integers first. The exact
+simplex `_lex_min` pivots with the same step, `_pivot`. Smith normal form
+reduces one integer block, [A | I] over I, whose row and column operations
+carry U and V along with S.
+
+The two tests the fan checks need are stated here once, on plain vector
+lists: the Z-basis test `_extends_to_basis` (one Smith form) and the
+common-face LP `_meet_only_in` (one `_lex_min` call).
 """
 
 from __future__ import annotations
@@ -22,11 +26,10 @@ from .errors import (
     NonIntegralError,
     NonPositiveError,
     UnderdeterminedError,
+    ZeroVectorError,
 )
 
-# A rational vector is just a tuple of exact fractions; Fraction keeps itself
-# in canonical reduced form with a nonzero denominator.
-RationalVector = tuple[Fraction, ...]
+LatticeVector = tuple[int, ...]
 
 
 @record
@@ -69,10 +72,6 @@ class IntegerMatrix:
             tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         )
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 
@@ -103,27 +102,6 @@ class IntegerMatrix:
                 f"vector of length {len(vec)} against {self.rows}x{self.cols} matrix"
             )
         return tuple(sum(row[k] * vec[k] for k in range(self.cols)) for row in self.entries)
-
-    def determinant(self) -> int:
-        """Exact determinant, from the final pivot of the elimination core."""
-        if self.rows != self.cols:
-            raise DimensionMismatchError("determinant needs a square matrix")
-        _, pivots, last, sign = _fraction_free_rref(self.entries)
-        return sign * last if len(pivots) == self.rows else 0
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.determinant()) == 1
-
-    def rank(self) -> int:
-        return rational_rank(self.entries)
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entries[i][j] == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -232,23 +210,11 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     )
 
 
-def spans_lattice(generators) -> bool:
-    """True iff the integer span of the given vectors is the full lattice.
-
-    Equivalent to the generator matrix having rank n with all elementary
-    divisors equal to 1.
-    """
-    vectors = [tuple(int(e) for e in g) for g in generators]
-    if not vectors:
-        return False
-    n = len(vectors[0])
-    if any(len(vec) != n for vec in vectors):
-        raise DimensionMismatchError("generators must share one ambient dimension")
-    if n == 0:
-        return True
-    snf = smith_normal_form(IntegerMatrix.from_columns(vectors))
-    divisors = snf.elementary_divisors
-    return len(divisors) == n and all(d == 1 for d in divisors)
+def _extends_to_basis(vectors) -> bool:
+    """Whether the vectors extend to a Z-basis of the lattice: the matrix
+    with them as columns has one elementary divisor per column, all 1."""
+    divisors = smith_normal_form(IntegerMatrix.from_columns(vectors)).elementary_divisors
+    return len(divisors) == len(vectors) and all(d == 1 for d in divisors)
 
 
 def kernel_basis(n_matrix: IntegerMatrix) -> list[tuple[int, ...]]:
@@ -459,6 +425,30 @@ def _lex_min(rows, rhs, objectives):
         live = [alive and tab[z][j] <= 0 for j, alive in enumerate(live)]
     value = {j: Fraction(tab[i][-1], den) for i, j in enumerate(basis)}
     return tuple(value.get(j, Fraction(0)) for j in range(nvars))
+
+
+def _meet_only_in(dim: int, a_gens, b_gens, common) -> bool:
+    """Whether the cones on independent vectors a_gens and b_gens meet only
+    in the cone on `common`, a set of vectors listed in both. Coefficients
+    are unique, so iff no common point has a positive coefficient off
+    `common`: iff the LP alpha, beta >= 0, sum alpha_i u_i == sum beta_j v_j
+    with the coefficients off `common` summing to 1 is infeasible. Its Farkas
+    alternative is the separation lemma (Cox-Little-Schenck, Toric
+    Varieties, §1.2). Positive scaling or reordering keeps the answer."""
+    gens = [*a_gens, *b_gens]
+    signs = [1] * len(a_gens) + [-1] * len(b_gens)
+    rows = [[sign * g[i] for sign, g in zip(signs, gens)] for i in range(dim)]
+    rows.append([int(g not in common) for g in gens])
+    return _lex_min(rows, [0] * dim + [1], []) is None
+
+
+def primitivize(vector) -> LatticeVector:
+    """Divide an integer vector by the gcd of its entries."""
+    vec = tuple(int(e) for e in vector)
+    if not any(vec):
+        raise ZeroVectorError("zero vector has no primitive generator")
+    g = gcd(*vec)
+    return tuple(e // g for e in vec)
 
 
 def clear_denominators(vec) -> tuple[int, ...]:

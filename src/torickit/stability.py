@@ -5,13 +5,14 @@ space of based holomorphic maps into the double loop space is an
 equivalence: (2*r_min - 3)*d_min - 2, a homotopy equivalence when
 r_min >= 3 and a homology equivalence when r_min = 2.
 
-`stable_range_replay` recomputes that number by a route independent of the
-closed form: it replays the comparison argument over the truncated
-spectral sequences, propagating the unknown index region page by page and
-reading off the first diagonal the unknown region can touch. Which columns
-a page reaches comes from the lemma that t distinct positive jump lengths
-sum to exactly the integers s >= t(t+1)/2, so the replay costs
-O(d_min^1.5) integer operations; it refuses d_min above MAX_D_MIN.
+`replay(r_min, d_min).stable_dim` recomputes that number by a route
+independent of the closed form: it replays the comparison argument over
+the truncated spectral sequences, propagating the unknown index region
+page by page and reading off the first diagonal the unknown region can
+touch. Which columns a page reaches comes from the lemma that t distinct
+positive jump lengths sum to exactly the integers s >= t(t+1)/2, so the
+replay costs O(d_min^1.5) integer operations; it refuses d_min above
+MAX_D_MIN.
 """
 
 from __future__ import annotations
@@ -115,10 +116,6 @@ def replay(rmin: int, dmin: int) -> ReplayResult:
     )
 
 
-def stable_range_replay(rmin: int, dmin: int) -> int:
-    return replay(rmin, dmin).stable_dim
-
-
 def require_standing_conditions(fan: Fan) -> None:
     """Raise the code of the first standing condition the fan fails.
 
@@ -157,7 +154,7 @@ def report_from_invariants(rmin: int, dmin: int) -> StabilityReport:
         kind=KIND_HOMOTOPY if rmin >= 3 else KIND_HOMOLOGY,
         connectivity=2 * (rmin - 2),
         vanishing_line=(2 * rmin - 2) * dmin - 1,
-        oracle_dim=stable_range_replay(rmin, dmin),
+        oracle_dim=replay(rmin, dmin).stable_dim,
     )
 
 

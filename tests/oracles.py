@@ -22,13 +22,16 @@ they look at are kept as well; the library now reads the generators
 through the index sets instead. So is the recursive subfan enumeration,
 which decides every non-singleton face in or out in one call per face and
 tests every subset of it; the library replaced it by one capped pass that
-adds each face, smallest first, to the ideals holding its facets.
+adds each face, smallest first, to the ideals holding its facets. The
+library has no determinant: unimodularity checks use `integer_determinant`
+here, a plain elimination over `Fraction`.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 from math import lcm
 
 from torickit.gaussian import (
@@ -80,6 +83,30 @@ def gaussian_determinant(rows) -> GaussianRational:
             factor = work[i][col] * inv
             work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
     return det
+
+
+def integer_determinant(m: IntegerMatrix) -> int:
+    """Determinant of a square integer matrix by Gaussian elimination over
+    Fraction, with row swaps for zero pivots."""
+    assert m.rows == m.cols, "determinant needs a square matrix"
+    work = [[Fraction(e) for e in row] for row in m.entries]
+    det = Fraction(1)
+    for col in range(m.rows):
+        pivot = next((i for i in range(col, m.rows) if work[i][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det *= work[col][col]
+        for i in range(col + 1, m.rows):
+            factor = work[i][col] / work[col][col]
+            work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
+    return int(det)
+
+
+def is_unimodular(m: IntegerMatrix) -> bool:
+    return m.rows == m.cols and abs(integer_determinant(m)) == 1
 
 
 def sylvester_resultant(f: Poly, g: Poly, declared_degree: int) -> GaussianRational:

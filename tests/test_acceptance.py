@@ -16,6 +16,7 @@ import pytest
 from oracles import (
     brute_force_kernel_vectors,
     brute_force_positive_vector,
+    is_unimodular,
     resultant_is_member,
 )
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
@@ -250,7 +251,7 @@ def test_criterion_7_lattice_property_suite():
             )
             snf = smith_normal_form(m)
             assert (snf.U @ m @ snf.V).entries == snf.S.entries
-            assert snf.U.is_unimodular() and snf.V.is_unimodular()
+            assert is_unimodular(snf.U) and is_unimodular(snf.V)
             diag = snf.S.diagonal()
             for a, b in zip(diag, diag[1:]):
                 if a == 0:

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import torickit.stability
 
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cli import main
+from torickit.document import document_from_fan, document_to_obj
 from torickit.fans import Fan, enumerate_subfans, is_smooth
 from torickit.holmap import MAX_DEGREE
 from torickit.schemas import (
@@ -35,6 +37,14 @@ TUPLE_COMMON_ROOT = {
     "schema_version": 1,
     "polynomials": [[["0", "0"]], [["2", "0"]], [["0", "0"]], [["4", "0"], ["5", "0"]]],
 }
+
+
+def cp1_power(k: int) -> dict:
+    """The document of cp1^k: the rays +-e_i, one maximal cone per sign
+    pattern."""
+    gens = [[sign * int(i == j) for j in range(k)] for i in range(k) for sign in (1, -1)]
+    cones = [[2 * i + s + 1 for i, s in enumerate(signs)] for signs in itertools.product((0, 1), repeat=k)]
+    return {"schema_version": 1, "dimension": k, "generators": gens, "maximal_cones": cones}
 
 
 class TestAnalyze:
@@ -106,6 +116,26 @@ class TestAnalyze:
         assert code == 1
         assert out["error"] == "DOCUMENT_ERROR"
         assert "TORICKIT_MAX_R" in out["message"]
+
+    @pytest.mark.parametrize("name", ["cp1^10", "cp5-padded"])
+    def test_documents_above_the_caps_are_refused_before_validation(
+        self, name, write_tuple, run_cli, monkeypatch
+    ):
+        # cp1^10 lists 1,024 maximal cones on 20 rays; cp5 padded with zeros
+        # has 6 rays in dimension 3,000.
+        if name == "cp1^10":
+            obj, message = cp1_power(10), "fan lists 1024 maximal cones, above the cap of 64"
+        else:
+            obj = document_to_obj(document_from_fan(cp_fan(5)))
+            obj["dimension"] = 3000
+            obj["generators"] = [g + [0] * 2995 for g in obj["generators"]]
+            message = "fan has dimension 3000, above the cap of 20 (TORICKIT_MAX_R)"
+        monkeypatch.delenv("TORICKIT_MAX_R", raising=False)
+        calls = []
+        monkeypatch.setattr(torickit.cli, "validate_fan", calls.append)
+        code, out = run_cli("analyze", write_tuple(obj, "above-cap"))
+        assert (code, out["error"], out["message"]) == (1, "DOCUMENT_ERROR", message)
+        assert calls == []
 
     def test_full_simplex_reports_null_r_min(self, write_fan, run_cli):
         quadrant = Fan.from_maximal([(1, 0), (0, 1)], [(0, 1)])

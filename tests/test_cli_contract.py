@@ -1,8 +1,8 @@
 """Byte-level CLI contract: the stdout bytes and exit code of every
 subcommand on success, an invalid fan, an unreadable or malformed document,
 a computation error and a usage error, in json and in text mode, plus
-unnamed documents, the TORICKIT_MAX_R cap and the d_min, degree and
-subfan-count caps.
+unnamed documents, the TORICKIT_MAX_R cap on rays and on the dimension,
+and the maximal-cone, d_min, degree and subfan-count caps.
 
 The expected output is in cli_contract.json next to this file. After an
 intended change of output, rewrite it with
@@ -61,11 +61,32 @@ CP9 = {
     "maximal_cones": [[k for k in range(1, 11) if k != skip] for skip in range(1, 11)],
 }
 
+
+def cp1_power(k):
+    """cp1^k: the rays +-e_i, one maximal cone per sign pattern (2^k)."""
+    cones = [[]]
+    for i in range(k):
+        cones = [cone + [2 * i + s] for cone in cones for s in (1, 2)]
+    gens = [[sign * int(i == j) for j in range(k)] for i in range(k) for sign in (1, -1)]
+    return {"schema_version": 1, "dimension": k, "generators": gens, "maximal_cones": cones}
+
+
+# cp2 with two zero coordinates appended: 3 rays in dimension 4.
+CP2_PADDED = {
+    "schema_version": 1,
+    "dimension": 4,
+    "generators": [g + [0, 0] for g in CP2["generators"]],
+    "maximal_cones": CP2["maximal_cones"],
+}
+
 DOCUMENTS = {
     "h1.json": dict(H1, name="h1"),
     "h1_unnamed.json": H1,
     "cp2.json": dict(CP2, name="cp2"),
     "cp9.json": dict(CP9, name="cp9"),
+    "cp1_6.json": dict(cp1_power(6), name="cp1^6"),
+    "cp1_7.json": dict(cp1_power(7), name="cp1^7"),
+    "cp2_padded.json": dict(CP2_PADDED, name="cp2-padded"),
     "c2.json": dict(C2, name="c2"),
     "invalid.json": dict(INVALID, name="invalid"),
     "invalid_unnamed.json": INVALID,
@@ -102,6 +123,10 @@ CASES = {
     "analyze-at-max-r": (["analyze", "h1.json"], "4"),
     "analyze-above-max-r": (["analyze", "h1.json"], "3"),
     "analyze-max-r-not-integer": (["analyze", "h1.json"], "abc"),
+    "analyze-at-dimension-cap": (["analyze", "cp2_padded.json"], "4"),
+    "analyze-above-dimension-cap": (["analyze", "cp2_padded.json"], "3"),
+    "analyze-at-cone-cap": (["analyze", "cp1_6.json"], None),
+    "analyze-above-cone-cap": (["analyze", "cp1_7.json"], None),
     "stability-free": (["stability", "h1.json", "--free", "1=3,2=5"], None),
     "stability-degrees": (["stability", "cp2.json", "--degrees", "2,2,2"], None),
     "stability-unnamed": (["stability", "h1_unnamed.json", "--free", "1=3,2=5"], None),
@@ -149,6 +174,7 @@ CASES = {
     "subfans-bad-version": (["subfans", "bad_version.json"], None),
     "subfans-usage": (["subfans", "cp2.json", "--bogus"], None),
     "subfans-above-count-cap": (["subfans", "cp9.json"], None),
+    "subfans-above-cone-cap": (["subfans", "cp1_7.json"], None),
     "no-subcommand": ([], None),
 }
 OUTPUTS = ("json", "text")

@@ -5,6 +5,7 @@ import pytest
 
 from torickit.catalog import cp_fan, hirzebruch_fan
 from torickit.document import (
+    MAX_MAXIMAL_CONES,
     FanDocument,
     document_from_fan,
     document_to_obj,
@@ -65,6 +66,16 @@ class TestFanDocuments:
         fan_document_from_obj(obj)
         obj[field] = value
         with pytest.raises(DocumentError):
+            fan_document_from_obj(obj)
+
+    def test_maximal_cone_cap(self):
+        # Every listed cone counts, repeated ones too.
+        obj = {"schema_version": 1, "dimension": 1, "generators": [[1], [-1]]}
+        obj["maximal_cones"] = [[1], [2]] * (MAX_MAXIMAL_CONES // 2)
+        assert len(fan_document_from_obj(obj).maximal_cones) == MAX_MAXIMAL_CONES
+        obj["maximal_cones"].append([1])
+        message = f"fan lists {MAX_MAXIMAL_CONES + 1} maximal cones, above the cap of {MAX_MAXIMAL_CONES}"
+        with pytest.raises(DocumentError, match=message):
             fan_document_from_obj(obj)
 
     def test_load_missing_file(self, tmp_path):

@@ -68,18 +68,31 @@ class TestModulesRun:
     def test_fan_subcommands(self, argv, h1_files):
         ran = modules_run(argv[0], h1_files[0], *argv[1:])
         assert {"fans", "document"} <= ran
-        assert not ran & {"gaussian", "holmap", "stability", "catalog"}
+        assert not ran & {"gaussian", "holmap", "stability", "catalog", "cones"}
 
     def test_stability(self, h1_files):
         ran = modules_run("stability", h1_files[0], "--free", "1=3,2=5")
         assert {"cox", "stability"} <= ran
-        assert not ran & {"gaussian", "holmap", "catalog"}
+        assert not ran & {"gaussian", "holmap", "catalog", "cones"}
 
     @pytest.mark.parametrize("extra", [[], ["--increment", "1,1,1,2"]], ids=["holcheck", "stabilize"])
     def test_tuple_subcommands(self, extra, h1_files):
         ran = modules_run("stabilize" if extra else "holcheck", *h1_files, *extra)
         assert {"gaussian", "holmap"} <= ran
-        assert not ran & {"stability", "catalog", "cox"}
+        assert not ran & {"stability", "catalog", "cox", "cones"}
+
+    def test_fan_checks_leave_cones_lazy(self):
+        # Validation and smoothness call the LP and the Z-basis test in
+        # `lattice`; the cone objects of `cones` stay unexecuted.
+        script = (
+            "import sys, types; from torickit.catalog import cp_fan; "
+            "from torickit.fans import is_smooth, validate_fan; fan = cp_fan(3); "
+            "print(validate_fan(fan).valid, is_smooth(fan), "
+            "type(sys.modules['torickit.cones']) is types.ModuleType)"
+        )
+        proc = run_fresh("-c", script)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.split() == ["True", "True", "False"]
 
     def test_run_as_main_without_warnings(self, h1_files):
         # runpy warns when `torickit.cli` is already in sys.modules after the

@@ -17,7 +17,6 @@ from torickit.stability import (
     discriminant_dims,
     replay,
     stability_report,
-    stable_range_replay,
 )
 
 
@@ -117,8 +116,8 @@ class TestDiscriminantDims:
 
 class TestReplay:
     def test_examples(self):
-        assert stable_range_replay(2, 5) == 3
-        assert stable_range_replay(3, 1) == 1
+        assert replay(2, 5).stable_dim == 3
+        assert replay(3, 1).stable_dim == 1
 
     def test_grid_matches_closed_form(self):
         for rmin in range(2, 7):
@@ -180,4 +179,4 @@ class TestReplay:
         fan = hirzebruch_fan(2)
         degrees = complete_degrees(fan, {0: 6, 1: 2})
         report = stability_report(fan, degrees)
-        assert report.oracle_dim == stable_range_replay(2, 2) == 0
+        assert report.oracle_dim == replay(2, 2).stable_dim == 0
