@@ -144,39 +144,21 @@ def cmd_analyze(fan, args) -> dict:
 
 
 def cmd_stability(fan, args) -> dict:
-    # The two standing conditions are preconditions of the whole operation;
-    # check them before degree resolution so their codes are not masked by
-    # degree errors on fans where no degree vector can exist at all.
-    stability.require_standing_conditions(fan)
-
-    if args.degrees is not None:
-        degrees = cox.degree_of(fan, args.degrees)
-    else:
-        for index in args.free:
-            if not 0 <= index < fan.ray_count:
-                raise ValueError(f"pin index {index + 1} out of range 1..{fan.ray_count}")
-        low = [index + 1 for index, value in args.free.items() if value < 1]
-        if low:
-            raise ValueError(f"pinned value at index {low[0]} must be a positive integer")
-        degrees = cox.complete_degrees(fan, args.free)
-    collections = primitive_collections(fan)
-    # Never empty here: a strictly positive relation among the rays keeps
-    # them out of any one simplicial cone.
-    result = stability.report_from_invariants(min(len(c) for c in collections), degrees.minimum)
-    article = "a homotopy" if result.kind == "HOMOTOPY" else "a homology"
+    report = stability.stability_report(fan, args.free if args.degrees is None else args.degrees)
+    article = "a homotopy" if report.kind == "HOMOTOPY" else "a homology"
     return {
-        "degrees": list(degrees),
-        "r_min": result.r_min,
-        "d_min": result.d_min,
-        "stability_dim": result.stability_dim,
-        "kind": result.kind,
-        "connectivity": result.connectivity,
-        "vanishing_line": result.vanishing_line,
-        "oracle_dim": result.oracle_dim,
-        "primitive_collections": _one_based(collections),
+        "degrees": list(report.degrees),
+        "r_min": report.r_min,
+        "d_min": report.d_min,
+        "stability_dim": report.stability_dim,
+        "kind": report.kind,
+        "connectivity": report.connectivity,
+        "vanishing_line": report.vanishing_line,
+        "oracle_dim": report.oracle_dim,
+        "primitive_collections": _one_based(report.primitive_collections),
         "sentence": (
             f"inclusion is {article} equivalence through dimension "
-            f"{result.stability_dim}"
+            f"{report.stability_dim}"
         ),
     }
 

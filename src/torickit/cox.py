@@ -7,6 +7,8 @@ computation needs.
 
 from __future__ import annotations
 
+import operator
+
 from . import lattice
 from ._record import record
 from .errors import NonPositiveError, NotInKernelError
@@ -60,7 +62,7 @@ class CoxGroupReport:
 
 def degree_of(fan: Fan, entries) -> DegreeVector:
     """Validate a candidate degree vector against the fan's generator matrix."""
-    entries = tuple(int(e) for e in entries)
+    entries = tuple(map(operator.index, entries))
     if len(entries) != fan.ray_count:
         raise NotInKernelError(
             f"expected {fan.ray_count} degree entries, got {len(entries)}"

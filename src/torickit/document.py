@@ -1,7 +1,10 @@
 """File formats: fan documents and polynomial-tuple documents.
 
 Ray indices are 1-based in files to match the usual index-set convention
-[r] = {1,...,r}; everything is 0-based in memory and converted only here.
+[r] = {1,...,r}; everything is 0-based in memory. Besides the documents
+here, the conversion is made for CLI output and pins in `cli`
+(`_one_based`, `_invalid_fan_body`, `_parse_free`) and in the messages of
+`lattice.complete_degrees` (pins) and `holmap` (degree caps).
 All numbers cross the boundary exactly (integers, or fraction strings for
 polynomial coefficients).
 """

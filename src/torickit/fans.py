@@ -19,6 +19,7 @@ invariants and searches within a bucket only.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from ._record import record
 from .errors import NoPrimitiveCollectionError, SubfanCountAboveCapError
@@ -67,9 +68,9 @@ class Fan:
     @classmethod
     def create(cls, generators, faces) -> "Fan":
         """A fan whose faces are the given index sets and their subsets."""
-        gens = tuple(tuple(int(e) for e in g) for g in generators)
+        gens = tuple(tuple(map(operator.index, g)) for g in generators)
         dim = len(gens[0]) if gens else 0
-        return cls(dim, gens, _maximal(frozenset(int(i) for i in face) for face in faces))
+        return cls(dim, gens, _maximal(frozenset(map(operator.index, face)) for face in faces))
 
     @classmethod
     def from_maximal(cls, generators, maximal_cones) -> "Fan":
@@ -213,7 +214,11 @@ def primitive_collections(fan: Fan) -> frozenset[Face]:
 
 
 def r_min(fan: Fan) -> int:
-    collections = primitive_collections(fan)
+    return _r_min_of(primitive_collections(fan))
+
+
+def _r_min_of(collections) -> int:
+    """The size of the smallest primitive collection."""
     if not collections:
         raise NoPrimitiveCollectionError(
             "complex is a full simplex; no primitive collection exists"

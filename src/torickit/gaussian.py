@@ -84,8 +84,6 @@ def gaussian(real, imag=0) -> GaussianRational:
     return GaussianRational(Fraction(real), Fraction(imag))
 
 
-# The fraction-string pattern of the published schemas, repeated here
-# because the CLI never loads `schemas`.
 _FRACTION_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 

@@ -9,6 +9,7 @@ models are implemented and kept interchangeable. The base point convention
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from ._record import record
@@ -200,7 +201,7 @@ def stabilize(tup: PolyTuple, increment, fan: Fan, points=None) -> Stabilization
     MAX_DEGREE raises DegreeAboveCapError before any product is formed.
     """
     _check_length(len(tup.polys), fan, DegreeMismatchError)
-    increment = tuple(int(e) for e in increment)
+    increment = tuple(map(operator.index, increment))
     _check_length(len(increment), fan, NonKernelIncrementError)
     if any(e < 1 for e in increment):
         raise NonKernelIncrementError("increment entries must all be >= 1")

@@ -16,6 +16,7 @@ common-face LP `_meet_only_in` (one `_lex_min` call).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -54,13 +55,13 @@ class IntegerMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntegerMatrix":
-        rows = tuple(tuple(int(e) for e in row) for row in rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in rows)
         ncols = len(rows[0]) if rows else 0
         return cls(len(rows), ncols, rows)
 
     @classmethod
     def from_columns(cls, cols) -> "IntegerMatrix":
-        cols = [tuple(int(e) for e in c) for c in cols]
+        cols = [tuple(map(operator.index, c)) for c in cols]
         if not cols:
             return cls(0, 0, ())
         nrows = len(cols[0])
@@ -254,14 +255,17 @@ def complete_degrees(n_matrix: IntegerMatrix, partial: dict) -> tuple[int, ...]:
     Raises UNDERDETERMINED if the pinned coordinates leave more than one
     rational kernel extension, INCONSISTENT if they leave none, and
     NON_INTEGRAL / NON_POSITIVE when the unique extension fails those
-    checks.
+    checks. Pins are 0-based; every pin index is checked against the range
+    before any value, and the ValueError for a bad pin numbers it from 1,
+    as fan documents and the CLI number rays.
     """
     r = n_matrix.cols
-    for idx, value in partial.items():
+    for idx in partial:
         if not 0 <= idx < r:
-            raise ValueError(f"index {idx} out of range for {r} coordinates")
+            raise ValueError(f"pin index {idx + 1} out of range 1..{r}")
+    for idx, value in partial.items():
         if not isinstance(value, int) or value < 1:
-            raise ValueError(f"pinned value at index {idx} must be a positive integer")
+            raise ValueError(f"pinned value at index {idx + 1} must be a positive integer")
 
     # N x = 0 plus one unit row per pin; a zero row keeps the column count
     # when N has no rows and nothing is pinned.
@@ -444,7 +448,7 @@ def _meet_only_in(dim: int, a_gens, b_gens, common) -> bool:
 
 def primitivize(vector) -> LatticeVector:
     """Divide an integer vector by the gcd of its entries."""
-    vec = tuple(int(e) for e in vector)
+    vec = tuple(map(operator.index, vector))
     if not any(vec):
         raise ZeroVectorError("zero vector has no primitive generator")
     g = gcd(*vec)

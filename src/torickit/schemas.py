@@ -5,7 +5,10 @@ validates real outputs against them, and downstream consumers may do the
 same.
 """
 
-_FRACTION = {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}
+# Coefficients follow the grammar the parser itself checks, anchored.
+from .gaussian import _FRACTION_STRING
+
+_FRACTION = {"type": "string", "pattern": f"^{_FRACTION_STRING.pattern}$"}
 _COEFFICIENT = {
     "type": "array",
     "items": _FRACTION,

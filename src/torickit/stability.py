@@ -18,14 +18,14 @@ MAX_D_MIN.
 from __future__ import annotations
 
 from ._record import record
-from .cox import DegreeVector, cox_report, degree_of
+from .cox import DegreeVector, complete_degrees, cox_report, degree_of
 from .errors import (
     Condition1FailedError,
     Condition2FailedError,
     DMinAboveCapError,
     KOutOfRangeError,
 )
-from .fans import Fan, r_min
+from .fans import Fan, _r_min_of, primitive_collections, r_min
 
 KIND_HOMOTOPY = "HOMOTOPY"
 KIND_HOMOLOGY = "HOMOLOGY"
@@ -44,6 +44,8 @@ class StabilityReport:
     connectivity: int
     vanishing_line: int
     oracle_dim: int
+    degrees: DegreeVector
+    primitive_collections: frozenset[frozenset[int]]
 
 
 @record
@@ -116,37 +118,27 @@ def replay(rmin: int, dmin: int) -> ReplayResult:
     )
 
 
-def require_standing_conditions(fan: Fan) -> None:
-    """Raise the code of the first standing condition the fan fails.
+def stability_report(fan: Fan, degrees) -> StabilityReport:
+    """All quantitative conclusions for one fan and degree vector.
 
-    The span condition is checked before the positive-degree condition.
+    `degrees` is a full vector (a sequence or a DegreeVector) or a dict of
+    0-based pins, completed by `complete_degrees`. The span condition, then
+    the positive-degree condition, is checked before the degrees are
+    resolved, so a fan on which no degree vector can exist fails with that
+    condition's code rather than a degree error.
     """
     cox = cox_report(fan)
     if not cox.condition_span:
         raise Condition1FailedError("ray generators do not span the lattice over Z")
     if not cox.condition_positive_degree:
         raise Condition2FailedError("no strictly positive degree vector exists")
-
-
-def stability_report(fan: Fan, degrees) -> StabilityReport:
-    """All quantitative conclusions for one fan and degree vector.
-
-    Requires the span and positive-degree conditions; fails with the code
-    of whichever condition breaks.
-    """
-    require_standing_conditions(fan)
-    rmin = r_min(fan)
-    if not isinstance(degrees, DegreeVector):
+    collections = primitive_collections(fan)
+    rmin = _r_min_of(collections)
+    if isinstance(degrees, dict):
+        degrees = complete_degrees(fan, degrees)
+    elif not isinstance(degrees, DegreeVector):
         degrees = degree_of(fan, degrees)
-    return report_from_invariants(rmin, degrees.minimum)
-
-
-def report_from_invariants(rmin: int, dmin: int) -> StabilityReport:
-    """The conclusions that r_min and d_min alone determine.
-
-    Checks no standing condition; `stability_report` is the checked entry
-    point.
-    """
+    dmin = degrees.minimum
     return StabilityReport(
         r_min=rmin,
         d_min=dmin,
@@ -155,6 +147,8 @@ def report_from_invariants(rmin: int, dmin: int) -> StabilityReport:
         connectivity=2 * (rmin - 2),
         vanishing_line=(2 * rmin - 2) * dmin - 1,
         oracle_dim=replay(rmin, dmin).stable_dim,
+        degrees=degrees,
+        primitive_collections=collections,
     )
 
 

@@ -178,7 +178,7 @@ class TestStability:
         for module, name in (
             (torickit.cox, "cox_report"),
             (torickit.stability, "cox_report"),
-            (torickit.cli, "primitive_collections"),
+            (torickit.stability, "primitive_collections"),
             (torickit.fans, "primitive_collections"),
         ):
             original = getattr(module, name)
@@ -191,6 +191,20 @@ class TestStability:
         code, _ = run_cli("stability", write_fan(hirzebruch_fan(1), "h1"), "--free", "1=3,2=5")
         assert code == 0
         assert calls == {"cox_report": 1, "primitive_collections": 1}
+
+    @pytest.mark.parametrize("flag, value", [("--free", "1=3,2=5"), ("--degrees", "3,5,3,8")])
+    def test_one_stability_report_per_job(self, flag, value, write_fan, run_cli, monkeypatch):
+        calls = []
+        original = torickit.stability.stability_report
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(torickit.stability, "stability_report", counted)
+        code, out = run_cli("stability", write_fan(hirzebruch_fan(1), "h1"), flag, value)
+        assert code == 0 and out["degrees"] == [3, 5, 3, 8]
+        assert len(calls) == 1
 
     def test_pin_index_reported_one_based(self, write_fan, run_cli):
         code, out = run_cli("stability", write_fan(hirzebruch_fan(1), "h1"), "--free", "0=3")

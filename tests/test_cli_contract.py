@@ -139,6 +139,8 @@ CASES = {
     "stability-underdetermined": (["stability", "h1.json", "--free", "1=1"], None),
     "stability-pin-out-of-range": (["stability", "h1.json", "--free", "0=3"], None),
     "stability-pin-not-positive": (["stability", "h1.json", "--free", "1=2,3=0"], None),
+    # Every pin index is checked against the range before any pinned value.
+    "stability-pin-range-before-value": (["stability", "h1.json", "--free", "2=0,9=3"], None),
     "stability-usage-no-degrees": (["stability", "h1.json"], None),
     "stability-usage-bad-degrees": (["stability", "h1.json", "--degrees", "1,x"], None),
     "stability-usage-repeated-pin": (["stability", "h1.json", "--free", "1=3,1=7"], None),

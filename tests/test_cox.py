@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -74,6 +75,11 @@ class TestDegreeOf:
     def test_degree_vector_rejects_bad_entries(self):
         with pytest.raises(NonPositiveError):
             DegreeVector((1, 0, 2))
+
+    @pytest.mark.parametrize("bad", [1.9, 1.0, Fraction(3, 2)])
+    def test_non_integers_are_refused(self, bad):
+        with pytest.raises(TypeError):
+            degree_of(cp_fan(2), [bad, 1, 1])
 
 
 class TestCompleteDegrees:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -221,6 +222,18 @@ class TestPrimitiveCollections:
             for c in collections:
                 for sub in itertools.combinations(sorted(c), len(c) - 1):
                     assert frozenset(sub) in closure(fan)
+
+
+class TestIntegerInputs:
+    @pytest.mark.parametrize("bad", [1.0, 1.5, Fraction(3, 2)])
+    def test_non_integer_generators_are_refused(self, bad):
+        with pytest.raises(TypeError):
+            Fan.create([(bad, 0), (0, 1)], [(0, 1)])
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, Fraction(3, 2)])
+    def test_non_integer_face_indices_are_refused(self, bad):
+        with pytest.raises(TypeError):
+            Fan.create([(1, 0), (0, 1)], [(0, bad)])
 
 
 class TestRMin:

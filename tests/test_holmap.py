@@ -201,6 +201,12 @@ class TestStabilize:
         with pytest.raises(NonKernelIncrementError):
             stabilize(tup, (1, 1, 1, 1), hirzebruch1)
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, Fraction(3, 2)])
+    def test_non_integer_increment_is_refused(self, bad):
+        tup = PolyTuple.from_polys([linear(0), linear(-1)])
+        with pytest.raises(TypeError):
+            stabilize(tup, (bad, 1), cp_fan(1))
+
     def test_duplicate_points(self):
         cp1 = cp_fan(1)
         tup = PolyTuple.from_polys([linear(0), linear(-1)])

@@ -27,6 +27,7 @@ from torickit.lattice import (
     complete_degrees,
     kernel_basis,
     positive_kernel_vector,
+    primitivize,
     rational_nullspace,
     rational_rank,
     rational_solve,
@@ -247,6 +248,16 @@ class TestCompleteDegrees:
         with pytest.raises(ValueError):
             complete_degrees(hirzebruch_matrix(1), {0: 0, 1: 1})
 
+    def test_bad_pins_are_numbered_from_one(self):
+        m = hirzebruch_matrix(1)
+        # Every index is checked against the range before any value.
+        with pytest.raises(ValueError, match=r"^pin index 9 out of range 1\.\.4$"):
+            complete_degrees(m, {1: 0, 8: 3})
+        with pytest.raises(ValueError, match=r"^pin index 0 out of range 1\.\.4$"):
+            complete_degrees(m, {-1: 3})
+        with pytest.raises(ValueError, match=r"^pinned value at index 3 must be a positive integer$"):
+            complete_degrees(m, {0: 2, 2: 0, 1: -1})
+
     def test_output_extends_and_lies_in_kernel(self):
         m = hirzebruch_matrix(2)
         got = complete_degrees(m, {0: 4, 1: 9})
@@ -256,6 +267,25 @@ class TestCompleteDegrees:
     def test_pin_on_trivial_kernel_is_inconsistent(self):
         with pytest.raises(InconsistentError):
             complete_degrees(IntegerMatrix.identity(2), {0: 1})
+
+
+class TestIntegerInputs:
+    @pytest.mark.parametrize("bad", [1.0, 1.5, Fraction(3, 2)])
+    def test_non_integers_are_refused(self, bad):
+        for build in (IntegerMatrix.from_rows, IntegerMatrix.from_columns):
+            with pytest.raises(TypeError):
+                build([[1, bad], [0, 1]])
+        with pytest.raises(TypeError):
+            primitivize((bad, 5))
+
+    def test_bools_and_numpy_integers_become_ints(self):
+        import numpy
+
+        rows = IntegerMatrix.from_rows([[True, numpy.int64(2)]]).entries
+        cols = IntegerMatrix.from_columns([[numpy.int32(3)], [False]]).entries
+        assert rows == ((1, 2),) and cols == ((3, 0),)
+        assert all(type(e) is int for e in rows[0] + cols[0])
+        assert primitivize((numpy.int64(4), 6)) == (2, 3)
 
 
 class TestDegenerateShapes:

@@ -2,7 +2,7 @@ import pytest
 
 from oracles import enumerated_replay, subset_sum_replay
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
-from torickit.cox import complete_degrees, degree_of
+from torickit.cox import DegreeVector, complete_degrees, degree_of
 from torickit.errors import (
     Condition1FailedError,
     Condition2FailedError,
@@ -65,6 +65,19 @@ class TestStabilityReport:
         fan = Fan.from_maximal([(2, 0), (0, 1)], [(0,), (1,)])
         with pytest.raises(Condition1FailedError):
             stability_report(fan, None)
+
+    def test_pins_and_their_completion_give_one_report(self):
+        h1 = hirzebruch_fan(1)
+        report = stability_report(h1, {0: 3, 1: 5})
+        assert report == stability_report(h1, complete_degrees(h1, {0: 3, 1: 5}))
+        assert report == stability_report(h1, (3, 5, 3, 8))
+        assert report.degrees == DegreeVector((3, 5, 3, 8))
+        assert report.primitive_collections == {frozenset({0, 2}), frozenset({1, 3})}
+
+    def test_conditions_are_checked_before_the_pins(self):
+        for pins in ({0: 0}, {9: 1}):
+            with pytest.raises(Condition2FailedError):
+                stability_report(c2_fan(), pins)
 
     def test_vanishing_line_identity(self):
         for k, d1, d2 in [(1, 1, 1), (2, 3, 4), (3, 6, 2)]:
