@@ -8,13 +8,12 @@ validation failure, 3 computation error (condition or degree failures),
 with the error code carried in the JSON body.
 
 `main` runs every job the same way: parse the arguments, load the fan
-(capped at TORICKIT_MAX_R rays and at that many dimensions), validate it,
-run the subcommand on a valid fan or build the violations body on an
-invalid one, then emit one body stamped with `schema_version`, on success
-and on every error. `analyze`, `stability` and `subfans` echo the
-document's `name` (null when unnamed) in their success and violation
-bodies; `holcheck` and `stabilize` do not. A closed stdout does not change
-the exit code.
+(`document` refuses one above its size caps), validate it, run the
+subcommand on a valid fan or build the violations body on an invalid one,
+then emit one body stamped with `schema_version`, on success and on every
+error. `analyze`, `stability` and `subfans` echo the document's `name`
+(null when unnamed) in their success and violation bodies; `holcheck` and
+`stabilize` do not. A closed stdout does not change the exit code.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_COMPUTE = 3
 
-DEFAULT_MAX_R = 20
-
 
 def _emit(obj: dict, output: str) -> None:
     if output == "json":
@@ -56,34 +53,6 @@ def _emit(obj: dict, output: str) -> None:
 
 def _one_based(faces) -> list[list[int]]:
     return sorted(sorted(i + 1 for i in face) for face in faces)
-
-
-def _max_r() -> int:
-    raw = os.environ.get("TORICKIT_MAX_R")
-    if raw is None:
-        return DEFAULT_MAX_R
-    try:
-        return int(raw)
-    except ValueError:
-        raise doc_module.DocumentError(
-            f"TORICKIT_MAX_R must be an integer, got {raw!r}"
-        ) from None
-
-
-def _load_fan(path: str):
-    fan, doc = doc_module.load_fan_file(path)
-    cap = _max_r()
-    if fan.ray_count > cap:
-        raise doc_module.DocumentError(
-            f"fan has {fan.ray_count} rays, above the cap of {cap} (TORICKIT_MAX_R)"
-        )
-    # A fan whose rays span the lattice has dim <= r, and Smith forms cost
-    # O(dim^2) memory: larger dimensions are refused under the same cap.
-    if fan.dim > cap:
-        raise doc_module.DocumentError(
-            f"fan has dimension {fan.dim}, above the cap of {cap} (TORICKIT_MAX_R)"
-        )
-    return fan, doc
 
 
 def _invalid_fan_body(report) -> dict:
@@ -198,7 +167,8 @@ def cmd_subfans(fan, args) -> dict:
             {
                 "maximal_cones": _one_based(sub.maximal_faces()),
                 "smooth": smooth or is_smooth(sub),
-                "complete": is_complete(sub),
+                # Never complete: a proper subfan misses a maximal cone's interior.
+                "complete": False,
             }
             for sub in subfans
         ],
@@ -273,7 +243,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         output = args.output
-        fan, doc = _load_fan(args.fan)
+        fan, doc = doc_module.load_fan_file(args.fan)
         report = validate_fan(fan)
         if report.valid:
             body, code = args.func(fan, args), EXIT_OK

@@ -24,6 +24,16 @@ SCHEMA_VERSION = 1
 # may list at most this many; at the cap that takes about 0.4 s on cp1^6.
 MAX_MAXIMAL_CONES = 64
 
+# The cap on rays and on the dimension: rays that span the lattice need
+# dim <= r, and Smith forms cost O(dim^2) memory.
+MAX_RAYS = 20
+
+# The top-level keys of FAN_DOCUMENT_SCHEMA and POLY_TUPLE_SCHEMA.
+_FAN_KEYS = frozenset(
+    {"schema_version", "dimension", "generators", "maximal_cones", "name", "expected"}
+)
+_TUPLE_KEYS = frozenset({"schema_version", "polynomials"})
+
 
 @record
 class FanDocument:
@@ -39,20 +49,25 @@ def _require(condition: bool, message: str):
         raise DocumentError(message)
 
 
-def _require_versioned_object(obj, kind: str):
+def _require_versioned_object(obj, kind: str, keys: frozenset):
     _require(isinstance(obj, dict), f"{kind} document must be a JSON object")
     # JSON true and false load as bool, a subclass of int equal to 1 and 0.
     version = obj.get("schema_version")
     _require(version == SCHEMA_VERSION and type(version) is not bool, "unsupported schema_version")
+    unknown = sorted(map(str, obj.keys() - keys))
+    _require(not unknown, f"{kind} document has keys outside the schema: {unknown}")
 
 
 def fan_document_from_obj(obj) -> FanDocument:
-    _require_versioned_object(obj, "fan")
+    _require_versioned_object(obj, "fan", _FAN_KEYS)
     dimension = obj.get("dimension")
     _require(type(dimension) is int and dimension >= 1, "dimension must be a positive integer")
 
     generators = obj.get("generators")
     _require(isinstance(generators, list) and generators, "generators must be a nonempty list")
+    rays = len(generators)
+    _require(rays <= MAX_RAYS, f"fan has {rays} rays, above the cap of {MAX_RAYS}")
+    _require(dimension <= MAX_RAYS, f"fan has dimension {dimension}, above the cap of {MAX_RAYS}")
     gens = []
     for g in generators:
         _require(
@@ -145,7 +160,7 @@ def load_fan_file(path) -> tuple[Fan, FanDocument]:
 
 
 def poly_tuple_from_obj(obj) -> holmap.PolyTuple:
-    _require_versioned_object(obj, "tuple")
+    _require_versioned_object(obj, "tuple", _TUPLE_KEYS)
     polys = obj.get("polynomials")
     _require(isinstance(polys, list) and polys, "polynomials must be a nonempty list")
     parsed = []

@@ -255,13 +255,14 @@ def complete_degrees(n_matrix: IntegerMatrix, partial: dict) -> tuple[int, ...]:
     Raises UNDERDETERMINED if the pinned coordinates leave more than one
     rational kernel extension, INCONSISTENT if they leave none, and
     NON_INTEGRAL / NON_POSITIVE when the unique extension fails those
-    checks. Pins are 0-based; every pin index is checked against the range
-    before any value, and the ValueError for a bad pin numbers it from 1,
-    as fan documents and the CLI number rays.
+    checks. Pins are 0-based; every pin index must be an integer (else
+    TypeError) and is checked against the range before any value, and the
+    ValueError for a bad pin numbers it from 1, as fan documents and the
+    CLI number rays.
     """
     r = n_matrix.cols
     for idx in partial:
-        if not 0 <= idx < r:
+        if not 0 <= operator.index(idx) < r:
             raise ValueError(f"pin index {idx + 1} out of range 1..{r}")
     for idx, value in partial.items():
         if not isinstance(value, int) or value < 1:

@@ -5,7 +5,9 @@ validates real outputs against them, and downstream consumers may do the
 same.
 """
 
-# Coefficients follow the grammar the parser itself checks, anchored.
+# Coefficients follow the grammar the parser itself checks, anchored, and
+# fan documents obey the parser's size caps.
+from .document import MAX_MAXIMAL_CONES, MAX_RAYS
 from .gaussian import _FRACTION_STRING
 
 _FRACTION = {"type": "string", "pattern": f"^{_FRACTION_STRING.pattern}$"}
@@ -23,13 +25,14 @@ FAN_DOCUMENT_SCHEMA = {
     "required": ["schema_version", "dimension", "generators", "maximal_cones"],
     "properties": {
         "schema_version": {"const": 1},
-        "dimension": {"type": "integer", "minimum": 1},
+        "dimension": {"type": "integer", "minimum": 1, "maximum": MAX_RAYS},
         "generators": {
             "type": "array",
             "minItems": 1,
+            "maxItems": MAX_RAYS,
             "items": {"type": "array", "items": {"type": "integer"}},
         },
-        "maximal_cones": {"type": "array", "items": _INDEX_SET},
+        "maximal_cones": {"type": "array", "maxItems": MAX_MAXIMAL_CONES, "items": _INDEX_SET},
         "name": {"type": "string"},
         "expected": {"type": "object"},
     },

@@ -121,11 +121,12 @@ def replay(rmin: int, dmin: int) -> ReplayResult:
 def stability_report(fan: Fan, degrees) -> StabilityReport:
     """All quantitative conclusions for one fan and degree vector.
 
-    `degrees` is a full vector (a sequence or a DegreeVector) or a dict of
-    0-based pins, completed by `complete_degrees`. The span condition, then
-    the positive-degree condition, is checked before the degrees are
-    resolved, so a fan on which no degree vector can exist fails with that
-    condition's code rather than a degree error.
+    `degrees` is a full vector (a sequence or a DegreeVector), checked
+    against the fan by `degree_of`, or a dict of 0-based pins, completed by
+    `complete_degrees`. The span condition, then the positive-degree
+    condition, is checked before the degrees are resolved, so a fan on
+    which no degree vector can exist fails with that condition's code
+    rather than a degree error.
     """
     cox = cox_report(fan)
     if not cox.condition_span:
@@ -136,7 +137,7 @@ def stability_report(fan: Fan, degrees) -> StabilityReport:
     rmin = _r_min_of(collections)
     if isinstance(degrees, dict):
         degrees = complete_degrees(fan, degrees)
-    elif not isinstance(degrees, DegreeVector):
+    else:
         degrees = degree_of(fan, degrees)
     dmin = degrees.minimum
     return StabilityReport(
@@ -158,8 +159,7 @@ def discriminant_dims(fan: Fan, degrees, k: int) -> DiscriminantDims:
     Valid for 1 <= k <= d_min, where the stratum fibers over configurations
     of k labelled coordinate-subspace hits as a real affine bundle.
     """
-    if not isinstance(degrees, DegreeVector):
-        degrees = degree_of(fan, degrees)
+    degrees = degree_of(fan, degrees)
     rmin = r_min(fan)
     if not 1 <= k <= degrees.minimum:
         raise KOutOfRangeError(f"k must lie in [1, {degrees.minimum}], got {k}")

@@ -57,8 +57,7 @@ class TestAnalyze:
         assert out["primitive_collections"] == [[1, 3], [2, 4]]
         assert out["smooth"] and out["complete"]
 
-    def test_cp19_at_the_default_cap(self, write_fan, run_cli, monkeypatch):
-        monkeypatch.delenv("TORICKIT_MAX_R", raising=False)
+    def test_cp19_at_the_default_cap(self, write_fan, run_cli):
         code, out = run_cli("analyze", write_fan(cp_fan(19), "cp19"))
         assert code == 0
         assert out["ray_count"] == 20 and out["r_min"] == 20
@@ -104,33 +103,30 @@ class TestAnalyze:
         assert out["valid"] is False
         assert any(v["axiom"] == "INTERSECTION" for v in out["violations"])
 
-    def test_max_r_cap(self, write_fan, run_cli, monkeypatch):
-        monkeypatch.setenv("TORICKIT_MAX_R", "3")
-        code, out = run_cli("analyze", write_fan(hirzebruch_fan(1), "h1"))
-        assert code == 1
-        assert out["error"] == "DOCUMENT_ERROR"
+    def test_max_r_cap(self, write_fan, run_cli):
+        code, out = run_cli("analyze", write_fan(cp_fan(20), "cp20"))
+        assert (code, out["error"], out["message"]) == (
+            1,
+            "DOCUMENT_ERROR",
+            "fan has 21 rays, above the cap of 20",
+        )
 
-    def test_max_r_must_be_an_integer(self, write_fan, run_cli, monkeypatch):
-        monkeypatch.setenv("TORICKIT_MAX_R", "abc")
-        code, out = run_cli("analyze", write_fan(hirzebruch_fan(1), "h1"))
-        assert code == 1
-        assert out["error"] == "DOCUMENT_ERROR"
-        assert "TORICKIT_MAX_R" in out["message"]
-
-    @pytest.mark.parametrize("name", ["cp1^10", "cp5-padded"])
+    @pytest.mark.parametrize("name", ["cp1^10", "cp5-padded", "cp20"])
     def test_documents_above_the_caps_are_refused_before_validation(
         self, name, write_tuple, run_cli, monkeypatch
     ):
         # cp1^10 lists 1,024 maximal cones on 20 rays; cp5 padded with zeros
-        # has 6 rays in dimension 3,000.
+        # has 6 rays in dimension 3,000; cp20 has 21 rays.
         if name == "cp1^10":
             obj, message = cp1_power(10), "fan lists 1024 maximal cones, above the cap of 64"
+        elif name == "cp20":
+            obj = document_to_obj(document_from_fan(cp_fan(20)))
+            message = "fan has 21 rays, above the cap of 20"
         else:
             obj = document_to_obj(document_from_fan(cp_fan(5)))
             obj["dimension"] = 3000
             obj["generators"] = [g + [0] * 2995 for g in obj["generators"]]
-            message = "fan has dimension 3000, above the cap of 20 (TORICKIT_MAX_R)"
-        monkeypatch.delenv("TORICKIT_MAX_R", raising=False)
+            message = "fan has dimension 3000, above the cap of 20"
         calls = []
         monkeypatch.setattr(torickit.cli, "validate_fan", calls.append)
         code, out = run_cli("analyze", write_tuple(obj, "above-cap"))

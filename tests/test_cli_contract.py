@@ -1,8 +1,8 @@
 """Byte-level CLI contract: the stdout bytes and exit code of every
 subcommand on success, an invalid fan, an unreadable or malformed document,
 a computation error and a usage error, in json and in text mode, plus
-unnamed documents, the TORICKIT_MAX_R cap on rays and on the dimension,
-and the maximal-cone, d_min, degree and subfan-count caps.
+unnamed documents, a document with a key outside its schema, and the ray,
+dimension, maximal-cone, d_min, degree and subfan-count caps.
 
 The expected output is in cli_contract.json next to this file. After an
 intended change of output, rewrite it with
@@ -18,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
+from torickit.catalog import cp_fan
 from torickit.cli import main
+from torickit.document import MAX_RAYS, document_from_fan, document_to_obj
 from torickit.holmap import MAX_DEGREE
 from torickit.stability import MAX_D_MIN
 
@@ -71,12 +73,21 @@ def cp1_power(k):
     return {"schema_version": 1, "dimension": k, "generators": gens, "maximal_cones": cones}
 
 
-# cp2 with two zero coordinates appended: 3 rays in dimension 4.
-CP2_PADDED = {
+def cp2_padded(dimension):
+    """cp2 with zero coordinates appended: 3 rays in `dimension`."""
+    return dict(
+        CP2,
+        dimension=dimension,
+        generators=[g + [0] * (dimension - 2) for g in CP2["generators"]],
+    )
+
+
+# The MAX_RAYS coordinate rays of Z^MAX_RAYS in one maximal cone.
+ONE_CONE_AT_RAY_CAP = {
     "schema_version": 1,
-    "dimension": 4,
-    "generators": [g + [0, 0] for g in CP2["generators"]],
-    "maximal_cones": CP2["maximal_cones"],
+    "dimension": MAX_RAYS,
+    "generators": [[int(i == j) for j in range(MAX_RAYS)] for i in range(MAX_RAYS)],
+    "maximal_cones": [list(range(1, MAX_RAYS + 1))],
 }
 
 DOCUMENTS = {
@@ -86,7 +97,12 @@ DOCUMENTS = {
     "cp9.json": dict(CP9, name="cp9"),
     "cp1_6.json": dict(cp1_power(6), name="cp1^6"),
     "cp1_7.json": dict(cp1_power(7), name="cp1^7"),
-    "cp2_padded.json": dict(CP2_PADDED, name="cp2-padded"),
+    "one_cone_at_ray_cap.json": dict(ONE_CONE_AT_RAY_CAP, name="one-cone-at-ray-cap"),
+    # MAX_RAYS + 1 rays and as many maximal cones.
+    "cp20.json": document_to_obj(document_from_fan(cp_fan(MAX_RAYS), "cp20")),
+    "cp2_at_dimension_cap.json": dict(cp2_padded(MAX_RAYS), name="cp2-padded"),
+    "cp2_above_dimension_cap.json": dict(cp2_padded(MAX_RAYS + 1), name="cp2-padded"),
+    "unknown_key.json": dict(H1, name="h1", colour="red"),
     "c2.json": dict(C2, name="c2"),
     "invalid.json": dict(INVALID, name="invalid"),
     "invalid_unnamed.json": INVALID,
@@ -107,77 +123,77 @@ DOCUMENTS = {
 }
 MALFORMED = "{oops"
 
-# name -> (argv after the --output option, TORICKIT_MAX_R or None)
+# name -> argv after the --output option
 CASES = {
-    "analyze": (["analyze", "h1.json"], None),
-    "analyze-unnamed": (["analyze", "h1_unnamed.json"], None),
-    "analyze-no-positive-degree": (["analyze", "c2.json"], None),
-    "analyze-invalid": (["analyze", "invalid.json"], None),
-    "analyze-invalid-unnamed": (["analyze", "invalid_unnamed.json"], None),
-    "analyze-nonsimplicial": (["analyze", "nonsimplicial.json"], None),
-    "analyze-missing": (["analyze", "missing.json"], None),
-    "analyze-malformed": (["analyze", "malformed.json"], None),
-    "analyze-bad-version": (["analyze", "bad_version.json"], None),
-    "analyze-not-an-object": (["analyze", "list.json"], None),
-    "analyze-usage": (["analyze"], None),
-    "analyze-at-max-r": (["analyze", "h1.json"], "4"),
-    "analyze-above-max-r": (["analyze", "h1.json"], "3"),
-    "analyze-max-r-not-integer": (["analyze", "h1.json"], "abc"),
-    "analyze-at-dimension-cap": (["analyze", "cp2_padded.json"], "4"),
-    "analyze-above-dimension-cap": (["analyze", "cp2_padded.json"], "3"),
-    "analyze-at-cone-cap": (["analyze", "cp1_6.json"], None),
-    "analyze-above-cone-cap": (["analyze", "cp1_7.json"], None),
-    "stability-free": (["stability", "h1.json", "--free", "1=3,2=5"], None),
-    "stability-degrees": (["stability", "cp2.json", "--degrees", "2,2,2"], None),
-    "stability-unnamed": (["stability", "h1_unnamed.json", "--free", "1=3,2=5"], None),
-    "stability-invalid": (["stability", "invalid.json", "--degrees", "1,1,1"], None),
-    "stability-invalid-unnamed": (["stability", "invalid_unnamed.json", "--free", "1=1"], None),
-    "stability-missing": (["stability", "missing.json", "--free", "1=1"], None),
-    "stability-condition-2": (["stability", "c2.json", "--degrees", "1,1"], None),
-    "stability-condition-before-pins": (["stability", "c2.json", "--free", "1=0"], None),
-    "stability-not-in-kernel": (["stability", "h1.json", "--degrees", "1,1,2,2"], None),
-    "stability-underdetermined": (["stability", "h1.json", "--free", "1=1"], None),
-    "stability-pin-out-of-range": (["stability", "h1.json", "--free", "0=3"], None),
-    "stability-pin-not-positive": (["stability", "h1.json", "--free", "1=2,3=0"], None),
+    "analyze": ["analyze", "h1.json"],
+    "analyze-unnamed": ["analyze", "h1_unnamed.json"],
+    "analyze-no-positive-degree": ["analyze", "c2.json"],
+    "analyze-invalid": ["analyze", "invalid.json"],
+    "analyze-invalid-unnamed": ["analyze", "invalid_unnamed.json"],
+    "analyze-nonsimplicial": ["analyze", "nonsimplicial.json"],
+    "analyze-missing": ["analyze", "missing.json"],
+    "analyze-malformed": ["analyze", "malformed.json"],
+    "analyze-bad-version": ["analyze", "bad_version.json"],
+    "analyze-not-an-object": ["analyze", "list.json"],
+    "analyze-usage": ["analyze"],
+    "analyze-unknown-key": ["analyze", "unknown_key.json"],
+    "analyze-at-max-r": ["analyze", "one_cone_at_ray_cap.json"],
+    "analyze-above-max-r": ["analyze", "cp20.json"],
+    "analyze-at-dimension-cap": ["analyze", "cp2_at_dimension_cap.json"],
+    "analyze-above-dimension-cap": ["analyze", "cp2_above_dimension_cap.json"],
+    "analyze-at-cone-cap": ["analyze", "cp1_6.json"],
+    "analyze-above-cone-cap": ["analyze", "cp1_7.json"],
+    "stability-free": ["stability", "h1.json", "--free", "1=3,2=5"],
+    "stability-degrees": ["stability", "cp2.json", "--degrees", "2,2,2"],
+    "stability-unnamed": ["stability", "h1_unnamed.json", "--free", "1=3,2=5"],
+    "stability-invalid": ["stability", "invalid.json", "--degrees", "1,1,1"],
+    "stability-invalid-unnamed": ["stability", "invalid_unnamed.json", "--free", "1=1"],
+    "stability-missing": ["stability", "missing.json", "--free", "1=1"],
+    "stability-condition-2": ["stability", "c2.json", "--degrees", "1,1"],
+    "stability-condition-before-pins": ["stability", "c2.json", "--free", "1=0"],
+    "stability-not-in-kernel": ["stability", "h1.json", "--degrees", "1,1,2,2"],
+    "stability-underdetermined": ["stability", "h1.json", "--free", "1=1"],
+    "stability-pin-out-of-range": ["stability", "h1.json", "--free", "0=3"],
+    "stability-pin-not-positive": ["stability", "h1.json", "--free", "1=2,3=0"],
     # Every pin index is checked against the range before any pinned value.
-    "stability-pin-range-before-value": (["stability", "h1.json", "--free", "2=0,9=3"], None),
-    "stability-usage-no-degrees": (["stability", "h1.json"], None),
-    "stability-usage-bad-degrees": (["stability", "h1.json", "--degrees", "1,x"], None),
-    "stability-usage-repeated-pin": (["stability", "h1.json", "--free", "1=3,1=7"], None),
-    "stability-above-max-r": (["stability", "h1.json", "--free", "1=3,2=5"], "3"),
-    "stability-above-d-min-cap": (["stability", "cp2.json", "--degrees", f"{MAX_D_MIN + 1},{MAX_D_MIN + 1},{MAX_D_MIN + 1}"], None),
-    "holcheck-member": (["holcheck", "h1.json", "member.json"], None),
-    "holcheck-common-root": (["holcheck", "h1.json", "common_root.json"], None),
-    "holcheck-unnamed": (["holcheck", "h1_unnamed.json", "member.json"], None),
-    "holcheck-invalid": (["holcheck", "invalid.json", "member.json"], None),
-    "holcheck-invalid-before-tuple": (["holcheck", "invalid_unnamed.json", "missing.json"], None),
-    "holcheck-missing-fan": (["holcheck", "missing.json", "member.json"], None),
-    "holcheck-malformed-tuple": (["holcheck", "h1.json", "malformed.json"], None),
-    "holcheck-empty-tuple": (["holcheck", "h1.json", "empty_tuple.json"], None),
-    "holcheck-tuple-not-an-object": (["holcheck", "h1.json", "list.json"], None),
-    "holcheck-degree-mismatch": (["holcheck", "cp2.json", "member.json"], None),
-    "holcheck-usage": (["holcheck", "h1.json"], None),
-    "holcheck-above-max-r": (["holcheck", "h1.json", "member.json"], "3"),
-    "stabilize": (["stabilize", "h1.json", "member.json", "--increment", "1,1,1,2"], None),
-    "stabilize-unnamed": (["stabilize", "h1_unnamed.json", "common_root.json", "--increment", "1,1,1,2"], None),
-    "stabilize-invalid": (["stabilize", "invalid.json", "member.json", "--increment", "1,1,1"], None),
-    "stabilize-missing-tuple": (["stabilize", "h1.json", "missing.json", "--increment", "1,1,1,2"], None),
-    "stabilize-tuple-version": (["stabilize", "h1.json", "boolean_version_tuple.json", "--increment", "1,1,1,2"], None),
-    "stabilize-non-kernel": (["stabilize", "h1.json", "member.json", "--increment", "1,1,1,1"], None),
+    "stability-pin-range-before-value": ["stability", "h1.json", "--free", "2=0,9=3"],
+    "stability-usage-no-degrees": ["stability", "h1.json"],
+    "stability-usage-bad-degrees": ["stability", "h1.json", "--degrees", "1,x"],
+    "stability-usage-repeated-pin": ["stability", "h1.json", "--free", "1=3,1=7"],
+    "stability-above-max-r": ["stability", "cp20.json", "--free", "1=3,2=5"],
+    "stability-above-d-min-cap": ["stability", "cp2.json", "--degrees", f"{MAX_D_MIN + 1},{MAX_D_MIN + 1},{MAX_D_MIN + 1}"],
+    "holcheck-member": ["holcheck", "h1.json", "member.json"],
+    "holcheck-common-root": ["holcheck", "h1.json", "common_root.json"],
+    "holcheck-unnamed": ["holcheck", "h1_unnamed.json", "member.json"],
+    "holcheck-invalid": ["holcheck", "invalid.json", "member.json"],
+    "holcheck-invalid-before-tuple": ["holcheck", "invalid_unnamed.json", "missing.json"],
+    "holcheck-missing-fan": ["holcheck", "missing.json", "member.json"],
+    "holcheck-malformed-tuple": ["holcheck", "h1.json", "malformed.json"],
+    "holcheck-empty-tuple": ["holcheck", "h1.json", "empty_tuple.json"],
+    "holcheck-tuple-not-an-object": ["holcheck", "h1.json", "list.json"],
+    "holcheck-degree-mismatch": ["holcheck", "cp2.json", "member.json"],
+    "holcheck-usage": ["holcheck", "h1.json"],
+    "holcheck-above-max-r": ["holcheck", "cp20.json", "member.json"],
+    "stabilize": ["stabilize", "h1.json", "member.json", "--increment", "1,1,1,2"],
+    "stabilize-unnamed": ["stabilize", "h1_unnamed.json", "common_root.json", "--increment", "1,1,1,2"],
+    "stabilize-invalid": ["stabilize", "invalid.json", "member.json", "--increment", "1,1,1"],
+    "stabilize-missing-tuple": ["stabilize", "h1.json", "missing.json", "--increment", "1,1,1,2"],
+    "stabilize-tuple-version": ["stabilize", "h1.json", "boolean_version_tuple.json", "--increment", "1,1,1,2"],
+    "stabilize-non-kernel": ["stabilize", "h1.json", "member.json", "--increment", "1,1,1,1"],
     # A kernel vector of H1 that lifts the first polynomial to MAX_DEGREE + 1.
-    "stabilize-above-degree-cap": (["stabilize", "h1.json", "member.json", "--increment", f"{MAX_DEGREE},1,{MAX_DEGREE},{MAX_DEGREE + 1}"], None),
-    "stabilize-degree-mismatch": (["stabilize", "cp2.json", "member.json", "--increment", "1,1,1"], None),
-    "stabilize-usage": (["stabilize", "h1.json", "member.json"], None),
-    "subfans": (["subfans", "h1.json"], None),
-    "subfans-classify": (["subfans", "cp2.json", "--classify"], None),
-    "subfans-unnamed": (["subfans", "h1_unnamed.json", "--classify"], None),
-    "subfans-invalid": (["subfans", "invalid.json"], None),
-    "subfans-invalid-unnamed": (["subfans", "invalid_unnamed.json", "--classify"], None),
-    "subfans-bad-version": (["subfans", "bad_version.json"], None),
-    "subfans-usage": (["subfans", "cp2.json", "--bogus"], None),
-    "subfans-above-count-cap": (["subfans", "cp9.json"], None),
-    "subfans-above-cone-cap": (["subfans", "cp1_7.json"], None),
-    "no-subcommand": ([], None),
+    "stabilize-above-degree-cap": ["stabilize", "h1.json", "member.json", "--increment", f"{MAX_DEGREE},1,{MAX_DEGREE},{MAX_DEGREE + 1}"],
+    "stabilize-degree-mismatch": ["stabilize", "cp2.json", "member.json", "--increment", "1,1,1"],
+    "stabilize-usage": ["stabilize", "h1.json", "member.json"],
+    "subfans": ["subfans", "h1.json"],
+    "subfans-classify": ["subfans", "cp2.json", "--classify"],
+    "subfans-unnamed": ["subfans", "h1_unnamed.json", "--classify"],
+    "subfans-invalid": ["subfans", "invalid.json"],
+    "subfans-invalid-unnamed": ["subfans", "invalid_unnamed.json", "--classify"],
+    "subfans-bad-version": ["subfans", "bad_version.json"],
+    "subfans-usage": ["subfans", "cp2.json", "--bogus"],
+    "subfans-above-count-cap": ["subfans", "cp9.json"],
+    "subfans-above-cone-cap": ["subfans", "cp1_7.json"],
+    "no-subcommand": [],
 }
 OUTPUTS = ("json", "text")
 
@@ -190,20 +206,14 @@ def write_documents(directory: Path) -> None:
 
 def run_case(name: str, output: str, directory: Path) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of one case run in `directory`."""
-    argv, max_r = CASES[name]
     stdout, stderr = io.StringIO(), io.StringIO()
-    cwd, saved = os.getcwd(), os.environ.pop("TORICKIT_MAX_R", None)
-    if max_r is not None:
-        os.environ["TORICKIT_MAX_R"] = max_r
+    cwd = os.getcwd()
     try:
         os.chdir(directory)
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(["--output", output, *argv])
+            code = main(["--output", output, *CASES[name]])
     finally:
         os.chdir(cwd)
-        os.environ.pop("TORICKIT_MAX_R", None)
-        if saved is not None:
-            os.environ["TORICKIT_MAX_R"] = saved
     return code, stdout.getvalue(), stderr.getvalue()
 
 
@@ -226,7 +236,7 @@ def test_golden_covers_every_case(golden):
 def test_every_exit_code_on_every_subcommand(golden):
     codes = {}
     for key, expected in golden.items():
-        command = (CASES[key.split()[0]][0] or ["none"])[0]
+        command = (CASES[key.split()[0]] or ["none"])[0]
         codes.setdefault(command, set()).add(expected["exit"])
     # analyze raises no computation error on a valid fan; subfans raises
     # only the subfan-count cap.

@@ -6,6 +6,9 @@ import pytest
 from torickit.catalog import cp_fan, hirzebruch_fan
 from torickit.document import (
     MAX_MAXIMAL_CONES,
+    MAX_RAYS,
+    _FAN_KEYS,
+    _TUPLE_KEYS,
     FanDocument,
     document_from_fan,
     document_to_obj,
@@ -78,6 +81,47 @@ class TestFanDocuments:
         with pytest.raises(DocumentError, match=message):
             fan_document_from_obj(obj)
 
+    def test_ray_and_dimension_caps(self):
+        at_cap = {
+            "schema_version": 1,
+            "dimension": MAX_RAYS,
+            "generators": [[int(i == j) for j in range(MAX_RAYS)] for i in range(MAX_RAYS)],
+            "maximal_cones": [list(range(1, MAX_RAYS + 1))],
+        }
+        assert len(fan_document_from_obj(at_cap).generators) == MAX_RAYS
+        # Both caps are checked before any generator entry is read, rays first.
+        for dimension, count, message in [
+            (1, MAX_RAYS + 1, f"fan has {MAX_RAYS + 1} rays, above the cap of {MAX_RAYS}"),
+            (3000, MAX_RAYS + 1, f"fan has {MAX_RAYS + 1} rays, above the cap of {MAX_RAYS}"),
+            (3000, 1, f"fan has dimension 3000, above the cap of {MAX_RAYS}"),
+        ]:
+            obj = {"schema_version": 1, "dimension": dimension, "generators": ["x"] * count}
+            with pytest.raises(DocumentError, match=f"^{message}$"):
+                fan_document_from_obj(obj)
+
+    def test_schema_and_parser_refuse_the_same_near_misses(self):
+        good = document_to_obj(document_from_fan(cp_fan(2), "cp2"))
+        good["expected"] = {}
+        # The parser allows exactly the schema's keys.
+        assert set(good) == _FAN_KEYS == set(FAN_DOCUMENT_SCHEMA["properties"])
+        assert _TUPLE_KEYS == set(POLY_TUPLE_SCHEMA["properties"])
+        jsonschema.validate(good, FAN_DOCUMENT_SCHEMA)
+        fan_document_from_obj(good)
+        one_ray = [1] + [0] * (MAX_RAYS - 1)
+        for mutate in [
+            lambda o: o.update(colour="red"),
+            lambda o: o.update(Name="cp2"),
+            lambda o: o.update(generators=[[1, 0]] * (MAX_RAYS + 1)),
+            lambda o: o.update(dimension=MAX_RAYS + 1, generators=[one_ray + [0]]),
+            lambda o: o.update(maximal_cones=[[1]] * (MAX_MAXIMAL_CONES + 1)),
+        ]:
+            broken = json.loads(json.dumps(good))
+            mutate(broken)
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(broken, FAN_DOCUMENT_SCHEMA)
+            with pytest.raises(DocumentError):
+                fan_document_from_obj(broken)
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(DocumentError):
             load_fan_file(tmp_path / "nope.json")
@@ -131,6 +175,12 @@ class TestPolyTupleDocuments:
                     jsonschema.validate(obj, POLY_TUPLE_SCHEMA)
                 with pytest.raises(DocumentError):
                     poly_tuple_from_obj(obj)
+        # A key outside the schema.
+        obj = {"schema_version": 1, "polynomials": [[["1", "0"]]], "degrees": [1]}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(obj, POLY_TUPLE_SCHEMA)
+        with pytest.raises(DocumentError, match="keys outside the schema"):
+            poly_tuple_from_obj(obj)
         # Both accept these.
         for part, value in [("3/4", "3/4"), ("-3/4", "-3/4"), ("0", 0), ("007", 7)]:
             obj = {"schema_version": 1, "polynomials": [[[part, "0"]]]}

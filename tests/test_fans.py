@@ -23,7 +23,7 @@ from oracles import (
     permutation_search_isomorphism,
     recursive_subfans,
 )
-from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
+from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan, load_catalog
 from torickit.cox import cox_report
 from torickit.errors import NoPrimitiveCollectionError, SubfanCountAboveCapError
 from torickit.fans import (
@@ -107,7 +107,7 @@ class TestValidation:
         assert tuple(cox_report(fan).witness_degree) == (1,) * 9
 
     def test_cp19_terminates(self):
-        # 20 rays, the default TORICKIT_MAX_R, and 2^20 - 2 nonempty faces.
+        # 20 rays, document.MAX_RAYS, and 2^20 - 2 nonempty faces.
         fan = cp_fan(19)
         assert validate_fan(fan).valid
         assert primitive_collections(fan) == {frozenset(range(20))}
@@ -421,6 +421,17 @@ class TestComplete:
     def test_subfans_not_complete(self, hirzebruch1):
         for sub in enumerate_subfans(hirzebruch1):
             assert not is_complete(sub)
+
+    def test_no_proper_subfan_is_complete(self):
+        # `subfans` reports every subfan as not complete without testing it.
+        cp2xcp1 = Fan.from_maximal(
+            [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)],
+            [(a, b, c) for a, b in ((0, 1), (1, 2), (0, 2)) for c in (3, 4)],
+        )
+        fans = [e.fan for e in load_catalog() if validate_fan(e.fan).valid] + [cp2xcp1]
+        subfans = [sub for fan in fans for sub in enumerate_subfans(fan)]
+        assert len(subfans) == 7056 + 1194
+        assert not any(map(is_complete, subfans))
 
     def test_c2_and_cp(self, c2):
         assert not is_complete(c2)

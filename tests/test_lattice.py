@@ -258,6 +258,10 @@ class TestCompleteDegrees:
         with pytest.raises(ValueError, match=r"^pinned value at index 3 must be a positive integer$"):
             complete_degrees(m, {0: 2, 2: 0, 1: -1})
 
+    def test_pin_indices_must_be_integers(self):
+        with pytest.raises(TypeError):
+            complete_degrees(hirzebruch_matrix(1), {0: 3, 1.5: 5})
+
     def test_output_extends_and_lies_in_kernel(self):
         m = hirzebruch_matrix(2)
         got = complete_degrees(m, {0: 4, 1: 9})

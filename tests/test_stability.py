@@ -8,6 +8,7 @@ from torickit.errors import (
     Condition2FailedError,
     DMinAboveCapError,
     KOutOfRangeError,
+    NotInKernelError,
 )
 from torickit.fans import Fan, enumerate_subfans
 from torickit.stability import (
@@ -73,6 +74,16 @@ class TestStabilityReport:
         assert report == stability_report(h1, (3, 5, 3, 8))
         assert report.degrees == DegreeVector((3, 5, 3, 8))
         assert report.primitive_collections == {frozenset({0, 2}), frozenset({1, 3})}
+
+    def test_degree_vectors_are_checked_against_the_fan(self):
+        h1 = hirzebruch_fan(1)
+        with pytest.raises(NotInKernelError):
+            stability_report(h1, DegreeVector((1, 1, 1, 1)))
+        with pytest.raises(NotInKernelError):
+            discriminant_dims(h1, DegreeVector((1, 1, 1, 1)), 1)
+        valid = DegreeVector((3, 5, 3, 8))
+        assert stability_report(h1, valid) == stability_report(h1, (3, 5, 3, 8))
+        assert discriminant_dims(h1, valid, 2) == discriminant_dims(h1, (3, 5, 3, 8), 2)
 
     def test_conditions_are_checked_before_the_pins(self):
         for pins in ({0: 0}, {9: 1}):
