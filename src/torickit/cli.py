@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: analyze, stability, holcheck, stabilize, subfans. All output
-is machine-readable JSON by default (deterministic: sorted keys, fixed
+Subcommands: analyze, stability, holcheck, stabilize, subfans. Every
+outcome prints one JSON object (deterministic: sorted keys, 2-space
 indentation) and every number is exact. Exit codes are part of the
 contract: 0 success, 1 document/parse error or malformed command line, 2 fan
 validation failure, 3 computation error (condition or degree failures),
@@ -10,8 +10,8 @@ with the error code carried in the JSON body.
 `main` runs every job the same way: parse the arguments, load the fan
 (`document` refuses one above its size caps), validate it, run the
 subcommand on a valid fan or build the violations body on an invalid one,
-then emit one body stamped with `schema_version`, on success and on every
-error. `analyze`, `stability` and `subfans` echo the document's `name`
+then print one JSON body stamped with `schema_version`, on success and on
+every error. `analyze`, `stability` and `subfans` echo the document's `name`
 (null when unnamed) in their success and violation bodies; `holcheck` and
 `stabilize` do not. A closed stdout does not change the exit code.
 """
@@ -41,14 +41,6 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_COMPUTE = 3
-
-
-def _emit(obj: dict, output: str) -> None:
-    if output == "json":
-        text = json.dumps(obj, indent=2, sort_keys=True)
-    else:
-        text = "\n".join(f"{key}: {json.dumps(obj[key], sort_keys=True)}" for key in sorted(obj))
-    print(text, flush=True)
 
 
 def _one_based(faces) -> list[list[int]]:
@@ -196,9 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="torickit",
         description="Exact computations on fans of smooth toric varieties.",
     )
-    parser.add_argument(
-        "--output", choices=["json", "text"], default="json", help="output format"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser("analyze", help="validate a fan and report its invariants")
@@ -239,10 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    output = "json"  # until --output is parsed
     try:
         args = build_parser().parse_args(argv)
-        output = args.output
         fan, doc = doc_module.load_fan_file(args.fan)
         report = validate_fan(fan)
         if report.valid:
@@ -261,7 +248,7 @@ def main(argv=None) -> int:
         body, code = {"error": "VALUE_ERROR", "message": str(exc)}, EXIT_COMPUTE
     body["schema_version"] = 1
     try:
-        _emit(body, output)
+        print(json.dumps(body, indent=2, sort_keys=True), flush=True)
     except BrokenPipeError:
         # The reader has gone. Point stdout at devnull so that the flush at
         # interpreter exit cannot fail again, and keep the job's exit code.

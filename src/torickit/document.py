@@ -95,14 +95,14 @@ def fan_document_from_obj(obj) -> FanDocument:
         _require(len(set(cone)) == len(cone), "cone indices must be distinct")
         parsed_cones.append(tuple(sorted(cone)))
 
-    name = obj.get("name")
-    _require(name is None or isinstance(name, str), "name must be a string")
+    _require(isinstance(obj.get("name", ""), str), "name must be a string")
+    _require(isinstance(obj.get("expected", {}), dict), "expected must be an object")
     return FanDocument(
         schema_version=SCHEMA_VERSION,
         dimension=dimension,
         generators=tuple(gens),
         maximal_cones=tuple(parsed_cones),
-        name=name,
+        name=obj.get("name"),
     )
 
 

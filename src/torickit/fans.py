@@ -18,6 +18,7 @@ invariants and searches within a bucket only.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import operator
 
@@ -242,9 +243,13 @@ def is_complete(fan: Fan) -> bool:
     """Whether the support of the fan is all of R^n.
 
     The fan must be valid (see `validate_fan`); the answer on an invalid fan
-    is unspecified. For n >= 1 this is the pseudomanifold criterion: pure
-    top dimension, every ridge in exactly two top cones, and a connected
-    top-cone adjacency graph. The zero-dimensional fan is complete.
+    is unspecified. The zero-dimensional fan is complete. For n >= 1 it is
+    enough that every maximal cone has n rays and every ridge (n - 1 rays of
+    a maximal cone) lies in exactly two maximal cones: the facets the
+    maximal cones cut on the unit sphere then sum to a mod-2 cycle, and as
+    the facets of a valid fan do not overlap, a nonzero top-dimensional
+    cycle on S^(n-1) covers all of it. For n = 1 this says two opposite
+    rays.
     """
     n = fan.dim
     if n == 0:
@@ -252,25 +257,10 @@ def is_complete(fan: Fan) -> bool:
     maximal = fan.maximal_faces()
     if not maximal or any(len(face) != n for face in maximal):
         return False
-    ridge_count: dict[Face, list[int]] = {}
-    for idx, face in enumerate(maximal):
-        for sub in itertools.combinations(sorted(face), n - 1):
-            ridge_count.setdefault(frozenset(sub), []).append(idx)
-    if any(len(owners) != 2 for owners in ridge_count.values()):
-        return False
-    adjacency = {i: set() for i in range(len(maximal))}
-    for owners in ridge_count.values():
-        a, b = owners
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nxt in adjacency[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(maximal)
+    ridges = collections.Counter(
+        frozenset(sub) for face in maximal for sub in itertools.combinations(sorted(face), n - 1)
+    )
+    return all(count == 2 for count in ridges.values())
 
 
 def enumerate_subfans(fan: Fan) -> list[Fan]:

@@ -23,8 +23,10 @@ through the index sets instead. So is the recursive subfan enumeration,
 which decides every non-singleton face in or out in one call per face and
 tests every subset of it; the library replaced it by one capped pass that
 adds each face, smallest first, to the ideals holding its facets. The
-library has no determinant: unimodularity checks use `integer_determinant`
-here, a plain elimination over `Fraction`.
+pseudomanifold completeness test with its walk over the adjacency graph of
+the maximal cones is kept too; the library replaced it by the ridge counts
+alone. The library has no determinant: unimodularity checks use
+`integer_determinant` here, a plain elimination over `Fraction`.
 """
 
 from __future__ import annotations
@@ -557,6 +559,41 @@ def angular_is_complete(fan: Fan) -> bool:
         if frozenset({a, b}) not in faces:
             return False
     return True
+
+
+def pseudomanifold_is_complete(fan: Fan) -> bool:
+    """Whether the support of the fan is all of R^n.
+
+    The fan must be valid (see `validate_fan`); the answer on an invalid fan
+    is unspecified. For n >= 1 this is the pseudomanifold criterion: pure
+    top dimension, every ridge in exactly two top cones, and a connected
+    top-cone adjacency graph. The zero-dimensional fan is complete.
+    """
+    n = fan.dim
+    if n == 0:
+        return True
+    maximal = fan.maximal_faces()
+    if not maximal or any(len(face) != n for face in maximal):
+        return False
+    ridge_count: dict[frozenset, list[int]] = {}
+    for idx, face in enumerate(maximal):
+        for sub in itertools.combinations(sorted(face), n - 1):
+            ridge_count.setdefault(frozenset(sub), []).append(idx)
+    if any(len(owners) != 2 for owners in ridge_count.values()):
+        return False
+    adjacency = {i: set() for i in range(len(maximal))}
+    for owners in ridge_count.values():
+        a, b = owners
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for nxt in adjacency[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == len(maximal)
 
 
 def permutation_search_isomorphism(a: Fan, b: Fan):

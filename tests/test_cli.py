@@ -409,14 +409,6 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
-class TestTextOutput:
-    def test_analyze_text_mode(self, write_fan, capsys):
-        path = write_fan(hirzebruch_fan(1), "h1")
-        assert main(["--output", "text", "analyze", path]) == 0
-        out = capsys.readouterr().out
-        assert "r_min: 2" in out
-
-
 class TestClosedStdout:
     """A reader that has gone away, or no stdout at all, keeps the job's exit
     code and leaves no traceback."""

@@ -114,6 +114,9 @@ class TestFanDocuments:
             lambda o: o.update(generators=[[1, 0]] * (MAX_RAYS + 1)),
             lambda o: o.update(dimension=MAX_RAYS + 1, generators=[one_ray + [0]]),
             lambda o: o.update(maximal_cones=[[1]] * (MAX_MAXIMAL_CONES + 1)),
+            lambda o: o.update(name=None),
+            lambda o: o.update(expected=3),
+            lambda o: o.update(expected=[]),
         ]:
             broken = json.loads(json.dumps(good))
             mutate(broken)

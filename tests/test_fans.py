@@ -21,6 +21,7 @@ from oracles import (
     is_unimodular,
     pairwise_isomorphism_classes,
     permutation_search_isomorphism,
+    pseudomanifold_is_complete,
     recursive_subfans,
 )
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan, load_catalog
@@ -448,6 +449,22 @@ class TestComplete:
         assert is_complete(Fan.from_maximal([(2,), (-1,)], []))
         assert not is_complete(Fan.from_maximal([(1,)], []))
         assert not is_complete(Fan(1, (), frozenset()))
+
+    def test_ridge_counts_match_the_pseudomanifold_oracle(self, hirzebruch1):
+        fans = []
+        for fan in [cp_fan(3), hirzebruch1, product_fan(2, 1)]:
+            fans += [fan, *enumerate_subfans(fan)]
+        for fan in [e.fan for e in load_catalog() if validate_fan(e.fan).valid]:
+            maximal = fan.maximal_faces()
+            # `from_maximal` keeps every ray, so a ray cannot be dropped.
+            fans += [
+                Fan.from_maximal(fan.generators, [tuple(f) for f in maximal if f != dropped])
+                for dropped in maximal
+                if len(dropped) > 1
+            ]
+        assert sum(map(is_complete, fans)) == 3
+        for fan in fans:
+            assert is_complete(fan) == pseudomanifold_is_complete(fan)
 
     @PROPERTY
     @given(plane_fans())
