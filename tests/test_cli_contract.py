@@ -260,7 +260,10 @@ def test_every_exit_code_on_every_subcommand(golden):
     assert codes == expected_codes
 
 
-@pytest.mark.parametrize("name", list(CASES))
+# Test ids keep the "-json" suffix they carried when each case also had a
+# text rendering, so a case's test name did not change when JSON became the
+# only output.
+@pytest.mark.parametrize("name", list(CASES), ids=[f"{name}-json" for name in CASES])
 def test_stdout_and_exit_code(name, documents, golden):
     code, stdout, stderr = run_case(name, documents)
     expected = golden[name]
