@@ -7,6 +7,18 @@ contract: 0 success, 1 document/parse error or malformed command line, 2 fan
 validation failure, 3 computation error (condition or degree failures),
 with the error code carried in the JSON body.
 
+The command line is read by a small parser driven by the table
+`_COMMANDS`: each subcommand's positionals, its options with their
+converters, and the options of which exactly one must be given. A long
+option is spelled in full (no abbreviations), as `--name value` or
+`--name=value`; an option that takes a value takes the next word,
+whatever it is; the last of a repeated option wins; `--` ends the
+options. Integer lists (`--degrees`, `--increment` and both sides of a
+`--free` pin) must match `-?[0-9]+` in ASCII, entry by entry. `-h` or
+`--help` anywhere before `--` prints the synopsis of every subcommand as
+a JSON body with exit 0. Every other malformed command line is a
+USAGE_ERROR body whose message keeps argparse's wording.
+
 `main` runs every job the same way: parse the arguments, load the fan
 (`document` refuses one above its size caps), validate it, run the
 subcommand on a valid fan or build the violations body on an invalid one,
@@ -18,10 +30,11 @@ every error. `analyze`, `stability` and `subfans` echo the document's `name`
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 # Modules that only some subcommands run are bound as (lazy) modules and
 # read at call time, so a subcommand compiles and runs only what it uses.
@@ -60,11 +73,28 @@ def _invalid_fan_body(report) -> dict:
     }
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+class _UsageError(Exception):
+    """A malformed command line: exit 1 with a USAGE_ERROR body."""
+
+
+class _HelpRequested(Exception):
+    """-h or --help: exit 0 with the synopsis of every subcommand."""
+
+
+def _strict_int(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_degrees(raw: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in raw.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad degree list {raw!r}") from exc
+        return tuple(_strict_int(part) for part in raw.split(","))
+    except ValueError:
+        raise _UsageError(f"bad degree list {raw!r}") from None
 
 
 def _parse_free(raw: str) -> dict:
@@ -72,12 +102,12 @@ def _parse_free(raw: str) -> dict:
     try:
         for part in raw.split(","):
             index, value = part.split("=")
-            key = int(index) - 1
+            key = _strict_int(index) - 1
             if key in pins:
-                raise argparse.ArgumentTypeError(f"repeated pin index {key + 1} in {raw!r}")
-            pins[key] = int(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad pin list {raw!r}") from exc
+                raise _UsageError(f"repeated pin index {key + 1} in {raw!r}")
+            pins[key] = _strict_int(value)
+    except ValueError:
+        raise _UsageError(f"bad pin list {raw!r}") from None
     return pins
 
 
@@ -175,61 +205,152 @@ def cmd_subfans(fan, args) -> dict:
     return body
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ArgumentError instead of exiting 2, the code of a
-    failed fan validation. Subparsers inherit this class."""
+class _Command:
+    """One subcommand of the grammar.
 
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
+    `options` maps each long option to (converter, metavar), with converter
+    None for a flag; `one_of` names the options of which exactly one must
+    be given (a single one is simply required).
+    """
+
+    def __init__(self, run, echo_name, positionals, options=None, one_of=()):
+        self.run = run
+        self.echo_name = echo_name
+        self.positionals = positionals
+        self.options = options or {}
+        self.one_of = one_of
+
+    def synopsis(self, name: str) -> str:
+        words = ["torickit", name, *(p.upper() for p in self.positionals)]
+        spelled = {
+            option: option if metavar is None else f"{option} {metavar}"
+            for option, (_, metavar) in self.options.items()
+        }
+        if self.one_of:
+            alternatives = " | ".join(spelled[option] for option in self.one_of)
+            words.append(alternatives if len(self.one_of) == 1 else f"({alternatives})")
+        words += (f"[{word}]" for option, word in spelled.items() if option not in self.one_of)
+        return " ".join(words)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="torickit",
-        description="Exact computations on fans of smooth toric varieties.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_COMMANDS = {
+    "analyze": _Command(cmd_analyze, True, ("fan",)),
+    "stability": _Command(
+        cmd_stability,
+        True,
+        ("fan",),
+        {"--degrees": (_parse_degrees, "D1,D2,..."), "--free": (_parse_free, "I=D,...")},
+        one_of=("--degrees", "--free"),
+    ),
+    "holcheck": _Command(cmd_holcheck, False, ("fan", "tuple")),
+    "stabilize": _Command(
+        cmd_stabilize,
+        False,
+        ("fan", "tuple"),
+        {"--increment": (_parse_degrees, "A1,A2,...")},
+        one_of=("--increment",),
+    ),
+    "subfans": _Command(cmd_subfans, True, ("fan",), {"--classify": (None, None)}),
+}
 
-    p_analyze = sub.add_parser("analyze", help="validate a fan and report its invariants")
-    p_analyze.add_argument("fan", help="path to a fan document")
-    p_analyze.set_defaults(func=cmd_analyze, echo_name=True)
 
-    p_stability = sub.add_parser(
-        "stability", help="stability dimension of the holomorphic-map inclusion"
-    )
-    p_stability.add_argument("fan")
-    group = p_stability.add_mutually_exclusive_group(required=True)
-    group.add_argument("--degrees", type=_parse_degrees, help="full degree list d1,d2,...")
-    group.add_argument(
-        "--free", type=_parse_free, help="pinned coordinates i=d,... (1-based)"
-    )
-    p_stability.set_defaults(func=cmd_stability, echo_name=True)
+class _Parser:
+    """The argv parser over `_COMMANDS`; see the module docstring for the
+    grammar. Checks run in argparse's order: each option value as it is
+    read, then missing arguments, then the one-of groups, then leftover
+    words."""
 
-    p_holcheck = sub.add_parser("holcheck", help="membership test for a polynomial tuple")
-    p_holcheck.add_argument("fan")
-    p_holcheck.add_argument("tuple", help="path to a polynomial tuple document")
-    p_holcheck.set_defaults(func=cmd_holcheck, echo_name=False)
+    def __init__(self, commands):
+        self.commands = commands
 
-    p_stabilize = sub.add_parser("stabilize", help="apply the degree-raising stabilization")
-    p_stabilize.add_argument("fan")
-    p_stabilize.add_argument("tuple")
-    p_stabilize.add_argument(
-        "--increment", type=_parse_degrees, required=True, help="degree increment a1,a2,..."
-    )
-    p_stabilize.set_defaults(func=cmd_stabilize, echo_name=False)
+    def usage(self) -> list[str]:
+        return [command.synopsis(name) for name, command in self.commands.items()]
 
-    p_subfans = sub.add_parser("subfans", help="enumerate proper subfans on the same rays")
-    p_subfans.add_argument("fan")
-    p_subfans.add_argument(
-        "--classify", action="store_true", help="group subfans into GL(n,Z) classes"
-    )
-    p_subfans.set_defaults(func=cmd_subfans, echo_name=True)
-    return parser
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        words = list(sys.argv[1:] if argv is None else argv)
+        command = None
+        values, pending, leftover = {}, [], []
+        options_end = False
+        index = 0
+        while index < len(words):
+            word = words[index]
+            index += 1
+            if not options_end and word == "--":
+                options_end = True
+                continue
+            if options_end or word == "-" or not word.startswith("-"):
+                if command is None:
+                    command = self._command(word)
+                    pending = list(command.positionals)
+                    values = {
+                        option: None if convert else False
+                        for option, (convert, _) in command.options.items()
+                    }
+                elif pending:
+                    values[pending.pop(0)] = word
+                else:
+                    leftover.append(word)
+                continue
+            if word in ("-h", "--help"):
+                raise _HelpRequested
+            option, equals, value = word.partition("=")
+            if command is None or option not in command.options:
+                leftover.append(word)
+                continue
+            convert = command.options[option][0]
+            if convert is None:
+                if equals:
+                    raise _UsageError(f"argument {option}: ignored explicit argument {value!r}")
+                values[option] = True
+                continue
+            if not equals:
+                if index == len(words):
+                    raise _UsageError(f"argument {option}: expected one argument")
+                value = words[index]
+                index += 1
+            try:
+                values[option] = convert(value)
+            except _UsageError as exc:
+                raise _UsageError(f"argument {option}: {exc}") from None
+            if option in command.one_of:
+                for other in command.one_of:
+                    if other != option and values[other] is not None:
+                        raise _UsageError(f"argument {option}: not allowed with argument {other}")
+        if command is None:
+            raise _UsageError("the following arguments are required: command")
+        missing = pending
+        if len(command.one_of) == 1:
+            missing += [option for option in command.one_of if values[option] is None]
+        if missing:
+            raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+        if len(command.one_of) > 1 and all(values[option] is None for option in command.one_of):
+            raise _UsageError(f"one of the arguments {' '.join(command.one_of)} is required")
+        if leftover:
+            raise _UsageError(f"unrecognized arguments: {' '.join(leftover)}")
+        return SimpleNamespace(
+            func=command.run,
+            echo_name=command.echo_name,
+            **{name.lstrip("-"): value for name, value in values.items()},
+        )
+
+    def _command(self, word: str) -> _Command:
+        try:
+            return self.commands[word]
+        except KeyError:
+            choices = ", ".join(map(repr, self.commands))
+            raise _UsageError(
+                f"argument command: invalid choice: {word!r} (choose from {choices})"
+            ) from None
+
+
+def build_parser() -> _Parser:
+    return _Parser(_COMMANDS)
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
         fan, doc = doc_module.load_fan_file(args.fan)
         report = validate_fan(fan)
         if report.valid:
@@ -238,7 +359,9 @@ def main(argv=None) -> int:
             body, code = _invalid_fan_body(report), EXIT_INVALID
         if args.echo_name:
             body["name"] = doc.name
-    except argparse.ArgumentError as exc:
+    except _HelpRequested:
+        body, code = {"usage": parser.usage()}, EXIT_OK
+    except _UsageError as exc:
         body, code = {"error": "USAGE_ERROR", "message": str(exc)}, EXIT_PARSE
     except doc_module.DocumentError as exc:
         body, code = {"error": exc.code, "message": str(exc)}, EXIT_PARSE

@@ -12,12 +12,19 @@ carry U and V along with S.
 The two tests the fan checks need are stated here once, on plain vector
 lists: the Z-basis test `_extends_to_basis` (one Smith form) and the
 common-face LP `_meet_only_in` (one `_lex_min` call).
+
+The paths the fan checks, the Cox data and degree completion run stay in
+integers: `_lex_min` returns numerators over the basis determinant and
+`complete_degrees` reads its verdict off the scaled RREF. `fractions` is
+imported only by the helpers that return or accept `Fraction`s
+(`rational_solve`, `rational_nullspace`, `clear_denominators` and
+`_integer_row` on a non-integer row), so a job that never calls them does
+not load it.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from math import gcd, lcm
 
 from ._record import record
@@ -241,12 +248,15 @@ def positive_kernel_vector(n_matrix: IntegerMatrix):
     """
     r = n_matrix.cols
     objectives = [[1] * r] + [[int(i == j) for j in range(r)] for i in range(r)]
-    y = _lex_min(n_matrix.entries, [-sum(row) for row in n_matrix.entries], objectives)
-    if y is None:
+    vertex = _lex_min(n_matrix.entries, [-sum(row) for row in n_matrix.entries], objectives)
+    if vertex is None:
         return None
-    x = [1 + yk for yk in y]
-    scale = lcm(*(xk.denominator for xk in x))
-    return tuple(int(xk * scale) for xk in x)
+    # x = 1 + y = (den + y_num) / den; dividing the numerators by their gcd
+    # with den is the same as clearing the reduced denominators.
+    y_num, den = vertex
+    x_num = [den + yk for yk in y_num]
+    g = gcd(den, *x_num)
+    return tuple(xk // g for xk in x_num)
 
 
 def complete_degrees(n_matrix: IntegerMatrix, partial: dict) -> tuple[int, ...]:
@@ -268,24 +278,26 @@ def complete_degrees(n_matrix: IntegerMatrix, partial: dict) -> tuple[int, ...]:
         if not isinstance(value, int) or value < 1:
             raise ValueError(f"pinned value at index {idx + 1} must be a positive integer")
 
-    # N x = 0 plus one unit row per pin; a zero row keeps the column count
-    # when N has no rows and nothing is pinned.
-    rows = [list(row) for row in n_matrix.entries]
-    rows += [[int(k == i) for k in range(r)] for i in sorted(partial)]
-    rhs = [0] * n_matrix.rows + [partial[i] for i in sorted(partial)]
-    kind, x = rational_solve(rows or [[0] * r], rhs or [0])
-    if kind == "inconsistent":
+    # [N | 0] plus one row [e_i | d_i] per pin; a zero row keeps the column
+    # count when N has no rows and nothing is pinned. In the scaled RREF a
+    # pivot in the last column means no solution, fewer than r pivots more
+    # than one, and r pivots the unique x_k = m[k][r] / last.
+    rows = [[*row, 0] for row in n_matrix.entries]
+    rows += [[int(k == i) for k in range(r)] + [partial[i]] for i in sorted(partial)]
+    m, pivots, last, _ = _fraction_free_rref(rows or [[0] * (r + 1)])
+    if pivots and pivots[-1] == r:
         raise InconsistentError("pinned values admit no kernel extension")
-    if kind == "underdetermined":
-        m = r - rational_rank(n_matrix.entries)
+    if len(pivots) < r:
+        kernel_rank = r - rational_rank(n_matrix.entries)
         raise UnderdeterminedError(
-            f"kernel rank {m} exceeds what {len(partial)} pinned coordinates determine"
+            f"kernel rank {kernel_rank} exceeds what {len(partial)} pinned coordinates determine"
         )
-    if any(xk.denominator != 1 for xk in x):
+    if any(row[r] % last for row in m[:r]):
         raise NonIntegralError("unique kernel extension is not integral")
+    x = tuple(row[r] // last for row in m[:r])
     if any(xk < 1 for xk in x):
         raise NonPositiveError("unique kernel extension has an entry below 1")
-    return tuple(int(xk) for xk in x)
+    return x
 
 
 # -- exact rational elimination -------------------------------------------
@@ -296,6 +308,8 @@ def _integer_row(row) -> list[int]:
     lcm of its denominators (which leaves the row space alone)."""
     if all(isinstance(e, int) for e in row):
         return list(row)
+    from fractions import Fraction
+
     fractions = [Fraction(e) for e in row]
     scale = lcm(*(f.denominator for f in fractions))
     return [f.numerator * (scale // f.denominator) for f in fractions]
@@ -357,6 +371,8 @@ def rational_solve(rows, rhs):
     None). `rows` is a list of coefficient rows; an empty system is
     uniquely solved by [].
     """
+    from fractions import Fraction
+
     ncols = len(rows[0]) if rows else 0
     m, pivots, last, _ = _fraction_free_rref(
         [list(row) + [rhs[i]] for i, row in enumerate(rows)]
@@ -378,6 +394,8 @@ def rational_nullspace(rows) -> list[list[Fraction]]:
 
     One vector per free column: 1 on its own free column, 0 on the others.
     """
+    from fractions import Fraction
+
     ncols = len(rows[0]) if rows else 0
     m, pivots, last, _ = _fraction_free_rref(rows)
     basis = []
@@ -393,13 +411,16 @@ def rational_nullspace(rows) -> list[list[Fraction]]:
 def _lex_min(rows, rhs, objectives):
     """Lexicographic minimum of the objectives over {y >= 0 : A y = b}.
 
-    Returns the minimiser as a tuple of Fractions, or None if the set is
-    empty; each objective must be bounded below on it (with none, some
-    feasible point). Two-phase simplex with Bland's rule, which cannot
-    cycle, on an integer tableau: `den` (the basis determinant, positive
-    since every pivot is) times the true one, updated by `_pivot`. Phase
-    one is the first objective, the sum of one artificial variable per row;
-    their columns are not stored, as none re-enters the basis. After each
+    Returns the minimiser as (numerators, den), y_j = numerators[j] / den
+    with integer numerators and den >= 1, or None if the set is empty; each
+    objective must be bounded below on it (with none, some feasible point).
+    Two-phase simplex with Bland's rule, which cannot cycle, on an integer
+    tableau: `den` (the basis determinant, positive since every pivot is)
+    times the true one, updated by `_pivot`. `den` cancels in a ratio of
+    two scaled entries, so the ratio test compares ratios by
+    cross-multiplying; ties go to the lowest basic variable. Phase one is
+    the first objective, the sum of one artificial variable per row; their
+    columns are not stored, as none re-enters the basis. After each
     objective the nonbasic columns of positive reduced cost are dropped:
     they are zero on its optimal face, where the next one is minimised.
     Past phase one that face is the feasible set, so a basic artificial
@@ -421,15 +442,28 @@ def _lex_min(rows, rhs, objectives):
             col = next((j for j in range(nvars) if live[j] and tab[z][j] < 0), None)
             if col is None:
                 break
-            blocking = [i for i in range(m) if tab[i][col] > 0]
-            row = min(blocking, key=lambda i: (Fraction(tab[i][-1], tab[i][col]), basis[i]))
+            row = None
+            for i in range(m):
+                a = tab[i][col]
+                if a <= 0:
+                    continue
+                if row is None:
+                    row = i
+                    continue
+                # b_i / a against b_row / a_row, both denominators positive.
+                left, right = tab[i][-1] * tab[row][col], tab[row][-1] * a
+                if left < right or (left == right and basis[i] < basis[row]):
+                    row = i
             den = _pivot(tab, row, col, den)
             basis[row] = col
         if z == m and tab[m][-1]:
             return None
         live = [alive and tab[z][j] <= 0 for j, alive in enumerate(live)]
-    value = {j: Fraction(tab[i][-1], den) for i, j in enumerate(basis)}
-    return tuple(value.get(j, Fraction(0)) for j in range(nvars))
+    numerators = [0] * nvars
+    for i, j in enumerate(basis):
+        if j < nvars:
+            numerators[j] = tab[i][-1]
+    return tuple(numerators), den
 
 
 def _meet_only_in(dim: int, a_gens, b_gens, common) -> bool:
@@ -458,6 +492,8 @@ def primitivize(vector) -> LatticeVector:
 
 def clear_denominators(vec) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same ray)."""
+    from fractions import Fraction
+
     fractions = [Fraction(e) for e in vec]
     scale = lcm(*(f.denominator for f in fractions)) if fractions else 1
     ints = [int(f * scale) for f in fractions]

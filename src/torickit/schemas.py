@@ -235,3 +235,14 @@ ERROR_OUTPUT_SCHEMA = {
     },
     "additionalProperties": False,
 }
+
+HELP_OUTPUT_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["schema_version", "usage"],
+    "properties": {
+        "schema_version": {"const": 1},
+        "usage": {"type": "array", "items": {"type": "string"}, "minItems": 1},
+    },
+    "additionalProperties": False,
+}

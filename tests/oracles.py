@@ -26,7 +26,12 @@ adds each face, smallest first, to the ideals holding its facets. The
 pseudomanifold completeness test with its walk over the adjacency graph of
 the maximal cones is kept too; the library replaced it by the ridge counts
 alone. The library has no determinant: unimodularity checks use
-`integer_determinant` here, a plain elimination over `Fraction`.
+`integer_determinant` here, a plain elimination over `Fraction`. The exact
+simplex as it was when its ratio test compared `Fraction`s and it returned
+a `Fraction` per variable is kept too (`fraction_lex_min`), with the
+positive kernel vector and the degree completion built on `Fraction`s
+(`fraction_positive_kernel_vector`, `fraction_complete_degrees`); the
+library now compares ratios by cross-multiplication and stays in integers.
 """
 
 from __future__ import annotations
@@ -51,11 +56,19 @@ from torickit.cones import (
     intersection_is_common_face,
     is_smooth_cone,
 )
-from torickit.errors import DimensionMismatchError
+from torickit.errors import (
+    DimensionMismatchError,
+    InconsistentError,
+    NonIntegralError,
+    NonPositiveError,
+    UnderdeterminedError,
+)
 from torickit.fans import Fan, Violation, _integer_inverse, _maximal, _scaled_inverse
 from torickit.lattice import (
     IntegerMatrix,
     _fraction_free_rref,
+    _integer_row,
+    _pivot,
     clear_denominators,
     kernel_basis,
     rational_nullspace,
@@ -314,6 +327,85 @@ def enumerated_positive_kernel_vector(n_matrix: IntegerMatrix):
     x = best[1]
     scale = lcm(*(xk.denominator for xk in x))
     return tuple(int(xk * scale) for xk in x)
+
+
+def fraction_lex_min(rows, rhs, objectives):
+    """Lexicographic minimum of the objectives over {y >= 0 : A y = b}.
+
+    Returns the minimiser as a tuple of Fractions, or None if the set is
+    empty; each objective must be bounded below on it (with none, some
+    feasible point). Two-phase simplex with Bland's rule, which cannot
+    cycle, on an integer tableau: `den` (the basis determinant, positive
+    since every pivot is) times the true one, updated by `_pivot`. Phase
+    one is the first objective, the sum of one artificial variable per row;
+    their columns are not stored, as none re-enters the basis. After each
+    objective the nonbasic columns of positive reduced cost are dropped:
+    they are zero on its optimal face, where the next one is minimised.
+    Past phase one that face is the feasible set, so a basic artificial
+    stays zero: the ratio test takes a zero step before it could grow.
+    """
+    nvars = len((rows or objectives)[0])
+    tab = []
+    for row, b in zip(rows, rhs):
+        line = _integer_row(list(row) + [b])
+        tab.append([-e for e in line] if line[-1] < 0 else line)
+    m = len(tab)
+    tab.append([-sum(col) for col in zip(*tab)] or [0] * (nvars + 1))
+    tab.extend(_integer_row(c) + [0] for c in objectives)
+    basis = list(range(nvars, nvars + m))
+    live = [True] * nvars
+    den = 1
+    for z in range(m, len(tab)):
+        while True:
+            col = next((j for j in range(nvars) if live[j] and tab[z][j] < 0), None)
+            if col is None:
+                break
+            blocking = [i for i in range(m) if tab[i][col] > 0]
+            row = min(blocking, key=lambda i: (Fraction(tab[i][-1], tab[i][col]), basis[i]))
+            den = _pivot(tab, row, col, den)
+            basis[row] = col
+        if z == m and tab[m][-1]:
+            return None
+        live = [alive and tab[z][j] <= 0 for j, alive in enumerate(live)]
+    value = {j: Fraction(tab[i][-1], den) for i, j in enumerate(basis)}
+    return tuple(value.get(j, Fraction(0)) for j in range(nvars))
+
+
+def fraction_positive_kernel_vector(n_matrix: IntegerMatrix):
+    """`positive_kernel_vector` on `fraction_lex_min`: the minimal-sum point
+    of {x : N x = 0, x >= 1}, ties broken lexicographically, with its
+    reduced denominators cleared."""
+    r = n_matrix.cols
+    objectives = [[1] * r] + [[int(i == j) for j in range(r)] for i in range(r)]
+    y = fraction_lex_min(n_matrix.entries, [-sum(row) for row in n_matrix.entries], objectives)
+    if y is None:
+        return None
+    x = [1 + yk for yk in y]
+    scale = lcm(*(xk.denominator for xk in x))
+    return tuple(int(xk * scale) for xk in x)
+
+
+def fraction_complete_degrees(n_matrix: IntegerMatrix, partial: dict) -> tuple[int, ...]:
+    """`complete_degrees` by one `rational_solve` and checks on the
+    `Fraction` solution; pins are 0-based and assumed in range and
+    positive."""
+    r = n_matrix.cols
+    rows = [list(row) for row in n_matrix.entries]
+    rows += [[int(k == i) for k in range(r)] for i in sorted(partial)]
+    rhs = [0] * n_matrix.rows + [partial[i] for i in sorted(partial)]
+    kind, x = rational_solve(rows or [[0] * r], rhs or [0])
+    if kind == "inconsistent":
+        raise InconsistentError("pinned values admit no kernel extension")
+    if kind == "underdetermined":
+        m = r - rational_rank(n_matrix.entries)
+        raise UnderdeterminedError(
+            f"kernel rank {m} exceeds what {len(partial)} pinned coordinates determine"
+        )
+    if any(xk.denominator != 1 for xk in x):
+        raise NonIntegralError("unique kernel extension is not integral")
+    if any(xk < 1 for xk in x):
+        raise NonPositiveError("unique kernel extension has an entry below 1")
+    return tuple(int(xk) for xk in x)
 
 
 def enumerated_replay(rmin: int, dmin: int) -> ReplayResult:

@@ -22,6 +22,7 @@ from torickit.holmap import MAX_DEGREE
 from torickit.schemas import (
     ANALYZE_OUTPUT_SCHEMA,
     ERROR_OUTPUT_SCHEMA,
+    HELP_OUTPUT_SCHEMA,
     HOLCHECK_OUTPUT_SCHEMA,
     STABILITY_OUTPUT_SCHEMA,
     STABILIZE_OUTPUT_SCHEMA,
@@ -257,6 +258,122 @@ class TestUsageErrors:
         assert code == 1
         jsonschema.validate(out, ERROR_OUTPUT_SCHEMA)
         assert out["error"] == "USAGE_ERROR"
+
+
+CHOICES = "(choose from 'analyze', 'stability', 'holcheck', 'stabilize', 'subfans')"
+
+# argv (CP2, H1 and TUPLE stand for documents) -> (exit code, the body's
+# message, or some of its keys on success).
+GRAMMAR = {
+    "option-before-subcommand": (
+        ["--degrees", "2,2,2", "stability", "CP2"],
+        (1, f"argument command: invalid choice: '2,2,2' {CHOICES}"),
+    ),
+    "flag-before-subcommand": (["--classify", "subfans", "CP2"], (1, "unrecognized arguments: --classify")),
+    "options-before-positionals": (["stability", "--degrees", "2,2,2", "CP2"], (0, {"degrees": [2, 2, 2]})),
+    "equals-form": (["stability", "CP2", "--degrees=2,2,2"], (0, {"degrees": [2, 2, 2]})),
+    "equals-form-pins": (["stability", "H1", "--free=1=3,2=5"], (0, {"degrees": [3, 5, 3, 8]})),
+    "abbreviated": (["stability", "CP2", "--deg", "2,2,2"], (1, "one of the arguments --degrees --free is required")),
+    "abbreviated-equals": (["stability", "CP2", "--deg=2,2,2"], (1, "one of the arguments --degrees --free is required")),
+    "abbreviated-required": (
+        ["stabilize", "H1", "TUPLE", "--inc", "1,1,1,2"],
+        (1, "the following arguments are required: --increment"),
+    ),
+    "repeated-last-wins": (["stability", "CP2", "--degrees", "1,1,1", "--degrees", "2,2,2"], (0, {"degrees": [2, 2, 2]})),
+    "degrees-then-free": (
+        ["stability", "H1", "--degrees", "3,5,3,8", "--free", "1=3"],
+        (1, "argument --free: not allowed with argument --degrees"),
+    ),
+    "free-then-degrees": (
+        ["stability", "H1", "--free", "1=3", "--degrees", "3,5,3,8"],
+        (1, "argument --degrees: not allowed with argument --free"),
+    ),
+    "bad-value-before-conflict": (
+        ["stability", "H1", "--degrees", "3,5,3,8", "--free", "x"],
+        (1, "argument --free: bad pin list 'x'"),
+    ),
+    "missing-value": (["stability", "CP2", "--degrees"], (1, "argument --degrees: expected one argument")),
+    "empty-value": (["stability", "CP2", "--degrees="], (1, "argument --degrees: bad degree list ''")),
+    # The value of an option is the next word, whatever it is.
+    "value-is-the-next-word": (["stability", "CP2", "--degrees", "--free", "1=2"], (1, "argument --degrees: bad degree list '--free'")),
+    "negative-degrees": (["stability", "CP2", "--degrees", "-1,2,3"], (3, "degree entries must all be >= 1")),
+    "flag-with-value": (["subfans", "CP2", "--classify=yes"], (1, "argument --classify: ignored explicit argument 'yes'")),
+    "extra-positional": (["analyze", "H1", "extra.json"], (1, "unrecognized arguments: extra.json")),
+    "unknown-options": (["analyze", "H1", "-x", "--y"], (1, "unrecognized arguments: -x --y")),
+    "missing-before-one-of": (["stability"], (1, "the following arguments are required: fan")),
+    "missing-before-unknown": (["stabilize", "H1", "--bogus"], (1, "the following arguments are required: tuple, --increment")),
+    "double-dash-ends-options": (["analyze", "--", "-h"], (1, "cannot read fan document: [Errno 2] No such file or directory: '-h'")),
+    "double-dash-before-subcommand": (["--", "analyze", "H1"], (0, {"r_min": 2})),
+    # A word that starts with "-" is an option, even one that reads as a number.
+    "negative-number-is-an-option": (["analyze", "-5"], (1, "the following arguments are required: fan")),
+}
+
+
+class TestArgvGrammar:
+    @pytest.fixture
+    def paths(self, write_fan, write_tuple):
+        return {
+            "CP2": write_fan(cp_fan(2), "cp2"),
+            "H1": write_fan(hirzebruch_fan(1), "h1"),
+            "TUPLE": write_tuple(TUPLE_OK),
+        }
+
+    @pytest.mark.parametrize("case", list(GRAMMAR))
+    def test_edge_cases(self, case, paths, run_cli):
+        argv, (expected_code, expected) = GRAMMAR[case]
+        code, out = run_cli(*[paths.get(arg, arg) for arg in argv])
+        assert code == expected_code
+        if code == 0:
+            assert {key: out[key] for key in expected} == expected
+        else:
+            assert out["message"] == expected
+        if code == 1 and not expected.startswith("cannot read"):
+            assert out["error"] == "USAGE_ERROR"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["--help"], ["analyze", "-h"], ["stability", "CP2", "--degrees", "2,2,2", "--help"], ["--bogus", "-h"]],
+    )
+    def test_help_is_one_json_body(self, argv, paths, run_cli):
+        code, out = run_cli(*[paths.get(arg, arg) for arg in argv])
+        assert code == 0
+        jsonschema.validate(out, HELP_OUTPUT_SCHEMA)
+        assert out == {"schema_version": 1, "usage": torickit.cli.build_parser().usage()}
+        commands = ["analyze", "stability", "holcheck", "stabilize", "subfans"]
+        assert [line.split()[:2] for line in out["usage"]] == [["torickit", c] for c in commands]
+
+    def test_a_value_error_before_help_wins(self, paths, run_cli):
+        code, out = run_cli("stability", paths["CP2"], "--degrees", "x", "-h")
+        assert (code, out["message"]) == (1, "argument --degrees: bad degree list 'x'")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--degrees", "1_0,10,10"),
+            ("--degrees", "+3,3,3"),
+            ("--degrees", "\u0663,\u0663,\u0663"),
+            ("--degrees", " 3,3,3"),
+            ("--degrees", "3,3,3\n"),
+            ("--degrees", "3.0,3,3"),
+            ("--free", "1=+3"),
+            ("--free", "1_0=3"),
+            ("--free", "\u0661=3"),
+            ("--free", " 1=3"),
+        ],
+    )
+    def test_integer_lists_are_strict(self, flag, value, paths, run_cli):
+        code, out = run_cli("stability", paths["CP2"], flag, value)
+        kind = "degree" if flag == "--degrees" else "pin"
+        assert (code, out["error"], out["message"]) == (
+            1,
+            "USAGE_ERROR",
+            f"argument {flag}: bad {kind} list {value!r}",
+        )
+
+    @pytest.mark.parametrize("value", ["+1,1,1,2", "1_1,1,1,2", "\uff11,1,1,2"])
+    def test_increments_are_strict(self, value, paths, run_cli):
+        code, out = run_cli("stabilize", paths["H1"], paths["TUPLE"], "--increment", value)
+        assert (code, out["message"]) == (1, f"argument --increment: bad degree list {value!r}")
 
 
 class TestUnreadableDocuments:

@@ -1,8 +1,10 @@
 """Byte-level CLI contract: the stdout bytes and exit code of every
 subcommand on success, an invalid fan, an unreadable or malformed document,
 a computation error and a usage error, plus unnamed documents, a
-document with a key outside its schema, the retired `--output` option, and
-the ray, dimension, maximal-cone, d_min, degree and subfan-count caps.
+document with a key outside its schema, the retired `--output` option,
+integer lists in argv that `int()` would read but `-?[0-9]+` refuses, the
+JSON help, and the ray, dimension, maximal-cone, d_min, degree and
+subfan-count caps.
 
 The expected output is in cli_contract.json next to this file. After an
 intended change of output, rewrite it with
@@ -160,6 +162,11 @@ CASES = {
     "stability-usage-no-degrees": ["stability", "h1.json"],
     "stability-usage-bad-degrees": ["stability", "h1.json", "--degrees", "1,x"],
     "stability-usage-repeated-pin": ["stability", "h1.json", "--free", "1=3,1=7"],
+    # Each entry of an integer list must fully match -?[0-9]+ in ASCII.
+    "stability-usage-underscore-degrees": ["stability", "cp2.json", "--degrees", "1_0,10,10"],
+    "stability-usage-plus-degrees": ["stability", "cp2.json", "--degrees", "+3,3,3"],
+    "stability-usage-non-ascii-degrees": ["stability", "cp2.json", "--degrees", "\u0663,\u0663,\u0663"],
+    "stability-usage-plus-pin": ["stability", "h1.json", "--free", "1=+3,2=5"],
     "stability-above-max-r": ["stability", "cp20.json", "--free", "1=3,2=5"],
     "stability-above-d-min-cap": ["stability", "cp2.json", "--degrees", f"{MAX_D_MIN + 1},{MAX_D_MIN + 1},{MAX_D_MIN + 1}"],
     "holcheck-member": ["holcheck", "h1.json", "member.json"],
@@ -184,6 +191,7 @@ CASES = {
     "stabilize-above-degree-cap": ["stabilize", "h1.json", "member.json", "--increment", f"{MAX_DEGREE},1,{MAX_DEGREE},{MAX_DEGREE + 1}"],
     "stabilize-degree-mismatch": ["stabilize", "cp2.json", "member.json", "--increment", "1,1,1"],
     "stabilize-usage": ["stabilize", "h1.json", "member.json"],
+    "stabilize-usage-underscore-increment": ["stabilize", "h1.json", "member.json", "--increment", "1_1,1,1,2"],
     "subfans": ["subfans", "h1.json"],
     "subfans-classify": ["subfans", "cp2.json", "--classify"],
     "subfans-unnamed": ["subfans", "h1_unnamed.json", "--classify"],
@@ -196,6 +204,9 @@ CASES = {
     "no-subcommand": [],
     # There is no global option: this is a usage error.
     "output-flag-retired": ["--output", "json", "analyze", "h1.json"],
+    # Help is one JSON body with exit 0, wherever -h or --help stands.
+    "help": ["--help"],
+    "analyze-help": ["analyze", "h1.json", "-h"],
 }
 
 
@@ -242,9 +253,9 @@ def test_every_body_is_one_json_object(golden):
 
 def test_every_exit_code_on_every_subcommand(golden):
     # analyze raises no computation error on a valid fan; subfans raises
-    # only the subfan-count cap.
+    # only the subfan-count cap. With no subcommand, only help exits 0.
     expected_codes = {
-        "none": {1},
+        "none": {0, 1},
         "analyze": {0, 1, 2},
         "subfans": {0, 1, 2, 3},
         "stability": {0, 1, 2, 3},

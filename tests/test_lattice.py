@@ -7,12 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     brute_force_kernel_vectors,
     brute_force_positive_vector,
     enumerated_positive_kernel_vector,
+    fraction_complete_degrees,
+    fraction_lex_min,
+    fraction_positive_kernel_vector,
     is_unimodular,
 )
+import torickit.lattice
+from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan, load_catalog
 from torickit.cox import cox_report
 from torickit.errors import (
     InconsistentError,
@@ -24,6 +30,7 @@ from torickit.fans import Fan, _integer_inverse
 from torickit.lattice import (
     IntegerMatrix,
     _fraction_free_rref,
+    _lex_min,
     complete_degrees,
     kernel_basis,
     positive_kernel_vector,
@@ -437,6 +444,121 @@ class TestExactSimplex:
         if witness is not None:
             assert not any(m.apply(witness))
             assert all(d >= 1 for d in witness)
+
+
+def random_lp(rng, kind):
+    """(rows, rhs, objectives) of a seeded LP over {y >= 0 : A y = b}.
+
+    "feasible": b = A y0 for a nonnegative integer y0 with zeros in it;
+    "infeasible": b = A y0 with one row made negative on every y >= 0 (a
+    row of nonnegative entries, at least one positive, against b < 0);
+    "ties": a feasible system with a row repeated at twice its scale, so
+    every ratio test that blocks on one of the two rows ties with the other.
+    Objectives are nonnegative, so each is bounded below.
+    """
+    m, n = rng.randint(1, 4), rng.randint(1, 6)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    y0 = [rng.choice((0, 0, 1, 2, 3)) for _ in range(n)]
+    rhs = [sum(a * y for a, y in zip(row, y0)) for row in rows]
+    if kind == "infeasible":
+        row = [rng.randint(0, 3) for _ in range(n)]
+        row[rng.randrange(n)] = rng.randint(1, 3)
+        rows.append(row)
+        rhs.append(-rng.randint(1, 3))
+    elif kind == "ties":
+        i = rng.randrange(m)
+        rows.append([2 * a for a in rows[i]])
+        rhs.append(2 * rhs[i])
+    objectives = [[rng.randint(0, 2) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    objectives += [[int(i == j) for j in range(n)] for i in range(n)]
+    return rows, rhs, objectives
+
+
+class TestIntegerSimplex:
+    """`_lex_min` against the Fraction-based simplex it replaced."""
+
+    def run_both(self, monkeypatch, problem):
+        """Both minimisers and the (row, column) of each pivot they made."""
+        results, pivots = [], []
+        for module, solve in ((torickit.lattice, _lex_min), (oracles, fraction_lex_min)):
+            seen = []
+            original = module._pivot
+
+            def recording(m, row, col, prev, _seen=seen, _original=original):
+                _seen.append((row, col))
+                return _original(m, row, col, prev)
+
+            monkeypatch.setattr(module, "_pivot", recording)
+            results.append(solve(*problem))
+            pivots.append(seen)
+        return results, pivots
+
+    @pytest.mark.parametrize("kind", ["feasible", "infeasible", "ties"])
+    def test_same_vertex_and_pivots_on_seeded_lps(self, kind, monkeypatch):
+        rng = random.Random(f"lex-min-{kind}")
+        empty = 0
+        for _ in range(300):
+            (ours, theirs), (our_pivots, their_pivots) = self.run_both(
+                monkeypatch, random_lp(rng, kind)
+            )
+            assert our_pivots == their_pivots
+            if theirs is None:
+                assert ours is None
+                empty += 1
+                continue
+            numerators, den = ours
+            assert den >= 1 and all(type(e) is int for e in numerators)
+            assert tuple(Fraction(e, den) for e in numerators) == theirs
+        assert empty == (300 if kind == "infeasible" else 0)
+
+    def test_ties_occur_in_the_ratio_test(self):
+        # The repeated row blocks with the same ratio as its original on the
+        # first pivot of phase one: both rows read (2, 1) against (4, 2).
+        rows, rhs = [[1, 1], [2, 2]], [2, 4]
+        assert _lex_min(rows, rhs, [[1, 0]]) == ((0, 2), 1)
+        assert fraction_lex_min(rows, rhs, [[1, 0]]) == (Fraction(0), Fraction(2))
+
+    def test_feasibility_only(self):
+        assert _lex_min([[1, -1]], [0], []) == ((0, 0), 1)
+        assert _lex_min([[1, 1]], [-1], []) is None
+
+
+def oracle_fans():
+    catalog = [entry.fan for entry in load_catalog()]
+    return catalog + [cp_fan(n) for n in range(1, 7)] + [hirzebruch_fan(k) for k in range(1, 7)] + [c2_fan()]
+
+
+# The pin sets of the CLI, cox, stability and lattice tests.
+PIN_SETS = [{}, {0: 1}, {1: 4}, {0: 5}, {0: 3, 1: 5}, {0: 2, 1: 3}, {0: 1, 2: 2}, {0: 6, 1: 2}, {0: 4, 1: 9}, {0: 1, 1: 1}, {0: 2, 1: 2}]
+
+
+def verdict(complete, n_matrix, pins):
+    try:
+        return complete(n_matrix, pins)
+    except tuple(VERDICTS) as error:
+        return VERDICTS[type(error)], str(error)
+
+
+class TestFractionOracles:
+    def test_positive_kernel_vector_on_every_oracle_fan(self):
+        for fan in oracle_fans():
+            n_matrix = fan.generator_matrix()
+            assert positive_kernel_vector(n_matrix) == fraction_positive_kernel_vector(n_matrix)
+
+    def test_complete_degrees_on_every_oracle_fan_and_pin_set(self):
+        checked = 0
+        for fan in oracle_fans():
+            n_matrix = fan.generator_matrix()
+            witness = positive_kernel_vector(n_matrix) or ()
+            pin_sets = PIN_SETS + [
+                {i: 3 * d for i, d in enumerate(witness[:k])} for k in range(len(witness) + 1)
+            ]
+            for pins in pin_sets:
+                if all(i < fan.ray_count for i in pins):
+                    ours = verdict(complete_degrees, n_matrix, pins)
+                    assert ours == verdict(fraction_complete_degrees, n_matrix, pins)
+                    checked += all(isinstance(e, int) for e in ours)
+        assert checked > 20  # unique positive completions occur
 
 
 @st.composite

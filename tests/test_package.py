@@ -30,10 +30,18 @@ def run_fresh(*args):
     )
 
 
-# Runs one CLI job, then prints the exit code and which lazily registered
-# modules are still unexecuted.
+# The stdlib modules that only argparse loads, and `fractions` with what it
+# loads.
+ARGPARSE = {"argparse", "gettext", "locale"}
+FRACTIONS = {"fractions", "decimal", "numbers"}
+
+# Runs one CLI job, then prints the exit code, which lazily registered
+# modules are still unexecuted, and which of ARGPARSE | FRACTIONS the job
+# loaded (a module that start-up loaded before the job does not count).
 RAN_SCRIPT = """
-import contextlib, io, json, sys, types
+import sys
+before = set(sys.modules)
+import contextlib, io, json, types
 import torickit.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = torickit.cli.main(sys.argv[1:])
@@ -42,8 +50,9 @@ print(json.dumps({
     "code": code,
     "ran": sorted(name for name, m in modules.items() if type(m) is types.ModuleType),
     "lazy": sorted(name for name, m in modules.items() if type(m) is not types.ModuleType),
+    "stdlib": sorted(name for name in %r if name in sys.modules and name not in before),
 }))
-"""
+""" % sorted(ARGPARSE | FRACTIONS)
 
 
 @pytest.fixture
@@ -54,32 +63,43 @@ def h1_files(write_fan, write_tuple):
 
 
 def modules_run(*argv):
+    """The torickit modules a fresh job ran, and the stdlib modules of
+    ARGPARSE | FRACTIONS it loaded."""
     proc = run_fresh("-c", RAN_SCRIPT, *argv)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     result = json.loads(proc.stdout)
     assert result["code"] == 0
     ran = set(result["ran"])
     assert (ran & LAZY) | set(result["lazy"]) == LAZY  # every module is registered
-    return ran
+    return ran, set(result["stdlib"])
 
 
 class TestModulesRun:
     @pytest.mark.parametrize("argv", [["analyze"], ["subfans", "--classify"]])
     def test_fan_subcommands(self, argv, h1_files):
-        ran = modules_run(argv[0], h1_files[0], *argv[1:])
+        ran, stdlib = modules_run(argv[0], h1_files[0], *argv[1:])
         assert {"fans", "document"} <= ran
         assert not ran & {"gaussian", "holmap", "stability", "catalog", "cones"}
+        assert not stdlib & (ARGPARSE | FRACTIONS)
 
     def test_stability(self, h1_files):
-        ran = modules_run("stability", h1_files[0], "--free", "1=3,2=5")
+        ran, stdlib = modules_run("stability", h1_files[0], "--free", "1=3,2=5")
         assert {"cox", "stability"} <= ran
         assert not ran & {"gaussian", "holmap", "catalog", "cones"}
+        assert not stdlib & (ARGPARSE | FRACTIONS)
+
+    def test_stability_with_degrees(self, h1_files):
+        ran, stdlib = modules_run("stability", h1_files[0], "--degrees", "3,5,3,8")
+        assert {"cox", "stability"} <= ran
+        assert not stdlib & (ARGPARSE | FRACTIONS)
 
     @pytest.mark.parametrize("extra", [[], ["--increment", "1,1,1,2"]], ids=["holcheck", "stabilize"])
     def test_tuple_subcommands(self, extra, h1_files):
-        ran = modules_run("stabilize" if extra else "holcheck", *h1_files, *extra)
+        ran, stdlib = modules_run("stabilize" if extra else "holcheck", *h1_files, *extra)
         assert {"gaussian", "holmap"} <= ran
         assert not ran & {"stability", "catalog", "cox", "cones"}
+        # Gaussian rationals are Fractions, so only argparse's modules stay out.
+        assert not stdlib & ARGPARSE
 
     def test_fan_checks_leave_cones_lazy(self):
         # Validation and smoothness call the LP and the Z-basis test in

@@ -227,10 +227,22 @@ def test_class_body_methods_are_kept():
 
 
 def test_cli_import_skips_heavy_stdlib_modules():
-    # -S keeps site .pth files from loading modules on their own.
+    # -S keeps site .pth files from loading modules on their own. argparse
+    # brings gettext and locale; fractions brings decimal and numbers.
     package_parent = os.path.dirname(os.path.dirname(os.path.abspath(torickit.__file__)))
     env = dict(os.environ, PYTHONPATH=package_parent)
-    heavy = ("dataclasses", "inspect", "typing", "importlib.resources")
+    heavy = (
+        "dataclasses",
+        "inspect",
+        "typing",
+        "importlib.resources",
+        "argparse",
+        "gettext",
+        "locale",
+        "fractions",
+        "decimal",
+        "numbers",
+    )
     code = (
         "import sys, torickit.cli\n"
         f"print(sorted(name for name in {heavy!r} if name in sys.modules))\n"
