@@ -371,7 +371,13 @@ def main(argv=None) -> int:
         body, code = {"error": "VALUE_ERROR", "message": str(exc)}, EXIT_COMPUTE
     body["schema_version"] = 1
     try:
-        print(json.dumps(body, indent=2, sort_keys=True), flush=True)
+        text = json.dumps(body, indent=2, sort_keys=True)
+    except ValueError as exc:
+        # An output integer above the interpreter's int-to-str digit limit.
+        body = {"error": "VALUE_ERROR", "message": str(exc), "schema_version": 1}
+        code, text = EXIT_COMPUTE, json.dumps(body, indent=2, sort_keys=True)
+    try:
+        print(text, flush=True)
     except BrokenPipeError:
         # The reader has gone. Point stdout at devnull so that the flush at
         # interpreter exit cannot fail again, and keep the job's exit code.

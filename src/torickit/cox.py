@@ -82,7 +82,7 @@ def complete_degrees(fan: Fan, partial: dict) -> DegreeVector:
 
 
 def cox_report(fan: Fan) -> CoxGroupReport:
-    """Smith-normal-form analysis of the generator matrix.
+    """Elementary-divisor analysis of the generator matrix.
 
     condition_span is the generators-span-the-lattice condition; the
     positive-degree condition holds iff some strictly positive integer
@@ -90,9 +90,9 @@ def cox_report(fan: Fan) -> CoxGroupReport:
     is reported as None otherwise.
     """
     n_matrix = fan.generator_matrix()
-    snf = lattice.smith_normal_form(n_matrix)
-    rank = snf.rank
-    finite = tuple(d for d in snf.elementary_divisors if d > 1)
+    divisors = lattice._elementary_divisors(n_matrix)
+    rank = len(divisors)
+    finite = tuple(d for d in divisors if d > 1)
     condition_span = rank == fan.dim and not finite
     witness = lattice.positive_kernel_vector(n_matrix)
     free_rank = fan.ray_count - rank

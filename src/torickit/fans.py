@@ -317,30 +317,25 @@ def _integer_inverse(m: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix.from_rows([[e * last for e in row] for row in scaled])
 
 
-def _ray_profiles(fan: Fan) -> list[tuple[int, ...]]:
-    """Per ray, the sorted sizes of the maximal cones that contain it."""
-    sizes: list[list[int]] = [[] for _ in range(fan.ray_count)]
-    for cone in fan.cones:
-        for i in cone:
-            sizes[i].append(len(cone))
-    return [tuple(sorted(s)) for s in sizes]
-
-
-def _invariants(fan: Fan, snf=None) -> tuple:
-    """Invariants of a valid fan under GL(n,Z) acting on the lattice and
-    S_r relabelling the rays: dimension, ray count, the sorted maximal-cone
-    sizes, the sorted per-ray profiles and the elementary divisors of the
-    generator matrix. `snf` is that matrix's Smith form, if already known.
-    """
-    if snf is None:
-        snf = smith_normal_form(fan.generator_matrix())
-    return (
+def _lattice_data(fan: Fan) -> tuple:
+    """(invariants, U, coordinates, profiles) of a valid fan, from one Smith
+    form U G V = S of its generator matrix G: the invariants and per-ray
+    profiles of the module docstring, and each ray's coordinates on the
+    saturation of the rays' span, the first rank(G) entries of U g (the
+    rest vanish because UGV = S)."""
+    snf = smith_normal_form(fan.generator_matrix())
+    profiles = [
+        tuple(sorted(len(cone) for cone in fan.cones if i in cone)) for i in range(fan.ray_count)
+    ]
+    invariants = (
         fan.dim,
         fan.ray_count,
         tuple(sorted(len(cone) for cone in fan.cones)),
-        tuple(sorted(_ray_profiles(fan))),
+        tuple(sorted(profiles)),
         snf.elementary_divisors,
     )
+    coords = [snf.U.apply(g)[: snf.rank] for g in fan.generators]
+    return invariants, snf.U, coords, profiles
 
 
 def fan_isomorphism(a: Fan, b: Fan):
@@ -358,43 +353,41 @@ def fan_isomorphism(a: Fan, b: Fan):
     linear map is accepted iff it is integral, maps the ray set bijectively
     and carries the cones of a exactly onto the cones of b. An isomorphism
     preserves profiles, so the first match is the first over all ordered
-    tuples.
+    tuples. Only the accepted map, on the saturations, is lifted to an n x n
+    matrix; `isomorphism_classes` lifts none.
     """
-    snf_a = smith_normal_form(a.generator_matrix())
-    snf_b = smith_normal_form(b.generator_matrix())
-    if _invariants(a, snf_a) != _invariants(b, snf_b):
+    data_a, data_b = _lattice_data(a), _lattice_data(b)
+    if data_a[0] != data_b[0]:
         return None
-    return _isomorphism(a, snf_a, b, snf_b)
-
-
-def _isomorphism(a: Fan, snf_a, b: Fan, snf_b):
-    """The search of `fan_isomorphism` for two fans with equal invariants,
-    given the Smith forms of their generator matrices."""
-    r = a.ray_count
-    if r == 0:
+    w = _isomorphism(a, data_a, b, data_b)
+    if w is None:
+        return None
+    if a.ray_count == 0:
         return IntegerMatrix.identity(a.dim)
+    # W acts on the first rank coordinates of U_a g and the identity on the rest.
+    n, rank = a.dim, len(w)
+    block = [row + [0] * (n - rank) for row in w]
+    block += [[int(i == j) for j in range(n)] for i in range(rank, n)]
+    return _integer_inverse(data_b[1]) @ IntegerMatrix.from_rows(block) @ data_a[1]
 
-    rank = snf_a.rank
+
+def _isomorphism(a: Fan, data_a, b: Fan, data_b):
+    """The search of `fan_isomorphism` for two fans with equal invariants,
+    given their `_lattice_data`: the rank x rank integer map W on the
+    saturation coordinates, as a list of rows, or None."""
+    r = a.ray_count
+    (*_, divisors), _, coords_a, profiles_a = data_a
+    _, _, coords_b, profiles_b = data_b
+    rank = len(divisors)
     # The rays span sublattices with equal elementary divisors in the
-    # saturation coordinates below, and a unimodular map preserves them.
-    # So an integral W that maps the rays of a bijectively onto those of
-    # b carries one sublattice onto the other, and |det W| = 1 follows
-    # and needs no test per candidate.
-
-    # Coordinates of every generator on the saturation of its span: the
-    # first `rank` entries of U g (the rest vanish because UGV = S).
-    coords_a = [snf_a.U.apply(g)[:rank] for g in a.generators]
-    coords_b = [snf_b.U.apply(g)[:rank] for g in b.generators]
-
-    lookup = {}
-    for idx, vec in enumerate(coords_b):
-        if vec in lookup:
-            return None
-        lookup[vec] = idx
+    # saturation coordinates, and a unimodular map preserves them. So an
+    # integral W that maps the rays of a bijectively onto those of b
+    # carries one sublattice onto the other, and |det W| = 1 follows and
+    # needs no test per candidate.
+    lookup = {vec: idx for idx, vec in enumerate(coords_b)}
 
     # The first independent rays of a: the pivot columns of its coordinates.
     frame = _fraction_free_rref([[v[k] for v in coords_a] for k in range(rank)])[1]
-    profiles_a, profiles_b = _ray_profiles(a), _ray_profiles(b)
     candidates = [[t for t in range(r) if profiles_b[t] == profiles_a[i]] for i in frame]
 
     # W F = T for the frame matrix F (columns coords_a[frame]) and each
@@ -414,21 +407,15 @@ def _isomorphism(a: Fan, snf_a, b: Fan, snf_b):
         ]
         if any(x % last for row in product for x in row):
             continue
-        w = IntegerMatrix.from_rows([[x // last for x in row] for row in product])
-        permutation = [lookup.get(w.apply(v)) for v in coords_a]
+        w = [[x // last for x in row] for row in product]
+        permutation = [
+            lookup.get(tuple(sum(x * y for x, y in zip(row, v)) for row in w)) for v in coords_a
+        ]
         if None in permutation or len(set(permutation)) != r:
             continue
         mapped = frozenset(frozenset(permutation[i] for i in cone) for cone in a.cones)
         if mapped == b.cones:
-            n = a.dim
-            block = [
-                [
-                    w.entries[i][j] if i < rank and j < rank else (1 if i == j else 0)
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            return _integer_inverse(snf_b.U) @ IntegerMatrix.from_rows(block) @ snf_a.U
+            return w
     return None
 
 
@@ -439,19 +426,19 @@ def isomorphism_classes(fans: list[Fan]) -> list[list[int]]:
     Every fan must be valid (see `validate_fan`), as for `fan_isomorphism`.
     Fans are bucketed by their invariants, and each fan is compared only
     with the first members of the classes in its bucket; every fan's Smith
-    form is computed once.
+    form is computed once, and no n x n matrix is built.
     """
     classes: list[list[int]] = []
-    # Per invariant tuple: (first member's Smith form, class) pairs.
+    # Per invariant tuple: (first member's lattice data, class) pairs.
     buckets: dict[tuple, list[tuple]] = {}
     for idx, fan in enumerate(fans):
-        snf = smith_normal_form(fan.generator_matrix())
-        bucket = buckets.setdefault(_invariants(fan, snf), [])
-        for first_snf, group in bucket:
-            if _isomorphism(fans[group[0]], first_snf, fan, snf) is not None:
+        data = _lattice_data(fan)
+        bucket = buckets.setdefault(data[0], [])
+        for first_data, group in bucket:
+            if _isomorphism(fans[group[0]], first_data, fan, data) is not None:
                 group.append(idx)
                 break
         else:
-            bucket.append((snf, [idx]))
+            bucket.append((data, [idx]))
             classes.append(bucket[-1][1])
     return classes

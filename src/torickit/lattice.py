@@ -5,12 +5,12 @@ no floating point is used anywhere. All rational elimination (solving,
 rank and nullspace) goes through one fraction-free Gauss-Jordan core,
 `_fraction_free_rref`, which works on integer rows only and divides
 exactly; rows holding fractions are scaled to integers first. The exact
-simplex `_lex_min` pivots with the same step, `_pivot`. Smith normal form
-reduces one integer block, [A | I] over I, whose row and column operations
-carry U and V along with S.
+simplex `_lex_min` pivots with the same step, `_pivot`. One Smith
+reduction, `_smith_reduce`, runs on [A | I] over I for `smith_normal_form`,
+carrying U and V along with S, and on A alone for `_elementary_divisors`.
 
 The two tests the fan checks need are stated here once, on plain vector
-lists: the Z-basis test `_extends_to_basis` (one Smith form) and the
+lists: the Z-basis test `_extends_to_basis` (one divisor reduction) and the
 common-face LP `_meet_only_in` (one `_lex_min` call).
 
 The paths the fan checks, the Cox data and degree completion run stay in
@@ -141,19 +141,32 @@ class SmithDecomposition:
 
 
 def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
-    """Classical Smith normal form by row/column reduction of one block.
-
-    The block is the rows [A | I_n] with I_r stacked below their first r
-    columns. Row operations act on the top rows, [S | U], and column
-    operations on the first r columns, S over V, so U @ A @ V == S holds
-    exactly throughout. Pivot choice is deterministic: the nonzero entry of
-    S of minimal absolute value in the working block, ties broken by lowest
-    row then lowest column index.
-    """
+    """Classical Smith normal form: `_smith_reduce` on the rows [A | I_n]
+    with I_r stacked below their first r columns, whose row operations build
+    U beside S and column operations V below it, so U @ A @ V == S."""
     n, r = a.rows, a.cols
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.entries)]
     m += [[int(i == j) for j in range(r)] for i in range(r)]
+    _smith_reduce(m, n, r)
+    return SmithDecomposition(
+        U=IntegerMatrix.from_rows([row[r:] for row in m[:n]]),
+        S=IntegerMatrix(n, r, tuple(tuple(row[:r]) for row in m[:n])),
+        V=IntegerMatrix.from_rows(m[n:]),
+    )
 
+
+def _elementary_divisors(a: IntegerMatrix) -> tuple[int, ...]:
+    """The elementary divisors of A as `smith_normal_form` finds them, with
+    no U or V built: their entries can grow far past those of S."""
+    return _smith_reduce([list(row) for row in a.entries], a.rows, a.cols)
+
+
+def _smith_reduce(m, n: int, r: int) -> tuple[int, ...]:
+    """Reduce the top-left n x r block of the rows m to Smith form in place;
+    return its elementary divisors. Row operations act on the first n rows
+    in full and column operations on the first r columns of every row, so
+    attached blocks follow. The pivot is the working block's nonzero entry
+    of least absolute value, ties to the lowest row, then lowest column."""
     t = 0
     limit = min(n, r)
     while t < limit:
@@ -210,19 +223,13 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
             m[t] = [e + f for e, f in zip(m[t], m[offender])]
             continue
         t += 1
-
-    return SmithDecomposition(
-        U=IntegerMatrix.from_rows([row[r:] for row in m[:n]]),
-        S=IntegerMatrix(n, r, tuple(tuple(row[:r]) for row in m[:n])),
-        V=IntegerMatrix.from_rows(m[n:]),
-    )
+    return tuple(m[i][i] for i in range(t))
 
 
 def _extends_to_basis(vectors) -> bool:
     """Whether the vectors extend to a Z-basis of the lattice: the matrix
     with them as columns has one elementary divisor per column, all 1."""
-    divisors = smith_normal_form(IntegerMatrix.from_columns(vectors)).elementary_divisors
-    return len(divisors) == len(vectors) and all(d == 1 for d in divisors)
+    return _elementary_divisors(IntegerMatrix.from_columns(vectors)) == (1,) * len(vectors)
 
 
 def kernel_basis(n_matrix: IntegerMatrix) -> list[tuple[int, ...]]:

@@ -1,10 +1,10 @@
 """Byte-level CLI contract: the stdout bytes and exit code of every
 subcommand on success, an invalid fan, an unreadable or malformed document,
 a computation error and a usage error, plus unnamed documents, a
-document with a key outside its schema, the retired `--output` option,
-integer lists in argv that `int()` would read but `-?[0-9]+` refuses, the
-JSON help, and the ray, dimension, maximal-cone, d_min, degree and
-subfan-count caps.
+document with a key outside its schema, an output integer too long to
+print, the retired `--output` option, integer lists in argv that `int()`
+would read but `-?[0-9]+` refuses, the JSON help, and the ray, dimension,
+maximal-cone, d_min, degree and subfan-count caps.
 
 The expected output is in cli_contract.json next to this file. After an
 intended change of output, rewrite it with
@@ -92,6 +92,16 @@ ONE_CONE_AT_RAY_CAP = {
     "maximal_cones": [list(range(1, MAX_RAYS + 1))],
 }
 
+# A valid plane fan whose witness degree (Q^2, 1, Q) has an entry of 6,001
+# digits, above CPython's 4,300-digit limit for printing an integer.
+Q = 10**3000
+LONG_INTEGER = {
+    "schema_version": 1,
+    "dimension": 2,
+    "generators": [[1, 0], [0, Q], [-Q, -1]],
+    "maximal_cones": [[1, 2], [2, 3], [3, 1]],
+}
+
 DOCUMENTS = {
     "h1.json": dict(H1, name="h1"),
     "h1_unnamed.json": H1,
@@ -105,6 +115,7 @@ DOCUMENTS = {
     "cp2_at_dimension_cap.json": dict(cp2_padded(MAX_RAYS), name="cp2-padded"),
     "cp2_above_dimension_cap.json": dict(cp2_padded(MAX_RAYS + 1), name="cp2-padded"),
     "unknown_key.json": dict(H1, name="h1", colour="red"),
+    "long_integer.json": LONG_INTEGER,
     "c2.json": dict(C2, name="c2"),
     "invalid.json": dict(INVALID, name="invalid"),
     "invalid_unnamed.json": INVALID,
@@ -145,6 +156,7 @@ CASES = {
     "analyze-above-dimension-cap": ["analyze", "cp2_above_dimension_cap.json"],
     "analyze-at-cone-cap": ["analyze", "cp1_6.json"],
     "analyze-above-cone-cap": ["analyze", "cp1_7.json"],
+    "analyze-long-integer": ["analyze", "long_integer.json"],
     "stability-free": ["stability", "h1.json", "--free", "1=3,2=5"],
     "stability-degrees": ["stability", "cp2.json", "--degrees", "2,2,2"],
     "stability-unnamed": ["stability", "h1_unnamed.json", "--free", "1=3,2=5"],
@@ -252,11 +264,12 @@ def test_every_body_is_one_json_object(golden):
 
 
 def test_every_exit_code_on_every_subcommand(golden):
-    # analyze raises no computation error on a valid fan; subfans raises
-    # only the subfan-count cap. With no subcommand, only help exits 0.
+    # On a valid fan analyze raises a computation error only for an output
+    # integer too long to print; subfans raises only the subfan-count cap.
+    # With no subcommand, only help exits 0.
     expected_codes = {
         "none": {0, 1},
-        "analyze": {0, 1, 2},
+        "analyze": {0, 1, 2, 3},
         "subfans": {0, 1, 2, 3},
         "stability": {0, 1, 2, 3},
         "holcheck": {0, 1, 2, 3},

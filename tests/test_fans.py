@@ -29,7 +29,7 @@ from torickit.cox import cox_report
 from torickit.errors import NoPrimitiveCollectionError, SubfanCountAboveCapError
 from torickit.fans import (
     Fan,
-    _invariants,
+    _lattice_data,
     enumerate_subfans,
     fan_isomorphism,
     is_complete,
@@ -607,8 +607,8 @@ class TestIsomorphism:
         # e1 -> (1, 0), e2 -> (1, 2) is integral with determinant 2.
         smooth = Fan.from_maximal([(1, 0), (0, 1)], [(0, 1)])
         singular = Fan.from_maximal([(1, 0), (1, 2)], [(0, 1)])
-        assert _invariants(smooth)[:4] == _invariants(singular)[:4]
-        assert _invariants(smooth) != _invariants(singular)
+        assert _lattice_data(smooth)[0][:4] == _lattice_data(singular)[0][:4]
+        assert _lattice_data(smooth)[0] != _lattice_data(singular)[0]
         assert fan_isomorphism(smooth, singular) is None
         assert fan_isomorphism(singular, smooth) is None
 
@@ -689,12 +689,30 @@ class TestIsomorphism:
         assert sum(len(c) for c in classes) == 15
 
     @pytest.mark.parametrize(
-        "base",
-        [cp_fan(2)] + [hirzebruch_fan(k) for k in (1, 2, 3)] + [product_fan(1, 1)],
-        ids=["cp2", "h1", "h2", "h3", "cp1xcp1"],
+        "bases",
+        [[cp_fan(2)]]
+        + [[hirzebruch_fan(k)] for k in (1, 2, 3)]
+        + [[product_fan(1, 1)]]
+        # Rank-deficient fans, where the lift from the saturation
+        # coordinates to the lattice fills in the identity.
+        + [
+            [
+                Fan.from_maximal([(1, 0), (-1, 0)], [(0,), (1,)]),
+                Fan.from_maximal([(0, 1), (0, -1)], [(0,), (1,)]),
+            ],
+            [Fan.from_maximal([(2, 1)], [(0,)])],
+            [
+                Fan(
+                    3,
+                    tuple(g + (0,) for g in hirzebruch_fan(1).generators),
+                    hirzebruch_fan(1).cones,
+                )
+            ],
+        ],
+        ids=["cp2", "h1", "h2", "h3", "cp1xcp1", "axes", "ray21", "h1-in-z3"],
     )
-    def test_matrices_match_the_permutation_search(self, base):
-        fans = [base] + enumerate_subfans(base)
+    def test_matrices_match_the_permutation_search(self, bases):
+        fans = [fan for base in bases for fan in [base] + enumerate_subfans(base)]
         for a, b in itertools.product(fans, repeat=2):
             found, expected = fan_isomorphism(a, b), permutation_search_isomorphism(a, b)
             assert (found is None) == (expected is None)
@@ -725,13 +743,28 @@ class TestIsomorphism:
         assert sum(len(group) - 1 for group in classes) > len(subs) // 2
         assert len(calls) == len(subs)
 
+    def test_classes_lift_no_matrix(self, monkeypatch):
+        # Classification compares maps on the saturations only: no
+        # unimodular U is inverted to lift a map to the lattice.
+        calls = []
+        original = torickit.fans._integer_inverse
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        monkeypatch.setattr(torickit.fans, "_integer_inverse", counted)
+        classes = isomorphism_classes(enumerate_subfans(cp_fan(3)))
+        assert len(classes) == 18 and calls == []
+        assert fan_isomorphism(cp_fan(3), cp_fan(3)) is not None and len(calls) == 1
+
     @PROPERTY
     @given(st.sampled_from(ISOMORPHISM_POOL), st.data())
     def test_invariant_under_lattice_and_relabelling(self, fan, data):
         u = data.draw(unimodular_rows(fan.dim))
         perm = data.draw(st.permutations(range(fan.ray_count)))
         image = acted_on(fan, u, perm)
-        assert _invariants(image) == _invariants(fan)
+        assert _lattice_data(image)[0] == _lattice_data(fan)[0]
         witness = fan_isomorphism(fan, image)
         assert witness is not None and is_unimodular(witness)
         mapping = [image.generators.index(witness.apply(g)) for g in fan.generators]

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,7 @@ from oracles import (
     fraction_positive_kernel_vector,
     is_unimodular,
 )
+import torickit.fans
 import torickit.lattice
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan, load_catalog
 from torickit.cox import cox_report
@@ -26,9 +27,10 @@ from torickit.errors import (
     NonPositiveError,
     UnderdeterminedError,
 )
-from torickit.fans import Fan, _integer_inverse
+from torickit.fans import Fan, _integer_inverse, is_smooth
 from torickit.lattice import (
     IntegerMatrix,
+    _elementary_divisors,
     _fraction_free_rref,
     _lex_min,
     complete_degrees,
@@ -117,7 +119,7 @@ class TestSmithNormalForm:
 
 
 def spans_lattice(generators) -> bool:
-    """The span condition as `cox_report` decides it from its Smith form."""
+    """The span condition as `cox_report` decides it from its elementary divisors."""
     return cox_report(Fan.from_maximal(generators, [])).condition_span
 
 
@@ -583,6 +585,36 @@ class TestSmithProperties:
         check_decomposition(a, snf)
         assert (snf.U.rows, snf.V.rows) == (a.rows, a.cols)
         assert snf.rank == rational_rank(a.entries)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(integer_matrices())
+    def test_elementary_divisors_match_the_smith_form(self, a):
+        assert _elementary_divisors(a) == smith_normal_form(a).elementary_divisors
+
+    def test_elementary_divisors_of_a_large_entry_matrix(self):
+        # 50-digit entries: U and V of the full Smith form would reach
+        # thousands of digits, while the divisors multiply to |det|.
+        rng = random.Random(50)
+        rows = [[rng.randrange(-(10**50) + 1, 10**50) for _ in range(20)] for _ in range(20)]
+        divisors = _elementary_divisors(IntegerMatrix.from_rows(rows))
+        _, pivots, last, _ = _fraction_free_rref(rows)
+        assert len(pivots) == len(divisors) == 20
+        assert all(b % a == 0 for a, b in zip(divisors, divisors[1:]))
+        assert prod(divisors) == abs(last)
+
+    def test_cox_data_and_smoothness_build_no_smith_form(self, monkeypatch):
+        calls = []
+        original = torickit.lattice.smith_normal_form
+
+        def counted(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(torickit.lattice, "smith_normal_form", counted)
+        monkeypatch.setattr(torickit.fans, "smith_normal_form", counted)
+        fan = cp_fan(5)
+        assert cox_report(fan).condition_span and is_smooth(fan)
+        assert calls == []
 
     @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
     def test_empty_shapes(self, rows, cols):
