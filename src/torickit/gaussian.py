@@ -12,6 +12,14 @@ rational reconstruction and accepted only after exact trial division.
 The exact Euclidean fold remains the fallback for every case the prime
 cannot settle.
 
+A Gaussian rational (a + b*i)/d is stored as the integer triple (a, b, d)
+with d > 0 and gcd(a, b, d) = 1, so that equality and hashing compare
+fields. The arithmetic runs on plain ints with `math.gcd`: a pair of
+`Fraction`s cost most of a membership job's compute, and importing
+`fractions` (with `decimal` and `numbers`) about 3 ms of each CLI
+process. `fractions` loads only when a caller asks for a component as a
+`Fraction` or passes `gaussian` something other than ints.
+
 Polynomials are tuples of coefficients in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple.
 """
@@ -19,7 +27,6 @@ trailing zeros; the zero polynomial is the empty tuple.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, isqrt
 
 from ._record import record
@@ -27,64 +34,130 @@ from ._record import record
 
 @record
 class GaussianRational:
-    real: Fraction
-    imag: Fraction
+    """The Gaussian rational (a + b*i)/d, kept reduced: d > 0 and
+    gcd(a, b, d) = 1, so equal values have equal fields. The constructor
+    takes such a triple; `gaussian` builds one from rationals."""
 
-    def __post_init__(self):
-        if not isinstance(self.real, Fraction) or not isinstance(self.imag, Fraction):
-            raise TypeError("components must be fractions")
+    a: int
+    b: int
+    d: int
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.real + other.real, self.imag + other.imag)
+        return _sum(self.a, self.b, self.d, other.a, other.b, other.d)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.real - other.real, self.imag - other.imag)
+        return _sum(self.a, self.b, self.d, -other.a, -other.b, other.d)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.real, -self.imag)
+        return GaussianRational(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.real * other.real - self.imag * other.imag,
-            self.real * other.imag + self.imag * other.real,
-        )
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        norm = other.real * other.real + other.imag * other.imag
-        if norm == 0:
+        c, e, f = other.a, other.b, other.d
+        norm = c * c + e * e
+        if not norm:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.real * other.real + self.imag * other.imag) / norm,
-            (self.imag * other.real - self.real * other.imag) / norm,
-        )
+        a, b = self.a, self.b
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self.d * norm)
 
     @property
     def is_zero(self) -> bool:
-        return self.real == 0 and self.imag == 0
+        return not (self.a or self.b)
 
-    def abs_squared(self) -> Fraction:
-        return self.real * self.real + self.imag * self.imag
+    # The components as `Fraction`s, for callers outside the membership
+    # path; `fractions` (with `decimal` and `numbers`) loads on first use.
+    @property
+    def real(self):
+        from fractions import Fraction
+
+        return Fraction(self.a, self.d)
+
+    @property
+    def imag(self):
+        from fractions import Fraction
+
+        return Fraction(self.b, self.d)
+
+    def abs_squared(self):
+        from fractions import Fraction
+
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def __str__(self) -> str:
-        if self.imag == 0:
-            return str(self.real)
-        if self.real == 0:
-            return f"{self.imag}i"
-        sign = "+" if self.imag > 0 else "-"
-        return f"{self.real}{sign}{abs(self.imag)}i"
+        a, b, d = self.a, self.b, self.d
+        if not b:
+            return _fraction_string(a, d)
+        imag = _fraction_string(abs(b), d) + "i"
+        if not a:
+            return "-" + imag if b < 0 else imag
+        return _fraction_string(a, d) + ("-" if b < 0 else "+") + imag
 
 
-ZERO = GaussianRational(Fraction(0), Fraction(0))
-ONE = GaussianRational(Fraction(1), Fraction(0))
-I = GaussianRational(Fraction(0), Fraction(1))
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, divided through by gcd(a, b, d). `math.gcd`
+    skips the rest of its arguments once the running gcd is 1, so the
+    denominator, usually the shortest of the three, goes first."""
+    if d == 1:
+        return GaussianRational(a, b, 1)
+    g = gcd(d, a, b)
+    return GaussianRational(a // g, b // g, d // g)
+
+
+def _from_parts(n: int, d: int, m: int, e: int) -> GaussianRational:
+    """n/d + (m/e)*i for d, e > 0."""
+    return _reduced(n * e, m * d, d * e)
+
+
+def _sum(a: int, b: int, d: int, c: int, e: int, f: int) -> GaussianRational:
+    """(a + b*i)/d + (c + e*i)/f for reduced triples. As in `fractions`,
+    only a prime of g = gcd(d, f) can divide all of the result, so the
+    final gcd is taken with g, not with the full denominator."""
+    g = gcd(d, f)
+    if g == 1:
+        return GaussianRational(a * f + c * d, b * f + e * d, d * f)
+    s, t = d // g, f // g
+    re, im = a * t + c * s, b * t + e * s
+    h = gcd(g, re, im)
+    return GaussianRational(re // h, im // h, s * (f // h))
+
+
+def _fraction_string(n: int, d: int) -> str:
+    """n/d in lowest terms as `str(Fraction(n, d))` prints it, for d > 0."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // g)
+    return f"{n // g}/{d // g}"
+
+
+ZERO = GaussianRational(0, 0, 1)
+ONE = GaussianRational(1, 0, 1)
+I = GaussianRational(0, 1, 1)
 
 
 def gaussian(real, imag=0) -> GaussianRational:
     """Build a Gaussian rational from ints, fractions or fraction strings."""
-    return GaussianRational(Fraction(real), Fraction(imag))
+    if not (isinstance(real, int) and isinstance(imag, int)):
+        from fractions import Fraction
+
+        real, imag = Fraction(real), Fraction(imag)
+    return _from_parts(real.numerator, real.denominator, imag.numerator, imag.denominator)
 
 
 _FRACTION_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _parse_fraction(text: str) -> tuple[int, int]:
+    """Numerator and denominator of a string that matches _FRACTION_STRING;
+    a zero denominator raises the ZeroDivisionError `Fraction` raises."""
+    numerator, _, denominator = text.partition("/")
+    numerator = int(numerator)
+    denominator = int(denominator or "1")
+    if not denominator:
+        raise ZeroDivisionError(f"Fraction({numerator}, 0)")
+    return numerator, denominator
 
 
 def gaussian_from_pair(pair) -> GaussianRational:
@@ -95,11 +168,11 @@ def gaussian_from_pair(pair) -> GaussianRational:
         if not (isinstance(part, str) and _FRACTION_STRING.fullmatch(part)):
             raise ValueError(f"not a fraction string: {part!r}")
     real, imag = pair
-    return GaussianRational(Fraction(real), Fraction(imag))
+    return _from_parts(*_parse_fraction(real), *_parse_fraction(imag))
 
 
 def gaussian_to_pair(value: GaussianRational) -> list[str]:
-    return [str(value.real), str(value.imag)]
+    return [_fraction_string(value.a, value.d), _fraction_string(value.b, value.d)]
 
 
 # -- polynomials ------------------------------------------------------------
@@ -247,7 +320,7 @@ def _modular_gcd(polys) -> Poly | None:
         imag = _reconstruct((x1 - x2) * half_s % p, p)
         if real is None or imag is None:
             return None
-        candidate.append(GaussianRational(real, imag))
+        candidate.append(_from_parts(*real, *imag))
     candidate = tuple(candidate)
     if any(poly_divmod(f, candidate)[1] for f in polys):
         return None
@@ -257,16 +330,17 @@ def _modular_gcd(polys) -> Poly | None:
 def _images(polys, p: int, s: int):
     """Coefficient lists of the polynomials under i -> s and i -> -s mod p,
     or None if p divides a denominator or either image of a leading
-    coefficient is zero."""
+    coefficient is zero. The denominator d of (a + b*i)/d is the lcm of
+    those of the real and imaginary parts, so p divides it exactly when
+    p divides one of them."""
     plus, minus = [], []
     for f in polys:
         f_plus, f_minus = [], []
         for c in f:
-            re_den, im_den = c.real.denominator, c.imag.denominator
-            if re_den % p == 0 or im_den % p == 0:
+            if c.d % p == 0:
                 return None
-            re = c.real.numerator * pow(re_den, -1, p)
-            im = c.imag.numerator * pow(im_den, -1, p) * s
+            inverse = pow(c.d, -1, p)
+            re, im = c.a * inverse, c.b * inverse * s
             f_plus.append((re + im) % p)
             f_minus.append((re - im) % p)
         if f and not (f_plus[-1] and f_minus[-1]):
@@ -304,9 +378,10 @@ def _rem_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return rem
 
 
-def _reconstruct(u: int, p: int) -> Fraction | None:
-    """The fraction n/d = u (mod p) with |n|, d <= sqrt(p/2), if one exists
-    (Wang's half-extended Euclid; such a fraction is unique)."""
+def _reconstruct(u: int, p: int) -> tuple[int, int] | None:
+    """The reduced fraction n/d = u (mod p) with |n|, d <= sqrt(p/2), as
+    (n, d) with d > 0, if one exists (Wang's half-extended Euclid; such a
+    fraction is unique)."""
     bound = isqrt(p // 2)
     r0, r1, t0, t1 = p, u, 0, 1
     while r1 > bound:
@@ -315,7 +390,7 @@ def _reconstruct(u: int, p: int) -> Fraction | None:
         t0, t1 = t1, t0 - q * t1
     if abs(t1) > bound or gcd(r1, t1) != 1:
         return None
-    return Fraction(r1, t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def poly_eval(p: Poly, z: GaussianRational) -> GaussianRational:

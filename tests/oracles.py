@@ -32,6 +32,10 @@ a `Fraction` per variable is kept too (`fraction_lex_min`), with the
 positive kernel vector and the degree completion built on `Fraction`s
 (`fraction_positive_kernel_vector`, `fraction_complete_degrees`); the
 library now compares ratios by cross-multiplication and stays in integers.
+The Gaussian rational as a pair of `Fraction`s is kept too
+(`FractionGaussianRational`, with its constructor and its wire-form parser
+and printer); the library now stores (a + b*i)/d as a reduced integer
+triple.
 """
 
 from __future__ import annotations
@@ -41,7 +45,9 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
+from torickit._record import record
 from torickit.gaussian import (
+    _FRACTION_STRING,
     ONE,
     ZERO,
     GaussianRational,
@@ -77,6 +83,75 @@ from torickit.lattice import (
     smith_normal_form,
 )
 from torickit.stability import ReplayResult
+
+
+@record
+class FractionGaussianRational:
+    real: Fraction
+    imag: Fraction
+
+    def __post_init__(self):
+        if not isinstance(self.real, Fraction) or not isinstance(self.imag, Fraction):
+            raise TypeError("components must be fractions")
+
+    def __add__(self, other: "FractionGaussianRational") -> "FractionGaussianRational":
+        return FractionGaussianRational(self.real + other.real, self.imag + other.imag)
+
+    def __sub__(self, other: "FractionGaussianRational") -> "FractionGaussianRational":
+        return FractionGaussianRational(self.real - other.real, self.imag - other.imag)
+
+    def __neg__(self) -> "FractionGaussianRational":
+        return FractionGaussianRational(-self.real, -self.imag)
+
+    def __mul__(self, other: "FractionGaussianRational") -> "FractionGaussianRational":
+        return FractionGaussianRational(
+            self.real * other.real - self.imag * other.imag,
+            self.real * other.imag + self.imag * other.real,
+        )
+
+    def __truediv__(self, other: "FractionGaussianRational") -> "FractionGaussianRational":
+        norm = other.real * other.real + other.imag * other.imag
+        if norm == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return FractionGaussianRational(
+            (self.real * other.real + self.imag * other.imag) / norm,
+            (self.imag * other.real - self.real * other.imag) / norm,
+        )
+
+    @property
+    def is_zero(self) -> bool:
+        return self.real == 0 and self.imag == 0
+
+    def abs_squared(self) -> Fraction:
+        return self.real * self.real + self.imag * self.imag
+
+    def __str__(self) -> str:
+        if self.imag == 0:
+            return str(self.real)
+        if self.real == 0:
+            return f"{self.imag}i"
+        sign = "+" if self.imag > 0 else "-"
+        return f"{self.real}{sign}{abs(self.imag)}i"
+
+
+def fraction_gaussian(real, imag=0) -> FractionGaussianRational:
+    """Build a Gaussian rational from ints, fractions or fraction strings."""
+    return FractionGaussianRational(Fraction(real), Fraction(imag))
+
+
+def fraction_gaussian_from_pair(pair) -> FractionGaussianRational:
+    """Parse the wire form: a two-element [real, imaginary] fraction-string
+    pair. Each part must be a string like "3", "-3/4" or "007"; any other
+    form, a JSON number included, raises ValueError."""
+    for part in pair:
+        if not (isinstance(part, str) and _FRACTION_STRING.fullmatch(part)):
+            raise ValueError(f"not a fraction string: {part!r}")
+    real, imag = pair
+    return FractionGaussianRational(Fraction(real), Fraction(imag))
+
+
+def fraction_gaussian_to_pair(value: FractionGaussianRational) -> list[str]:
+    return [str(value.real), str(value.imag)]
 
 
 def gaussian_determinant(rows) -> GaussianRational:

@@ -190,6 +190,30 @@ class TestPolyTupleDocuments:
             jsonschema.validate(obj, POLY_TUPLE_SCHEMA)
             assert poly_tuple_from_obj(obj).polys[0][0] == gaussian(value)
 
+    @pytest.mark.parametrize(
+        "part, reason",
+        [("1/0", "Fraction(1, 0)"), ("-3/0", "Fraction(-3, 0)"), ("007/0", "Fraction(7, 0)")],
+    )
+    def test_zero_denominator_message(self, part, reason):
+        pair = [part, "0"]
+        obj = {"schema_version": 1, "polynomials": [[pair]]}
+        with pytest.raises(DocumentError) as caught:
+            poly_tuple_from_obj(obj)
+        assert str(caught.value) == f"bad coefficient {pair!r}: {reason}"
+
+    def test_digit_limit_message_is_the_interpreter_s(self):
+        digits = "1" * 5000
+        with pytest.raises(ValueError) as interpreter:
+            int(digits)
+        pair = [digits, "0"]
+        with pytest.raises(DocumentError) as caught:
+            poly_tuple_from_obj({"schema_version": 1, "polynomials": [[pair]]})
+        assert str(caught.value) == f"bad coefficient {pair!r}: {interpreter.value}"
+
+    def test_coefficients_print_reduced(self):
+        obj = {"schema_version": 1, "polynomials": [[["-0", "006/4"]]]}
+        assert poly_tuple_to_obj(poly_tuple_from_obj(obj))["polynomials"] == [[["0", "3/2"]]]
+
 
 class TestBundledCatalogFile:
     def test_every_catalog_entry_validates_against_the_schema(self):

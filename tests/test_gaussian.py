@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torickit.gaussian as gaussian_module
+from oracles import fraction_gaussian, fraction_gaussian_from_pair, fraction_gaussian_to_pair
 from torickit.gaussian import (
     ONE,
     POLY_ONE,
@@ -13,6 +14,8 @@ from torickit.gaussian import (
     ZERO,
     _PRIMES,
     gaussian,
+    gaussian_from_pair,
+    gaussian_to_pair,
     poly,
     poly_from_roots,
     poly_gcd,
@@ -142,6 +145,61 @@ def gcd_inputs(draw):
 @given(gcd_inputs())
 def test_matches_euclid_fold(polys):
     assert poly_multi_gcd(polys) == euclid_fold(polys)
+
+
+# Components: small, zero, and numerators and denominators far past one
+# machine word.
+COMPONENTS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+
+
+def agree(value, oracle_value):
+    """The integer triple and the Fraction pair print and read the same."""
+    pair = gaussian_to_pair(value)
+    assert pair == fraction_gaussian_to_pair(oracle_value)
+    assert (value.real, value.imag) == (oracle_value.real, oracle_value.imag)
+    assert str(value) == str(oracle_value)
+    assert value.is_zero == oracle_value.is_zero
+    assert gaussian_from_pair(pair) == value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(COMPONENTS, COMPONENTS, COMPONENTS, COMPONENTS)
+def test_integer_triples_match_the_fraction_pair_oracle(a, b, c, e):
+    x, y = gaussian(a, b), gaussian(c, e)
+    ox, oy = fraction_gaussian(a, b), fraction_gaussian(c, e)
+    agree(x, ox)
+    agree(y, oy)
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        if op == "__truediv__" and oy.is_zero:
+            with pytest.raises(ZeroDivisionError, match="division by zero Gaussian rational"):
+                x / y
+            continue
+        agree(getattr(x, op)(y), getattr(ox, op)(oy))
+    agree(-x, -ox)
+    assert x.abs_squared() == ox.abs_squared()
+    assert (x == y) == (ox == oy)
+    # Equal values hash alike however they were reached.
+    for same in (x + y - y, gaussian_from_pair(fraction_gaussian_to_pair(ox))):
+        assert same == x and hash(same) == hash(x)
+    if not y.is_zero:
+        assert x * y / y == x and hash(x * y / y) == hash(x)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [["1/0", "0"], ["0", "-3/0"], ["-3/0", "0"], ["007/0", "0"], ["-0/0", "1/0"], ["5/0", "x"]]
+    + [["1" * 5000, "0"], ["0", "1/" + "2" * 5000], ["1/0", "1" * 5000]],
+)
+def test_parse_errors_match_the_fraction_pair_oracle(pair):
+    with pytest.raises((ValueError, ZeroDivisionError)) as theirs:
+        fraction_gaussian_from_pair(pair)
+    with pytest.raises(theirs.type) as ours:
+        gaussian_from_pair(pair)
+    assert str(ours.value) == str(theirs.value)
 
 
 def is_prime(n):

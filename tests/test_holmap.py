@@ -136,6 +136,11 @@ class TestConfigToPolyTuple:
         cfg = Configuration.from_points([[(gaussian(5), 1), (gaussian(5), 2)]])
         assert cfg.sizes == (3,)
 
+    @pytest.mark.parametrize("bad", [1.0, 1.5, Fraction(3, 2)])
+    def test_non_integer_multiplicity_is_refused(self, bad):
+        with pytest.raises(TypeError):
+            Configuration.from_points([[(gaussian(5), bad)]])
+
 
 class TestEvaluate:
     def test_member_tuple_everywhere_in_u(self, hirzebruch1):

@@ -98,8 +98,9 @@ class TestModulesRun:
         ran, stdlib = modules_run("stabilize" if extra else "holcheck", *h1_files, *extra)
         assert {"gaussian", "holmap"} <= ran
         assert not ran & {"stability", "catalog", "cox", "cones"}
-        # Gaussian rationals are Fractions, so only argparse's modules stay out.
-        assert not stdlib & ARGPARSE
+        # Gaussian rationals are integer triples: `Fraction`s appear only
+        # where a library caller asks for one.
+        assert not stdlib & (ARGPARSE | FRACTIONS)
 
     def test_fan_checks_leave_cones_lazy(self):
         # Validation and smoothness call the LP and the Z-basis test in
