@@ -5,12 +5,11 @@ polynomials with coefficients in Q(i) exists over C iff their gcd computed
 over Q(i) has positive degree, so membership questions become exact gcd
 degree checks with no tolerances.
 
-`poly_multi_gcd` decides that degree modulo a fixed prime p = 1 (mod 4),
-where i has the two images +s and -s (s^2 = -1 mod p). A constant gcd mod
-p proves a constant gcd over Q(i); a non-constant one is lifted back by
-rational reconstruction and accepted only after exact trial division.
-The exact Euclidean fold remains the fallback for every case the prime
-cannot settle.
+`poly_multi_gcd` decides that degree modulo primes p = 1 (mod 4), where
+i has the two images +s and -s (s^2 = -1 mod p). A constant gcd mod p
+proves a constant gcd over Q(i); a non-constant one is combined over as
+many primes as it takes by the CRT, lifted back by rational
+reconstruction and accepted only after exact trial division.
 
 A Gaussian rational (a + b*i)/d is stored as the integer triple (a, b, d)
 with d > 0 and gcd(a, b, d) = 1, so that equality and hashing compare
@@ -200,12 +199,6 @@ def poly_is_monic(p: Poly) -> bool:
     return bool(p) and p[-1] == ONE
 
 
-def poly_scale(a: Poly, factor: GaussianRational) -> Poly:
-    if factor.is_zero:
-        return POLY_ZERO
-    return tuple(c * factor for c in a)
-
-
 def poly_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return POLY_ZERO
@@ -234,97 +227,101 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return poly(quotient), poly(remainder)
 
 
-def poly_monic(p: Poly) -> Poly:
-    if not p:
-        return POLY_ZERO
-    return poly_scale(p, ONE / p[-1])
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm.
-
-    Remainders are renormalized to monic at every step, which keeps
-    coefficient growth in check over Q(i).
-    """
-    a, b = poly_monic(a), poly_monic(b)
-    while b:
-        _, rem = poly_divmod(a, b)
-        a, b = b, poly_monic(rem)
-    return a
+    """Monic gcd of two polynomials (see poly_multi_gcd)."""
+    return poly_multi_gcd((a, b))
 
 
 def poly_multi_gcd(polys) -> Poly:
     """Monic gcd of the polynomials (the zero polynomial if all are zero).
 
-    Modular first: the inputs are reduced modulo a prime p = 1 (mod 4)
-    under i -> s and i -> -s, skipping to a second prime when p divides a
-    denominator or the image of a leading coefficient. Let g be the true
-    monic gcd and g_p the gcd of the images under i -> s.
+    The inputs are reduced modulo primes p = 1 (mod 4) under i -> s and
+    i -> -s (see _primes), skipping a prime that divides a denominator or
+    the image of a leading coefficient. Let g be the true monic gcd and g_p
+    the gcd of the images under i -> s.
 
-    - Constant case: each input divided by its leading coefficient is
-      monic with coefficients integral at the prime (p, i - s), so its
-      monic factor g is integral there too (Gauss's lemma), and the image
-      of g divides every image with degree deg g. Hence deg g <= deg g_p,
-      and a constant g_p proves g = 1.
-    - Verified case: the coefficients of g_p and of the gcd under i -> -s
-      give re = (x1 + x2)/2 and im = (x1 - x2)/(2s) mod p, which are
-      rationally reconstructed into a monic candidate c of degree deg g_p.
-      If c divides every input exactly, then c divides g, so
+    - Each input divided by its leading coefficient is monic with
+      coefficients integral at the prime (p, i - s), so its monic factor g
+      is integral there too (Gauss's lemma), and the image of g divides
+      every image. Hence deg g <= deg g_p, a constant g_p proves g = 1, and
+      deg g_p = deg g makes g_p the image of g (likewise under i -> -s).
+    - The coefficients of g_p and of the gcd under i -> -s give
+      re = (x1 + x2)/2 and im = (x1 - x2)/(2s) mod p. These are combined
+      by the CRT over the primes of the least degree seen so far (a prime
+      whose two images differ in degree is skipped) and rationally
+      reconstructed modulo their product into a monic candidate c. If c
+      divides every input exactly, then c divides g, so
       deg g_p = deg c <= deg g <= deg g_p and c = g.
 
-    Anything else (the two images disagree in degree, a coefficient does
-    not reconstruct, a trial division leaves a remainder) falls back to
-    the exact Euclidean fold in ascending index order, stopping once
-    constant.
+    The loop ends: only finitely many primes are skipped or see a degree
+    above deg g, since each divides a nonzero integer fixed by the inputs
+    (a denominator, a leading coefficient's norm, or a denominator of
+    Bezout cofactors for the inputs over g). Past them every prime gives
+    the images of g, their product outgrows twice the square of every
+    numerator and denominator in g, and reconstruction returns g.
     """
     polys = tuple(polys)
-    if any(polys):
-        candidate = _modular_gcd(polys)
-        if candidate is not None:
+    if not any(polys):
+        return POLY_ZERO
+    size = max(map(len, polys)) + 1  # above any gcd's coefficient count
+    for p, s in _primes():
+        images = _images(polys, p, s)
+        if images is None:
+            continue
+        g = _fold_mod(images[0], p)
+        if len(g) == 1:
+            return POLY_ONE
+        h = _fold_mod(images[1], p)
+        if len(h) != len(g) or len(g) > size:
+            continue
+        if len(g) < size:
+            size, modulus, residues = len(g), 1, [0] * (2 * len(g))
+        half, half_s, lift = pow(2, -1, p), pow(2 * s, -1, p), pow(modulus, -1, p)
+        values = []
+        for x1, x2 in zip(g, h):
+            values += ((x1 + x2) * half, (x1 - x2) * half_s)
+        residues = [r + modulus * ((v - r) * lift % p) for r, v in zip(residues, values)]
+        modulus *= p
+        parts = [_reconstruct(r, modulus) for r in residues]
+        if None in parts:
+            continue
+        candidate = tuple(_from_parts(*parts[k], *parts[k + 1]) for k in range(0, len(parts), 2))
+        if not any(poly_divmod(f, candidate)[1] for f in polys):
             return candidate
-    result = POLY_ZERO
-    for p in polys:
-        result = poly_gcd(result, p)
-        if poly_degree(result) == 0:
-            break
-    return result
 
 
-# Primes p = 1 (mod 4) with s^2 = -1 (mod p). The second is used only when
-# the first divides a denominator or a leading coefficient of the input.
+# Primes p = 1 (mod 4) with s^2 = -1 (mod p): the first two that _primes
+# yields, precomputed because the search costs about 0.5 ms a prime.
 _PRIMES = (
     (2**61 - 31, 583529827753931384),
     (2**61 - 259, 966685122347009555),
 )
 
 
-def _modular_gcd(polys) -> Poly | None:
-    """The monic gcd when one prime settles it, else None (see poly_multi_gcd)."""
-    for p, s in _PRIMES:
-        images = _images(polys, p, s)
-        if images is not None:
-            break
-    else:
-        return None
-    plus, minus = images
-    g = _fold_mod(plus, p)
-    if len(g) == 1:
-        return POLY_ONE
-    h = _fold_mod(minus, p)
-    if len(h) != len(g):
-        return None
-    half, half_s = pow(2, -1, p), pow(2 * s, -1, p)
-    candidate = []
-    for x1, x2 in zip(g, h):
-        real = _reconstruct((x1 + x2) * half % p, p)
-        imag = _reconstruct((x1 - x2) * half_s % p, p)
-        if real is None or imag is None:
-            return None
-        candidate.append(_from_parts(*real, *imag))
-    candidate = tuple(candidate)
-    if any(poly_divmod(f, candidate)[1] for f in polys):
-        return None
-    return candidate
+def _primes():
+    """(p, s) for the primes p = 1 (mod 4) below 2^61, largest first, with
+    s = c^((p - 1)/4) mod p for the least quadratic non-residue c, so that
+    s^2 = -1 (mod p)."""
+    yield from _PRIMES
+    p = _PRIMES[-1][0]
+    while True:
+        p -= 4
+        if _is_prime(p):
+            c = 2
+            while pow(c, (p - 1) // 2, p) != p - 1:
+                c += 1
+            yield p, pow(c, (p - 1) // 4, p)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact for odd
+    37 < n < 318665857834031151167461."""
+    twos = ((n - 1) & (1 - n)).bit_length() - 1  # 2^twos exactly divides n - 1
+    for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(b, (n - 1) >> twos, n)
+        if x != 1 and all(pow(x, 2**k, n) != n - 1 for k in range(twos)):
+            return False
+    return True
 
 
 def _images(polys, p: int, s: int):

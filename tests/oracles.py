@@ -35,7 +35,9 @@ library now compares ratios by cross-multiplication and stays in integers.
 The Gaussian rational as a pair of `Fraction`s is kept too
 (`FractionGaussianRational`, with its constructor and its wire-form parser
 and printer); the library now stores (a + b*i)/d as a reduced integer
-triple.
+triple. So is the exact Euclidean gcd fold (`euclid_multi_gcd`, with
+`euclid_gcd`, `poly_monic` and `poly_scale`); the library now takes every
+gcd modulo as many primes as it needs, combined by the CRT.
 """
 
 from __future__ import annotations
@@ -49,11 +51,13 @@ from torickit._record import record
 from torickit.gaussian import (
     _FRACTION_STRING,
     ONE,
+    POLY_ZERO,
     ZERO,
     GaussianRational,
     Poly,
     gaussian,
     poly_degree,
+    poly_divmod,
 )
 from torickit.cones import (
     SimplicialCone,
@@ -152,6 +156,43 @@ def fraction_gaussian_from_pair(pair) -> FractionGaussianRational:
 
 def fraction_gaussian_to_pair(value: FractionGaussianRational) -> list[str]:
     return [str(value.real), str(value.imag)]
+
+
+def poly_scale(a: Poly, factor: GaussianRational) -> Poly:
+    if factor.is_zero:
+        return POLY_ZERO
+    return tuple(c * factor for c in a)
+
+
+def poly_monic(p: Poly) -> Poly:
+    if not p:
+        return POLY_ZERO
+    return poly_scale(p, ONE / p[-1])
+
+
+def euclid_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by the Euclidean algorithm.
+
+    Remainders are renormalized to monic at every step, which keeps
+    coefficient growth in check over Q(i).
+    """
+    a, b = poly_monic(a), poly_monic(b)
+    while b:
+        _, rem = poly_divmod(a, b)
+        a, b = b, poly_monic(rem)
+    return a
+
+
+def euclid_multi_gcd(polys) -> Poly:
+    """Monic gcd of the polynomials (the zero polynomial if all are zero) by
+    the exact Euclidean fold in ascending index order, stopping once
+    constant."""
+    result = POLY_ZERO
+    for p in polys:
+        result = euclid_gcd(result, p)
+        if poly_degree(result) == 0:
+            break
+    return result
 
 
 def gaussian_determinant(rows) -> GaussianRational:

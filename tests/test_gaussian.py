@@ -1,4 +1,4 @@
-import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torickit.gaussian as gaussian_module
-from oracles import fraction_gaussian, fraction_gaussian_from_pair, fraction_gaussian_to_pair
+from oracles import (
+    euclid_gcd,
+    euclid_multi_gcd,
+    fraction_gaussian,
+    fraction_gaussian_from_pair,
+    fraction_gaussian_to_pair,
+    poly_scale,
+)
 from torickit.gaussian import (
     ONE,
     POLY_ONE,
@@ -21,15 +28,11 @@ from torickit.gaussian import (
     poly_gcd,
     poly_mul,
     poly_multi_gcd,
-    poly_scale,
 )
 
-P0 = _PRIMES[0][0]
+P0, P1 = _PRIMES[0][0], _PRIMES[1][0]
 Z = (ZERO, ONE)
-
-
-def euclid_fold(polys):
-    return functools.reduce(poly_gcd, polys, POLY_ZERO)
+TALL_ROOT = (Fraction(3**70, 7), Fraction(-5, 11**30))
 
 
 def roots(*values):
@@ -37,40 +40,62 @@ def roots(*values):
 
 
 @pytest.fixture
-def gcd_calls(monkeypatch):
-    """Counts calls of the exact Euclid, which only the fallback makes."""
+def primes_used(monkeypatch):
+    """Counts the primes a gcd reduces its inputs modulo, skipped ones too,
+    and fails a gcd that has not ended after 64 of them."""
     calls = []
-    original = gaussian_module.poly_gcd
+    original = gaussian_module._images
 
-    def counted(a, b):
+    def counted(*args):
         calls.append(1)
-        return original(a, b)
+        assert len(calls) <= 64, "no gcd after 64 primes"
+        return original(*args)
 
-    monkeypatch.setattr(gaussian_module, "poly_gcd", counted)
+    monkeypatch.setattr(gaussian_module, "_images", counted)
     return calls
 
 
-# name -> (polynomials, which path decides: a prime, the Euclid fallback, or
-# the fold alone because no input is nonzero)
+# name -> (polynomials, the number of primes the gcd uses)
 EDGE_CASES = {
     # z - p0 = z (mod p0): the candidate z fails trial division.
-    "unlucky_prime": ([Z, (gaussian(-P0), ONE)], "euclid"),
+    "unlucky_prime": ([Z, (gaussian(-P0), ONE)], 2),
+    # p0 sees z(z - 1); the second prime sees z - 1 and starts over.
+    "restart": ([roots((0,), (1,)), roots((1,), (P0,))], 2),
+    # i - s0 = 0 (mod p0, i - s0) only: p0's two images differ in degree.
+    "images_differ": ([Z, roots((-_PRIMES[0][1], 1))], 2),
     # p0 divides a denominator: the second prime decides.
-    "denominator_p0_coprime": ([roots((Fraction(1, P0),)), roots((-1,))], "prime"),
-    "denominator_p0_shared": ([roots((Fraction(1, P0),), (2,)), roots((-1,), (2,))], "prime"),
+    "denominator_p0_coprime": ([roots((Fraction(1, P0),)), roots((-1,))], 2),
+    "denominator_p0_shared": ([roots((Fraction(1, P0),), (2,)), roots((-1,), (2,))], 2),
+    # p0 * p1 divides a denominator: the third prime decides.
+    "denominator_p0_p1_coprime": ([roots((Fraction(1, P0 * P1),)), roots((-1,))], 3),
+    "denominator_p0_p1_shared": (
+        [roots((Fraction(1, P0 * P1),), (2,)), roots((-1,), (2,))],
+        3,
+    ),
     # p0 divides a leading coefficient: the second prime decides.
-    "leading_p0": ([(ONE, gaussian(P0)), roots((1,))], "prime"),
+    "leading_p0": ([(ONE, gaussian(P0)), roots((1,))], 2),
     "double_root": (
         [
             poly_mul(roots((Fraction(1, 3), 2), (Fraction(1, 3), 2)), roots((1,))),
             poly_mul(roots((Fraction(1, 3), 2), (Fraction(1, 3), 2)), roots((-1, 5))),
         ],
-        "prime",
+        1,
     ),
     # 2^40 / 3^25 is beyond the reconstruction bound sqrt(p0 / 2) < 2^31.
     "beyond_reconstruction": (
         [roots((Fraction(2**40, 3**25), 1), (1,)), roots((Fraction(2**40, 3**25), 1), (-1,))],
-        "euclid",
+        2,
+    ),
+    # Components near 2^111 and 2^104 need p0 * ... * p3 > 2^223.
+    "beyond_three_primes": (
+        [roots(TALL_ROOT, (1,)), roots(TALL_ROOT, (-1,))],
+        4,
+    ),
+    # p0 sees the tall root alone, p1 sees z too and is skipped, and the
+    # CRT goes on over p0, p2, p3 and p4.
+    "unlucky_after_lucky": (
+        [poly_mul(roots(TALL_ROOT), Z), poly_mul(roots(TALL_ROOT), roots((P1,)))],
+        5,
     ),
     "non_monic": (
         [
@@ -78,37 +103,38 @@ EDGE_CASES = {
             poly_scale(roots((5, -1), (2,)), gaussian(Fraction(1, 2))),
             poly_scale(roots((5, -1), (Fraction(-7, 2), 1)), gaussian(-2, 1)),
         ],
-        "prime",
+        1,
     ),
-    "constants": ([(gaussian(3),), roots((1,))], "prime"),
-    "empty": ([], "fold"),
-    "zero": ([POLY_ZERO], "fold"),
-    "zeros": ([POLY_ZERO, POLY_ZERO], "fold"),
-    "zero_first": ([POLY_ZERO, roots((2, 3))], "prime"),
-    "zero_last": ([poly_scale(roots((2, 3)), gaussian(4)), POLY_ZERO], "prime"),
+    "constants": ([(gaussian(3),), roots((1,))], 1),
+    "empty": ([], 0),
+    "zero": ([POLY_ZERO], 0),
+    "zeros": ([POLY_ZERO, POLY_ZERO], 0),
+    "zero_first": ([POLY_ZERO, roots((2, 3))], 1),
+    "zero_last": ([poly_scale(roots((2, 3)), gaussian(4)), POLY_ZERO], 1),
 }
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
-def test_edge_case_matches_euclid_fold(name, gcd_calls):
-    polys, path = EDGE_CASES[name]
+def test_edge_case_matches_euclid_fold(name, primes_used):
+    polys, primes = EDGE_CASES[name]
     result = poly_multi_gcd(polys)
-    if path == "prime":
-        assert not gcd_calls
-    elif path == "euclid":
-        assert gcd_calls
-    assert result == euclid_fold(polys)
+    assert len(primes_used) == primes
+    assert result == euclid_multi_gcd(polys)
 
 
 def test_edge_case_results():
     assert poly_multi_gcd(EDGE_CASES["unlucky_prime"][0]) == POLY_ONE
+    assert poly_multi_gcd(EDGE_CASES["restart"][0]) == roots((1,))
     assert poly_multi_gcd(EDGE_CASES["denominator_p0_shared"][0]) == roots((2,))
+    assert poly_multi_gcd(EDGE_CASES["denominator_p0_p1_coprime"][0]) == POLY_ONE
+    assert poly_multi_gcd(EDGE_CASES["denominator_p0_p1_shared"][0]) == roots((2,))
     assert poly_multi_gcd(EDGE_CASES["double_root"][0]) == roots(
         (Fraction(1, 3), 2), (Fraction(1, 3), 2)
     )
     assert poly_multi_gcd(EDGE_CASES["beyond_reconstruction"][0]) == roots(
         (Fraction(2**40, 3**25), 1)
     )
+    assert poly_multi_gcd(EDGE_CASES["beyond_three_primes"][0]) == roots(TALL_ROOT)
     assert poly_multi_gcd(EDGE_CASES["non_monic"][0]) == roots((5, -1))
     assert poly_multi_gcd(EDGE_CASES["empty"][0]) == POLY_ZERO
     assert poly_multi_gcd(EDGE_CASES["zeros"][0]) == POLY_ZERO
@@ -144,7 +170,8 @@ def gcd_inputs(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(gcd_inputs())
 def test_matches_euclid_fold(polys):
-    assert poly_multi_gcd(polys) == euclid_fold(polys)
+    assert poly_multi_gcd(polys) == euclid_multi_gcd(polys)
+    assert poly_gcd(polys[0], polys[1]) == euclid_gcd(polys[0], polys[1])
 
 
 # Components: small, zero, and numerators and denominators far past one
@@ -202,8 +229,13 @@ def test_parse_errors_match_the_fraction_pair_oracle(pair):
     assert str(ours.value) == str(theirs.value)
 
 
+# psi_12: the least composite that passes the strong test to the first
+# twelve prime bases.
+PSI_12 = 318665857834031151167461
+
+
 def is_prime(n):
-    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
+    """Miller-Rabin with the first twelve prime bases: exact below PSI_12."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if n in bases:
         return True
@@ -225,10 +257,28 @@ def is_prime(n):
     return True
 
 
-@pytest.mark.parametrize("p, s", _PRIMES)
+def test_is_prime_misclassifies_psi_12():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert is_prime(PSI_12)
+
+
+PRIME_SEQUENCE = list(itertools.islice(gaussian_module._primes(), 6))
+
+
+@pytest.mark.parametrize("p, s", PRIME_SEQUENCE)
 def test_primes_carry_a_square_root_of_minus_one(p, s):
-    assert p < 3 * 10**24 and is_prime(p)
+    assert p < PSI_12 and is_prime(p)
     assert p % 4 == 1 and s * s % p == p - 1
+
+
+def test_primes_run_down_from_2_61_without_a_gap():
+    """Every prime p = 1 (mod 4) below 2^61 in turn, starting from the two
+    precomputed pairs."""
+    assert PRIME_SEQUENCE[:2] == list(_PRIMES)
+    last = PRIME_SEQUENCE[-1][0]
+    assert [p for p, _ in PRIME_SEQUENCE] == [
+        n for n in range(2**61 - 3, last - 1, -4) if is_prime(n)
+    ]
 
 
 def test_submodule_import_binds_the_module():

@@ -372,21 +372,25 @@ class TestOracleAgreement:
 
 
 class TestGcdWork:
-    """The modular gcd settles membership without the exact Euclid: members
-    cost no exact polynomial division, non-members one trial division per
-    polynomial of each violated collection."""
+    """The first prime settles every gcd of membership on these inputs:
+    members cost no exact polynomial division, non-members one trial
+    division per polynomial of each violated collection."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = collections.Counter()
-        for name in ("poly_gcd", "poly_divmod"):
-            original = getattr(gaussian_module, name)
+        for module, name in (
+            (holmap_module, "poly_multi_gcd"),
+            (gaussian_module, "_images"),
+            (gaussian_module, "poly_divmod"),
+        ):
+            original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original):
                 counts[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(gaussian_module, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return counts
 
     @staticmethod
@@ -410,7 +414,8 @@ class TestGcdWork:
         tup = self.tuple_from(self.distinct_root_slots(random.Random(RNG_SEED + 6), (40,) * 4))
         assert is_member(tup, fan)
         assert violating_collections(tup, fan) == ()
-        assert calls == {}
+        assert calls["_images"] == calls["poly_multi_gcd"] > 0
+        assert calls["poly_divmod"] == 0
 
     def test_degree_40_nonmember_on_cp3(self, calls):
         fan = cp_fan(3)
@@ -419,7 +424,7 @@ class TestGcdWork:
             slot[0] = slots[0][0]
         tup = self.tuple_from(slots)
         assert violating_collections(tup, fan) == (frozenset(range(4)),)
-        assert calls["poly_gcd"] == 0
+        assert calls["_images"] == calls["poly_multi_gcd"] > 0
         assert calls["poly_divmod"] <= 4
 
     def test_only_violated_collections_divide(self, calls, hirzebruch1):
@@ -427,5 +432,5 @@ class TestGcdWork:
         slots[2][0] = slots[0][0]
         tup = self.tuple_from(slots)
         assert violating_collections(tup, hirzebruch1) == (frozenset({0, 2}),)
-        assert calls["poly_gcd"] == 0
+        assert calls["_images"] == calls["poly_multi_gcd"] > 0
         assert calls["poly_divmod"] <= 2
