@@ -7,9 +7,9 @@ degree checks with no tolerances.
 
 `poly_multi_gcd` decides that degree modulo primes p = 1 (mod 4), where
 i has the two images +s and -s (s^2 = -1 mod p). A constant gcd mod p
-proves a constant gcd over Q(i); a non-constant one is combined over as
-many primes as it takes by the CRT, lifted back by rational
-reconstruction and accepted only after exact trial division.
+proves a constant gcd over Q(i); a non-constant one and its cofactor in
+the shortest input are combined over as many primes as it takes by the
+CRT, reconstructed as rationals and checked by exact trial division.
 
 A Gaussian rational (a + b*i)/d is stored as the integer triple (a, b, d)
 with d > 0 and gcd(a, b, d) = 1, so that equality and hashing compare
@@ -235,35 +235,37 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 def poly_multi_gcd(polys) -> Poly:
     """Monic gcd of the polynomials (the zero polynomial if all are zero).
 
-    The inputs are reduced modulo primes p = 1 (mod 4) under i -> s and
+    Let g be the true monic gcd, f the shortest nonzero input and c = f/g.
+    The inputs are mapped modulo primes p = 1 (mod 4) under i -> s and
     i -> -s (see _primes), skipping a prime that divides a denominator or
-    the image of a leading coefficient. Let g be the true monic gcd and g_p
-    the gcd of the images under i -> s.
+    an image of a leading coefficient. Each input over its leading
+    coefficient is monic and integral at (p, i - s), so is its factor g
+    (Gauss's lemma), and the image of g divides the monic gcd g_p of the
+    images. So deg g <= deg g_p, a constant g_p proves g = 1, and at
+    deg g_p = deg g, g_p and f_p/g_p are the images of g and c.
 
-    - Each input divided by its leading coefficient is monic with
-      coefficients integral at the prime (p, i - s), so its monic factor g
-      is integral there too (Gauss's lemma), and the image of g divides
-      every image. Hence deg g <= deg g_p, a constant g_p proves g = 1, and
-      deg g_p = deg g makes g_p the image of g (likewise under i -> -s).
-    - The coefficients of g_p and of the gcd under i -> -s give
-      re = (x1 + x2)/2 and im = (x1 - x2)/(2s) mod p. These are combined
-      by the CRT over the primes of the least degree seen so far (a prime
-      whose two images differ in degree is skipped) and rationally
-      reconstructed modulo their product into a monic candidate c. If c
-      divides every input exactly, then c divides g, so
-      deg g_p = deg c <= deg g <= deg g_p and c = g.
+    The parts re = (x1 + x2)/2 and im = (x1 - x2)/(2s) of the coefficients
+    of g_p and f_p/g_p (x1 under s, x2 under -s) are combined by the CRT
+    over the primes of the least degree seen (a prime whose two images
+    differ in degree is skipped) and rationally reconstructed. A candidate
+    g, or f over a candidate c (which settles a tall g with a short c, as
+    for equal inputs), is tried at the first prime of its degree and then
+    when the next prime gives it again; if it divides every input, it
+    divides g, and its degree deg g_p makes it g.
 
     The loop ends: only finitely many primes are skipped or see a degree
-    above deg g, since each divides a nonzero integer fixed by the inputs
-    (a denominator, a leading coefficient's norm, or a denominator of
-    Bezout cofactors for the inputs over g). Past them every prime gives
-    the images of g, their product outgrows twice the square of every
-    numerator and denominator in g, and reconstruction returns g.
+    above deg g, each dividing a nonzero integer fixed by the inputs (a
+    denominator, a leading coefficient's norm, or a denominator of Bezout
+    cofactors for the inputs over g). Past them every prime gives the
+    images of g, and once their product exceeds twice the square of every
+    numerator and denominator in g, every prime reconstructs g.
     """
     polys = tuple(polys)
     if not any(polys):
         return POLY_ZERO
-    size = max(map(len, polys)) + 1  # above any gcd's coefficient count
+    f = min((e for e in polys if e), key=len)
+    at, size, previous = polys.index(f), len(f) + 1, [None, None]
+    others = polys[:at] + polys[at + 1 :]
     for p, s in _primes():
         images = _images(polys, p, s)
         if images is None:
@@ -275,27 +277,26 @@ def poly_multi_gcd(polys) -> Poly:
         if len(h) != len(g) or len(g) > size:
             continue
         if len(g) < size:
-            size, modulus, residues = len(g), 1, [0] * (2 * len(g))
+            size, modulus, residues = len(g), 1, [0] * (2 * len(f) + 2)
+        g += _divmod_mod(images[0][at], g, p)[0]
+        h += _divmod_mod(images[1][at], h, p)[0]
         half, half_s, lift = pow(2, -1, p), pow(2 * s, -1, p), pow(modulus, -1, p)
-        values = []
-        for x1, x2 in zip(g, h):
-            values += ((x1 + x2) * half, (x1 - x2) * half_s)
+        values = [x for x1, x2 in zip(g, h) for x in ((x1 + x2) * half, (x1 - x2) * half_s)]
         residues = [r + modulus * ((v - r) * lift % p) for r, v in zip(residues, values)]
         modulus *= p
-        parts = [_reconstruct(r, modulus) for r in residues]
-        if None in parts:
-            continue
-        candidate = tuple(_from_parts(*parts[k], *parts[k + 1]) for k in range(0, len(parts), 2))
-        if not any(poly_divmod(f, candidate)[1] for f in polys):
-            return candidate
+        for k, part in enumerate((residues[: 2 * size], residues[2 * size :])):
+            lifted = _reconstruct(part, modulus)
+            if lifted is not None and (modulus == p or lifted == previous[k]):
+                quotient, rest = poly_divmod(f, lifted)
+                candidate = quotient if k else lifted
+                if not rest and not any(poly_divmod(e, candidate)[1] for e in others):
+                    return candidate
+            previous[k] = lifted
 
 
 # Primes p = 1 (mod 4) with s^2 = -1 (mod p): the first two that _primes
 # yields, precomputed because the search costs about 0.5 ms a prime.
-_PRIMES = (
-    (2**61 - 31, 583529827753931384),
-    (2**61 - 259, 966685122347009555),
-)
+_PRIMES = ((2**61 - 31, 583529827753931384), (2**61 - 259, 966685122347009555))
 
 
 def _primes():
@@ -354,40 +355,43 @@ def _fold_mod(polys, p: int) -> list[int]:
         while f:
             lead = pow(f[-1], -1, p)
             f = [c * lead % p for c in f]
-            g, f = f, _rem_mod(g, f, p)
+            g, f = f, _divmod_mod(g, f, p)[1]
         if len(g) == 1:
             break
     return g
 
 
-def _rem_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a by the monic b over F_p."""
-    rem = list(a)
-    n = len(b) - 1
+def _divmod_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic b over F_p."""
+    rem, quotient, n = list(a), [], len(b) - 1
     for top in range(len(rem) - 1, n - 1, -1):
         q = rem.pop()
+        quotient.append(q)
         if q:
             base = top - n
             for j in range(n):
                 rem[base + j] = (rem[base + j] - q * b[j]) % p
     while rem and not rem[-1]:
         rem.pop()
-    return rem
+    return quotient[::-1], rem
 
 
-def _reconstruct(u: int, p: int) -> tuple[int, int] | None:
-    """The reduced fraction n/d = u (mod p) with |n|, d <= sqrt(p/2), as
-    (n, d) with d > 0, if one exists (Wang's half-extended Euclid; such a
-    fraction is unique)."""
-    bound = isqrt(p // 2)
-    r0, r1, t0, t1 = p, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
+def _reconstruct(residues: list[int], modulus: int) -> Poly | None:
+    """The polynomial with these (re, im) coefficient residues, each part
+    the reduced fraction n/d = u (mod modulus) with |n|, d <=
+    sqrt(modulus/2) (Wang's half-extended Euclid; such a fraction is
+    unique), or None at the first residue without one."""
+    bound, parts = isqrt(modulus // 2), []
+    for u in residues:
+        r0, r1, t0, t1 = modulus, u, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            t0, t1 = t1, t0 - q * t1
+        if abs(t1) > bound or gcd(r1, t1) != 1:
+            return None
+        parts.append((r1, t1) if t1 > 0 else (-r1, -t1))
+    return tuple(_from_parts(*parts[k], *parts[k + 1]) for k in range(0, len(parts), 2))
 
 
 def poly_eval(p: Poly, z: GaussianRational) -> GaussianRational:

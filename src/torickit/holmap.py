@@ -35,11 +35,10 @@ from .gaussian import (
 PointMultiset = tuple[tuple[GaussianRational, int], ...]
 
 # The largest polynomial degree that membership and stabilization accept.
-# The gcds and products grow superlinearly with the degree. At this cap, on
-# cp4 with a root shared by all five polynomials, `holcheck` takes about
-# 0.4 s and `stabilize` about 0.6 s as fresh CLI processes (2 vCPU,
-# CPython 3.11), and `holcheck` about 0.7 s when the shared root is too
-# tall for one prime's reconstruction bound and the gcd takes two primes.
+# At this cap, on cp4 with a root shared by all five polynomials, `holcheck`
+# takes about 0.4 s and `stabilize` about 0.6 s as fresh CLI processes
+# (2 vCPU, CPython 3.11); a shared root too tall for one prime's
+# reconstruction bound makes the gcd take three primes and `holcheck` 0.8 s.
 MAX_DEGREE = 320
 
 

@@ -33,6 +33,7 @@ from torickit.gaussian import (
 P0, P1 = _PRIMES[0][0], _PRIMES[1][0]
 Z = (ZERO, ONE)
 TALL_ROOT = (Fraction(3**70, 7), Fraction(-5, 11**30))
+OTHER_TALL_ROOT = (Fraction(-(7**39), 2), Fraction(13**28, 3))
 
 
 def roots(*values):
@@ -81,22 +82,37 @@ EDGE_CASES = {
         ],
         1,
     ),
-    # 2^40 / 3^25 is beyond the reconstruction bound sqrt(p0 / 2) < 2^31.
+    # 2^40 / 3^25 is beyond the reconstruction bound sqrt(p0 / 2) < 2^31,
+    # but the cofactor z - 1 of the first input is not: the first input
+    # over it is the gcd.
     "beyond_reconstruction": (
         [roots((Fraction(2**40, 3**25), 1), (1,)), roots((Fraction(2**40, 3**25), 1), (-1,))],
-        2,
+        1,
     ),
-    # Components near 2^111 and 2^104 need p0 * ... * p3 > 2^223.
+    # The cofactors are too tall for two primes as well: the gcd
+    # reconstructs modulo p0 * p1 and is tried once p2 gives it again.
+    "confirmed_by_next_prime": (
+        [roots((Fraction(2**40, 3**25), 1), TALL_ROOT), roots((Fraction(2**40, 3**25), 1), OTHER_TALL_ROOT)],
+        3,
+    ),
+    # Components near 2^111 and 2^104 need p0 * ... * p3 > 2^223, and p4
+    # confirms; the cofactors are as tall.
     "beyond_three_primes": (
-        [roots(TALL_ROOT, (1,)), roots(TALL_ROOT, (-1,))],
-        4,
-    ),
-    # p0 sees the tall root alone, p1 sees z too and is skipped, and the
-    # CRT goes on over p0, p2, p3 and p4.
-    "unlucky_after_lucky": (
-        [poly_mul(roots(TALL_ROOT), Z), poly_mul(roots(TALL_ROOT), roots((P1,)))],
+        [roots(TALL_ROOT, OTHER_TALL_ROOT), roots(TALL_ROOT, (-1, OTHER_TALL_ROOT[0]))],
         5,
     ),
+    # p0 sees the gcd alone, p1 sees z too and is skipped, and the CRT goes
+    # on over p0, p2, p3 and p4; p5 confirms.
+    "unlucky_after_lucky": (
+        [
+            poly_mul(roots(TALL_ROOT, OTHER_TALL_ROOT), Z),
+            poly_mul(roots(TALL_ROOT, (-1, OTHER_TALL_ROOT[0])), roots((P1,))),
+        ],
+        6,
+    ),
+    # The gcd is a whole input: its cofactor 1 settles it at p0.
+    "equal_tall": ([roots(TALL_ROOT, OTHER_TALL_ROOT)] * 2, 1),
+    "dividing_tall": ([poly_mul(roots(TALL_ROOT), Z), roots(TALL_ROOT)], 1),
     "non_monic": (
         [
             poly_scale(roots((5, -1), (1,)), gaussian(0, 3)),
@@ -122,6 +138,27 @@ def test_edge_case_matches_euclid_fold(name, primes_used):
     assert result == euclid_multi_gcd(polys)
 
 
+@pytest.mark.parametrize(
+    "name", ["confirmed_by_next_prime", "beyond_three_primes", "unlucky_after_lucky"]
+)
+def test_several_primes_cost_few_trial_divisions(name, monkeypatch):
+    """A candidate is tried at the first prime of its degree, then only when
+    the next prime gives it again: a gcd over several primes fails at most
+    two trial divisions (gcd and cofactor at the first prime) before the
+    one per input that succeeds."""
+    polys = EDGE_CASES[name][0]
+    calls = []
+    original = gaussian_module.poly_divmod
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(gaussian_module, "poly_divmod", counted)
+    poly_multi_gcd(polys)
+    assert len(polys) <= len(calls) <= len(polys) + 2
+
+
 def test_edge_case_results():
     assert poly_multi_gcd(EDGE_CASES["unlucky_prime"][0]) == POLY_ONE
     assert poly_multi_gcd(EDGE_CASES["restart"][0]) == roots((1,))
@@ -134,7 +171,13 @@ def test_edge_case_results():
     assert poly_multi_gcd(EDGE_CASES["beyond_reconstruction"][0]) == roots(
         (Fraction(2**40, 3**25), 1)
     )
+    assert poly_multi_gcd(EDGE_CASES["confirmed_by_next_prime"][0]) == roots(
+        (Fraction(2**40, 3**25), 1)
+    )
     assert poly_multi_gcd(EDGE_CASES["beyond_three_primes"][0]) == roots(TALL_ROOT)
+    assert poly_multi_gcd(EDGE_CASES["unlucky_after_lucky"][0]) == roots(TALL_ROOT)
+    assert poly_multi_gcd(EDGE_CASES["equal_tall"][0]) == roots(TALL_ROOT, OTHER_TALL_ROOT)
+    assert poly_multi_gcd(EDGE_CASES["dividing_tall"][0]) == roots(TALL_ROOT)
     assert poly_multi_gcd(EDGE_CASES["non_monic"][0]) == roots((5, -1))
     assert poly_multi_gcd(EDGE_CASES["empty"][0]) == POLY_ZERO
     assert poly_multi_gcd(EDGE_CASES["zeros"][0]) == POLY_ZERO
