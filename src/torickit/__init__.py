@@ -9,8 +9,10 @@ independent region-propagation oracle.
 The package is lazy: each library module below is registered in
 `sys.modules` and as a package attribute at import, but its code is
 compiled and run only when one of its attributes is first read, so a CLI
-subcommand pays start-up only for the modules it runs. The public names
-resolve through the module-level `__getattr__` (PEP 562). `cli` is not
+subcommand pays start-up only for the modules it runs: Smith forms
+(`smith`) run only under `analyze`, `stability` and `subfans`, and the
+subfan census (`census`) only under `subfans`. The public names resolve
+through the module-level `__getattr__` (PEP 562). `cli` is not
 registered: `python -m torickit.cli` runs it as `__main__`.
 """
 
@@ -24,17 +26,15 @@ __version__ = "0.1.0"
 # The public names, grouped by the module that defines them.
 _EXPORTS = {
     "catalog": ("CatalogEntry", "builder_for", "c2_fan", "cp_fan", "hirzebruch_fan", "load_catalog"),
+    "census": ("enumerate_subfans", "fan_isomorphism", "isomorphism_classes"),
     "cones": ("SimplicialCone", "cone_contains", "intersection_is_common_face", "is_smooth_cone"),
     "cox": ("CoxGroupReport", "DegreeVector", "complete_degrees", "cox_report", "degree_of"),
     "fans": (
         "Fan",
         "ValidationReport",
-        "enumerate_subfans",
-        "fan_isomorphism",
         "is_complete",
         "is_nonface",
         "is_smooth",
-        "isomorphism_classes",
         "nonface_family",
         "primitive_collections",
         "r_min",
@@ -54,14 +54,8 @@ _EXPORTS = {
         "stabilize",
         "violating_collections",
     ),
-    "lattice": (
-        "IntegerMatrix",
-        "SmithDecomposition",
-        "kernel_basis",
-        "positive_kernel_vector",
-        "primitivize",
-        "smith_normal_form",
-    ),
+    "lattice": ("IntegerMatrix", "positive_kernel_vector", "primitivize"),
+    "smith": ("SmithDecomposition", "kernel_basis", "smith_normal_form"),
     "stability": (
         "DiscriminantDims",
         "StabilityReport",
@@ -131,8 +125,10 @@ def _register_lazy(name: str):
 
 
 lattice = _register_lazy("lattice")
+smith = _register_lazy("smith")
 cones = _register_lazy("cones")
 fans = _register_lazy("fans")
+census = _register_lazy("census")
 cox = _register_lazy("cox")
 gaussian = _register_lazy("gaussian")
 holmap = _register_lazy("holmap")

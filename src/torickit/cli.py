@@ -38,17 +38,10 @@ from types import SimpleNamespace
 
 # Modules that only some subcommands run are bound as (lazy) modules and
 # read at call time, so a subcommand compiles and runs only what it uses.
-from . import cox, gaussian, holmap, stability
+from . import census, cox, gaussian, holmap, stability
 from . import document as doc_module
 from .errors import ToricKitError
-from .fans import (
-    enumerate_subfans,
-    is_complete,
-    is_smooth,
-    isomorphism_classes,
-    primitive_collections,
-    validate_fan,
-)
+from .fans import is_complete, is_smooth, primitive_collections, validate_fan
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -179,7 +172,7 @@ def cmd_stabilize(fan, args) -> dict:
 
 
 def cmd_subfans(fan, args) -> dict:
-    subfans = enumerate_subfans(fan)
+    subfans = census.enumerate_subfans(fan)
     # A subfan's cones are faces of the fan's cones, and faces of smooth
     # cones are smooth, so only a non-smooth fan needs a test per subfan.
     smooth = is_smooth(fan)
@@ -196,7 +189,7 @@ def cmd_subfans(fan, args) -> dict:
         ],
     }
     if args.classify:
-        classes = isomorphism_classes(subfans)
+        classes = census.isomorphism_classes(subfans)
         body["classes"] = {
             "count": len(classes),
             "members": [sorted(group) for group in classes],

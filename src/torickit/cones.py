@@ -4,9 +4,9 @@ Smooth cones are simplicial, so simpliciality is enforced at construction
 (INDEPENDENCE_VIOLATION otherwise); strong convexity is then automatic and
 needs no separate check. All predicates are decided exactly over the
 rationals. The common-face LP (`lattice._meet_only_in`) and the Z-basis
-test (`lattice._extends_to_basis`) live in `lattice`, on plain vector
-lists; the fan checks in `fans` call them there, so no fan check loads
-this module.
+test (`smith._extends_to_basis`) live in `lattice` and `smith`, on plain
+vector lists; the fan checks in `fans` call them there, so no fan check
+loads this module.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .errors import DimensionMismatchError, IndependenceViolationError
 from .lattice import (
     IntegerMatrix,
     LatticeVector,
-    _extends_to_basis,
     _fraction_free_rref,
     _meet_only_in,
     clear_denominators,
@@ -25,6 +24,7 @@ from .lattice import (
     rational_rank,
     rational_solve,
 )
+from .smith import _extends_to_basis
 
 
 @record

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 
-from . import lattice
+from . import lattice, smith
 from ._record import record
 from .errors import NonPositiveError, NotInKernelError
 from .fans import Fan
@@ -90,7 +90,7 @@ def cox_report(fan: Fan) -> CoxGroupReport:
     is reported as None otherwise.
     """
     n_matrix = fan.generator_matrix()
-    divisors = lattice._elementary_divisors(n_matrix)
+    divisors = smith._elementary_divisors(n_matrix)
     rank = len(divisors)
     finite = tuple(d for d in divisors if d > 1)
     condition_span = rank == fan.dim and not finite

@@ -73,19 +73,19 @@ from torickit.errors import (
     NonPositiveError,
     UnderdeterminedError,
 )
-from torickit.fans import Fan, Violation, _integer_inverse, _maximal, _scaled_inverse
+from torickit.census import _integer_inverse, _scaled_inverse
+from torickit.fans import Fan, Violation, _maximal
 from torickit.lattice import (
     IntegerMatrix,
     _fraction_free_rref,
     _integer_row,
     _pivot,
     clear_denominators,
-    kernel_basis,
     rational_nullspace,
     rational_rank,
     rational_solve,
-    smith_normal_form,
 )
+from torickit.smith import kernel_basis, smith_normal_form
 from torickit.stability import ReplayResult
 
 

@@ -20,9 +20,10 @@ from oracles import (
     resultant_is_member,
 )
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
+from torickit.census import enumerate_subfans, fan_isomorphism
 from torickit.cli import main
 from torickit.cox import complete_degrees, cox_report, degree_of
-from torickit.fans import enumerate_subfans, fan_isomorphism, is_complete, is_smooth, validate_fan
+from torickit.fans import is_complete, is_smooth, validate_fan
 from torickit.gaussian import ONE, gaussian, poly, poly_from_roots
 from torickit.holmap import (
     Configuration,
@@ -31,13 +32,8 @@ from torickit.holmap import (
     config_to_polytuple,
     is_member,
 )
-from torickit.lattice import (
-    IntegerMatrix,
-    kernel_basis,
-    positive_kernel_vector,
-    rational_solve,
-    smith_normal_form,
-)
+from torickit.lattice import IntegerMatrix, positive_kernel_vector, rational_solve
+from torickit.smith import kernel_basis, smith_normal_form
 from torickit.stability import discriminant_dims, replay, stability_report
 
 

@@ -5,16 +5,10 @@ report against the source material."""
 import pytest
 
 from torickit.catalog import builder_for, load_catalog
+from torickit.census import enumerate_subfans
 from torickit.cox import cox_report
-from torickit.fans import (
-    enumerate_subfans,
-    is_complete,
-    is_smooth,
-    primitive_collections,
-    r_min,
-    validate_fan,
-)
-from torickit.lattice import kernel_basis
+from torickit.fans import is_complete, is_smooth, primitive_collections, r_min, validate_fan
+from torickit.smith import kernel_basis
 
 CATALOG = load_catalog()
 

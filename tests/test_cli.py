@@ -17,7 +17,8 @@ import torickit.stability
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cli import main
 from torickit.document import document_from_fan, document_to_obj
-from torickit.fans import Fan, enumerate_subfans, is_smooth
+from torickit.census import enumerate_subfans
+from torickit.fans import Fan, is_smooth
 from torickit.holmap import MAX_DEGREE
 from torickit.schemas import (
     ANALYZE_OUTPUT_SCHEMA,
@@ -489,13 +490,13 @@ class TestSubfans:
             [(a, b, c) for a, b in ((0, 1), (1, 2), (0, 2)) for c in (3, 4)],
         )
         calls = []
-        original = torickit.fans._extends_to_basis
+        original = torickit.smith._extends_to_basis
 
         def counted(vectors):
             calls.append(vectors)
             return original(vectors)
 
-        monkeypatch.setattr(torickit.fans, "_extends_to_basis", counted)
+        monkeypatch.setattr(torickit.smith, "_extends_to_basis", counted)
         code, out = run_cli("subfans", write_fan(fan, "cp2xcp1"))
         assert code == 0 and out["count"] == 1194
         assert all(s["smooth"] for s in out["subfans"])

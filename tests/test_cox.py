@@ -12,7 +12,7 @@ from torickit.cox import (
 )
 from torickit.errors import NonPositiveError, NotInKernelError, UnderdeterminedError
 from torickit.fans import Fan
-from torickit.lattice import kernel_basis
+from torickit.smith import kernel_basis
 
 
 class TestCoxReport:

@@ -27,15 +27,12 @@ from oracles import (
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan, load_catalog
 from torickit.cox import cox_report
 from torickit.errors import NoPrimitiveCollectionError, SubfanCountAboveCapError
+from torickit.census import _lattice_data, enumerate_subfans, fan_isomorphism, isomorphism_classes
 from torickit.fans import (
     Fan,
-    _lattice_data,
-    enumerate_subfans,
-    fan_isomorphism,
     is_complete,
     is_nonface,
     is_smooth,
-    isomorphism_classes,
     nonface_family,
     primitive_collections,
     r_min,
@@ -542,9 +539,9 @@ class TestSubfans:
 
     def test_the_cap_counts_proper_subfans_exactly(self, monkeypatch):
         surface = blown_up_surface(5)  # 2^5 - 1 proper subfans
-        monkeypatch.setattr(torickit.fans, "MAX_SUBFANS", 31)
+        monkeypatch.setattr(torickit.census, "MAX_SUBFANS", 31)
         assert len(enumerate_subfans(surface)) == 31
-        monkeypatch.setattr(torickit.fans, "MAX_SUBFANS", 30)
+        monkeypatch.setattr(torickit.census, "MAX_SUBFANS", 30)
         with pytest.raises(SubfanCountAboveCapError):
             enumerate_subfans(surface)
 
@@ -730,13 +727,13 @@ class TestIsomorphism:
     def test_classes_compute_each_smith_form_once(self, monkeypatch):
         subs = enumerate_subfans(cp_fan(3))
         calls = []
-        original = torickit.fans.smith_normal_form
+        original = torickit.census.smith_normal_form
 
         def counted(a):
             calls.append(a)
             return original(a)
 
-        monkeypatch.setattr(torickit.fans, "smith_normal_form", counted)
+        monkeypatch.setattr(torickit.census, "smith_normal_form", counted)
         classes = isomorphism_classes(subs)
         # Far more comparisons than fans, so two forms per comparison
         # would show.
@@ -747,13 +744,13 @@ class TestIsomorphism:
         # Classification compares maps on the saturations only: no
         # unimodular U is inverted to lift a map to the lattice.
         calls = []
-        original = torickit.fans._integer_inverse
+        original = torickit.census._integer_inverse
 
         def counted(m):
             calls.append(m)
             return original(m)
 
-        monkeypatch.setattr(torickit.fans, "_integer_inverse", counted)
+        monkeypatch.setattr(torickit.census, "_integer_inverse", counted)
         classes = isomorphism_classes(enumerate_subfans(cp_fan(3)))
         assert len(classes) == 18 and calls == []
         assert fan_isomorphism(cp_fan(3), cp_fan(3)) is not None and len(calls) == 1

@@ -27,21 +27,20 @@ from torickit.errors import (
     NonPositiveError,
     UnderdeterminedError,
 )
-from torickit.fans import Fan, _integer_inverse, is_smooth
+from torickit.census import _integer_inverse
+from torickit.fans import Fan, is_smooth
 from torickit.lattice import (
     IntegerMatrix,
-    _elementary_divisors,
     _fraction_free_rref,
     _lex_min,
     complete_degrees,
-    kernel_basis,
     positive_kernel_vector,
     primitivize,
     rational_nullspace,
     rational_rank,
     rational_solve,
-    smith_normal_form,
 )
+from torickit.smith import _elementary_divisors, kernel_basis, smith_normal_form
 
 
 def hirzebruch_matrix(k):
@@ -604,14 +603,14 @@ class TestSmithProperties:
 
     def test_cox_data_and_smoothness_build_no_smith_form(self, monkeypatch):
         calls = []
-        original = torickit.lattice.smith_normal_form
+        original = torickit.smith.smith_normal_form
 
         def counted(a):
             calls.append(a)
             return original(a)
 
-        monkeypatch.setattr(torickit.lattice, "smith_normal_form", counted)
-        monkeypatch.setattr(torickit.fans, "smith_normal_form", counted)
+        monkeypatch.setattr(torickit.smith, "smith_normal_form", counted)
+        monkeypatch.setattr(torickit.census, "smith_normal_form", counted)
         fan = cp_fan(5)
         assert cox_report(fan).condition_span and is_smooth(fan)
         assert calls == []

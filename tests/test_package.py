@@ -17,7 +17,9 @@ import pytest
 import torickit
 from torickit.catalog import hirzebruch_fan
 
-LAZY = {"lattice", "cones", "fans", "cox", "gaussian", "holmap", "document", "stability", "catalog"}
+LAZY = {
+    "lattice", "smith", "cones", "fans", "census", "cox", "gaussian", "holmap", "document", "stability", "catalog"
+}
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -78,26 +80,29 @@ class TestModulesRun:
     @pytest.mark.parametrize("argv", [["analyze"], ["subfans", "--classify"]])
     def test_fan_subcommands(self, argv, h1_files):
         ran, stdlib = modules_run(argv[0], h1_files[0], *argv[1:])
-        assert {"fans", "document"} <= ran
+        assert {"fans", "document", "smith"} <= ran
         assert not ran & {"gaussian", "holmap", "stability", "catalog", "cones"}
+        # Only `subfans` runs the subfan census.
+        assert ("census" in ran) == (argv[0] == "subfans")
         assert not stdlib & (ARGPARSE | FRACTIONS)
 
     def test_stability(self, h1_files):
         ran, stdlib = modules_run("stability", h1_files[0], "--free", "1=3,2=5")
         assert {"cox", "stability"} <= ran
-        assert not ran & {"gaussian", "holmap", "catalog", "cones"}
+        assert not ran & {"gaussian", "holmap", "catalog", "cones", "census"}
         assert not stdlib & (ARGPARSE | FRACTIONS)
 
     def test_stability_with_degrees(self, h1_files):
         ran, stdlib = modules_run("stability", h1_files[0], "--degrees", "3,5,3,8")
         assert {"cox", "stability"} <= ran
+        assert "census" not in ran
         assert not stdlib & (ARGPARSE | FRACTIONS)
 
     @pytest.mark.parametrize("extra", [[], ["--increment", "1,1,1,2"]], ids=["holcheck", "stabilize"])
     def test_tuple_subcommands(self, extra, h1_files):
         ran, stdlib = modules_run("stabilize" if extra else "holcheck", *h1_files, *extra)
         assert {"gaussian", "holmap"} <= ran
-        assert not ran & {"stability", "catalog", "cox", "cones"}
+        assert not ran & {"stability", "catalog", "cox", "cones", "smith", "census"}
         # Gaussian rationals are integer triples: `Fraction`s appear only
         # where a library caller asks for one.
         assert not stdlib & (ARGPARSE | FRACTIONS)
@@ -145,6 +150,41 @@ class TestPublicNames:
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
             torickit.not_a_name
+
+
+# The names `perfbench/tracing.py` still reads from the modules they left.
+FORWARDED = [
+    ("fans", "census", "enumerate_subfans"),
+    ("fans", "census", "fan_isomorphism"),
+    ("fans", "census", "isomorphism_classes"),
+    ("lattice", "smith", "smith_normal_form"),
+    ("lattice", "smith", "kernel_basis"),
+]
+
+
+class TestForwarders:
+    @pytest.mark.parametrize("old, new, name", FORWARDED, ids=lambda x: x)
+    def test_first_read_is_the_defining_modules_object(self, old, new, name):
+        # Reading the name is the first touch of either module.
+        script = (
+            f"import sys, torickit; value = torickit.{old}.{name}; "
+            f"print(value is getattr(sys.modules['torickit.{new}'], {name!r}), "
+            f"{name!r} in vars(torickit.{old}))"
+        )
+        proc = run_fresh("-c", script)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert proc.stdout.split() == ["True", "True"]
+
+    def test_no_other_name_is_forwarded(self):
+        with pytest.raises(AttributeError) as info:
+            torickit.fans.not_a_name
+        assert str(info.value) == "module 'torickit.fans' has no attribute 'not_a_name'"
+        with pytest.raises(AttributeError):
+            torickit.fans.MAX_SUBFANS
+        with pytest.raises(AttributeError):
+            torickit.lattice.SmithDecomposition
+        with pytest.raises(ImportError):
+            from torickit.lattice import not_a_name  # noqa: F401
 
 
 # Four threads per module, released together by a barrier right after
@@ -208,7 +248,7 @@ tracer = tracing.Tracer()
 tracer.install()
 tracer.current_job = 0
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [torickit.cli.main(sys.argv[2:6]), torickit.cli.main(sys.argv[6:])]
+    codes = [torickit.cli.main(argv) for argv in json.loads(sys.argv[2])]
 tracer.uninstall()
 calls = {name: entry["calls"] for name, entry in tracer.summary().items()}
 print(json.dumps({"codes": codes, "calls": calls}))
@@ -217,11 +257,8 @@ print(json.dumps({"codes": codes, "calls": calls}))
 
 def test_tracer_sees_lazily_loaded_modules(h1_files):
     fan, tup = h1_files
-    proc = run_fresh(
-        "-c", TRACE_SCRIPT, str(PERFBENCH),
-        "stability", fan, "--free", "1=3,2=5",
-        "holcheck", fan, tup,
-    )
+    jobs = [["stability", fan, "--free", "1=3,2=5"], ["holcheck", fan, tup]]
+    proc = run_fresh("-c", TRACE_SCRIPT, str(PERFBENCH), json.dumps(jobs))
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0]
@@ -230,3 +267,17 @@ def test_tracer_sees_lazily_loaded_modules(h1_files):
     assert calls["cox.cox_report"] == 1
     assert calls["holmap.violating_collections"] == 1
     assert calls["document.load_poly_tuple_file"] == 1
+
+
+def test_tracer_counts_the_forwarded_names(h1_files):
+    # The census and Smith functions are traced under the names of the
+    # modules they left; the tracer must still count their calls.
+    jobs = [["subfans", h1_files[0], "--classify"]]
+    proc = run_fresh("-c", TRACE_SCRIPT, str(PERFBENCH), json.dumps(jobs))
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0]
+    calls = result["calls"]
+    assert calls["fans.enumerate_subfans"] == 1
+    assert calls["fans.isomorphism_classes"] == 1
+    assert calls["lattice.smith_normal_form"] >= 1

@@ -10,7 +10,8 @@ from torickit.errors import (
     KOutOfRangeError,
     NotInKernelError,
 )
-from torickit.fans import Fan, enumerate_subfans
+from torickit.census import enumerate_subfans
+from torickit.fans import Fan
 from torickit.stability import (
     KIND_HOMOLOGY,
     KIND_HOMOTOPY,
