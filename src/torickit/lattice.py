@@ -16,9 +16,9 @@ The paths the fan checks, the Cox data and degree completion run stay in
 integers: `_lex_min` returns numerators over the basis determinant and
 `complete_degrees` reads its verdict off the scaled RREF. `fractions` is
 imported only by the helpers that return or accept `Fraction`s
-(`rational_solve`, `rational_nullspace`, `clear_denominators` and
-`_integer_row` on a non-integer row), so a job that never calls them does
-not load it.
+(`rational_solve`, `rational_nullspace`, and `_integer_row` on a
+non-integer row, which `clear_denominators` also calls), so a job that
+never calls them does not load it.
 """
 
 from __future__ import annotations
@@ -368,16 +368,11 @@ def primitivize(vector) -> LatticeVector:
 
 
 def clear_denominators(vec) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector (same ray)."""
-    from fractions import Fraction
-
-    fractions = [Fraction(e) for e in vec]
-    scale = lcm(*(f.denominator for f in fractions)) if fractions else 1
-    ints = [int(f * scale) for f in fractions]
-    g = gcd(*ints) if any(ints) else 1
-    if g > 1:
-        ints = [e // g for e in ints]
-    return tuple(ints)
+    """Scale a rational vector to a primitive integer vector (same ray); an
+    empty or zero vector comes back unchanged."""
+    ints = _integer_row(vec)
+    g = gcd(*ints) or 1
+    return tuple(int(e) // g for e in ints)
 
 
 # `perfbench/tracing.py` still looks these two names up here. The forwarder

@@ -33,6 +33,7 @@ from torickit.lattice import (
     IntegerMatrix,
     _fraction_free_rref,
     _lex_min,
+    clear_denominators,
     complete_degrees,
     positive_kernel_vector,
     primitivize,
@@ -298,6 +299,19 @@ class TestIntegerInputs:
         assert rows == ((1, 2),) and cols == ((3, 0),)
         assert all(type(e) is int for e in rows[0] + cols[0])
         assert primitivize((numpy.int64(4), 6)) == (2, 3)
+        cleared = clear_denominators((True, numpy.int64(6), 4))
+        assert cleared == (1, 6, 4) and all(type(e) is int for e in cleared)
+
+    @pytest.mark.parametrize(
+        "vec, cleared",
+        [
+            ((4, -6, 0), (2, -3, 0)),
+            ((Fraction(-3, 4), 5, Fraction(1, 6)), (-9, 60, 2)),
+            (("1/2", "-3", Fraction(0)), (1, -6, 0)),
+        ],
+    )
+    def test_clear_denominators_gives_the_primitive_ray(self, vec, cleared):
+        assert clear_denominators(vec) == cleared
 
 
 class TestDegenerateShapes:
@@ -308,12 +322,14 @@ class TestDegenerateShapes:
         assert (snf.U @ z @ snf.V).entries == snf.S.entries
         assert len(kernel_basis(z)) == 3
         assert positive_kernel_vector(z) == (1, 1, 1)
+        assert clear_denominators((0, Fraction(0), "0")) == (0, 0, 0)
 
     def test_empty_matrix(self):
         e = IntegerMatrix.from_rows([])
         assert smith_normal_form(e).S.entries == ()
         assert kernel_basis(e) == []
         assert positive_kernel_vector(e) == ()
+        assert clear_denominators(()) == ()
 
 
 # -- property tests of the elimination core ---------------------------------
