@@ -248,7 +248,7 @@ def is_complete(fan: Fan) -> bool:
 
 
 # `perfbench/tracing.py` still looks these three names up here. The
-# forwarder goes once ROADMAP item 4 re-points `TRACED` at `census`.
+# forwarder goes once ROADMAP item 6 re-points `TRACED` at `census`.
 def __getattr__(name: str):
     if name not in ("enumerate_subfans", "fan_isomorphism", "isomorphism_classes"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -402,10 +402,17 @@ def poly_eval(p: Poly, z: GaussianRational) -> GaussianRational:
 
 
 def poly_from_roots(roots) -> Poly:
-    """Monic polynomial with the given (root, multiplicity) pairs."""
-    result = POLY_ONE
+    """Monic polynomial with the given (root, multiplicity) pairs: the
+    product over Z[i] of the factors d*z - a - b*i for the roots
+    (a + b*i)/d, held as integer real and imaginary coefficient lists and
+    divided once by the product of the d's."""
+    re, im, den = [1], [0], 1
     for root, multiplicity in roots:
-        factor = (-root, ONE)
+        a, b, d = root.a, root.b, root.d
         for _ in range(multiplicity):
-            result = poly_mul(result, factor)
-    return result
+            re, im = (
+                [d * x - a * u + b * v for x, u, v in zip([0, *re], [*re, 0], [*im, 0])],
+                [d * y - a * v - b * u for y, u, v in zip([0, *im], [*re, 0], [*im, 0])],
+            )
+            den *= d
+    return tuple(_reduced(x, y, den) for x, y in zip(re, im))

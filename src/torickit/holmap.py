@@ -40,8 +40,8 @@ PointMultiset = tuple[tuple[GaussianRational, int], ...]
 # (2 vCPU, CPython 3.11); a shared root too tall for one prime's
 # reconstruction bound makes the gcd take three primes and `holcheck` 0.8 s.
 # The slowest known input within the cap is a degree-160 divisor of a
-# degree-320 polynomial on cp1: `holcheck` takes 7-9 s, most of it in
-# exact trial division (ROADMAP item 5).
+# degree-320 polynomial on cp1: `holcheck` takes about 7 s (2 vCPU,
+# CPython 3.11.7), most of it in exact trial division (ROADMAP item 5).
 MAX_DEGREE = 320
 
 

@@ -181,15 +181,16 @@ def complete_degrees(n_matrix: IntegerMatrix, partial: dict) -> tuple[int, ...]:
 
 
 def _integer_row(row) -> list[int]:
-    """The row as integers: unchanged if it is all-int, else scaled by the
-    lcm of its denominators (which leaves the row space alone)."""
+    """The row as Python ints: as they are if it is all-int, else scaled by
+    the lcm of its denominators (which leaves the row space alone). A numpy
+    integer becomes an int, so the elimination cannot overflow."""
     if all(isinstance(e, int) for e in row):
-        return list(row)
+        return list(map(int, row))
     from fractions import Fraction
 
-    fractions = [Fraction(e) for e in row]
-    scale = lcm(*(f.denominator for f in fractions))
-    return [f.numerator * (scale // f.denominator) for f in fractions]
+    pairs = [(int(f.numerator), int(f.denominator)) for f in map(Fraction, row)]
+    scale = lcm(*(d for _, d in pairs))
+    return [n * (scale // d) for n, d in pairs]
 
 
 def _pivot(m, row, col, prev):
@@ -372,11 +373,11 @@ def clear_denominators(vec) -> tuple[int, ...]:
     empty or zero vector comes back unchanged."""
     ints = _integer_row(vec)
     g = gcd(*ints) or 1
-    return tuple(int(e) // g for e in ints)
+    return tuple(e // g for e in ints)
 
 
 # `perfbench/tracing.py` still looks these two names up here. The forwarder
-# goes once ROADMAP item 4 re-points `TRACED` at `smith`.
+# goes once ROADMAP item 6 re-points `TRACED` at `smith`.
 def __getattr__(name: str):
     if name not in ("smith_normal_form", "kernel_basis"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,5 +1,4 @@
 import collections
-import itertools
 import json
 import os
 import subprocess
@@ -14,9 +13,9 @@ import torickit.cox
 import torickit.fans
 import torickit.stability
 
+from worst_cases import ABOVE_CAPS
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cli import main
-from torickit.document import document_from_fan, document_to_obj
 from torickit.census import enumerate_subfans
 from torickit.fans import Fan, is_smooth
 from torickit.holmap import MAX_DEGREE
@@ -39,14 +38,6 @@ TUPLE_COMMON_ROOT = {
     "schema_version": 1,
     "polynomials": [[["0", "0"]], [["2", "0"]], [["0", "0"]], [["4", "0"], ["5", "0"]]],
 }
-
-
-def cp1_power(k: int) -> dict:
-    """The document of cp1^k: the rays +-e_i, one maximal cone per sign
-    pattern."""
-    gens = [[sign * int(i == j) for j in range(k)] for i in range(k) for sign in (1, -1)]
-    cones = [[2 * i + s + 1 for i, s in enumerate(signs)] for signs in itertools.product((0, 1), repeat=k)]
-    return {"schema_version": 1, "dimension": k, "generators": gens, "maximal_cones": cones}
 
 
 class TestAnalyze:
@@ -113,25 +104,21 @@ class TestAnalyze:
             "fan has 21 rays, above the cap of 20",
         )
 
-    @pytest.mark.parametrize("name", ["cp1^10", "cp5-padded", "cp20"])
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("cp1-10.json", "fan lists 1024 maximal cones, above the cap of 64"),
+            ("cp5-padded.json", "fan has dimension 3000, above the cap of 20"),
+            ("cp20.json", "fan has 21 rays, above the cap of 20"),
+        ],
+        ids=["cp1^10", "cp5-padded", "cp20"],
+    )
     def test_documents_above_the_caps_are_refused_before_validation(
-        self, name, write_tuple, run_cli, monkeypatch
+        self, name, message, write_tuple, run_cli, monkeypatch
     ):
-        # cp1^10 lists 1,024 maximal cones on 20 rays; cp5 padded with zeros
-        # has 6 rays in dimension 3,000; cp20 has 21 rays.
-        if name == "cp1^10":
-            obj, message = cp1_power(10), "fan lists 1024 maximal cones, above the cap of 64"
-        elif name == "cp20":
-            obj = document_to_obj(document_from_fan(cp_fan(20)))
-            message = "fan has 21 rays, above the cap of 20"
-        else:
-            obj = document_to_obj(document_from_fan(cp_fan(5)))
-            obj["dimension"] = 3000
-            obj["generators"] = [g + [0] * 2995 for g in obj["generators"]]
-            message = "fan has dimension 3000, above the cap of 20"
         calls = []
         monkeypatch.setattr(torickit.cli, "validate_fan", calls.append)
-        code, out = run_cli("analyze", write_tuple(obj, "above-cap"))
+        code, out = run_cli("analyze", write_tuple(ABOVE_CAPS[name], "above-cap"))
         assert (code, out["error"], out["message"]) == (1, "DOCUMENT_ERROR", message)
         assert calls == []
 

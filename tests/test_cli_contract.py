@@ -18,12 +18,22 @@ import os
 import tempfile
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-from torickit.catalog import cp_fan
+from worst_cases import ABOVE_CAPS, LONG_INTEGER, cp1_power
 from torickit.cli import main
-from torickit.document import MAX_RAYS, document_from_fan, document_to_obj
+from torickit.document import MAX_RAYS
 from torickit.holmap import MAX_DEGREE
+from torickit.schemas import (
+    ANALYZE_OUTPUT_SCHEMA,
+    ERROR_OUTPUT_SCHEMA,
+    HELP_OUTPUT_SCHEMA,
+    HOLCHECK_OUTPUT_SCHEMA,
+    STABILITY_OUTPUT_SCHEMA,
+    STABILIZE_OUTPUT_SCHEMA,
+    SUBFANS_OUTPUT_SCHEMA,
+)
 from torickit.stability import MAX_D_MIN
 
 GOLDEN = Path(__file__).with_name("cli_contract.json")
@@ -66,15 +76,6 @@ CP9 = {
 }
 
 
-def cp1_power(k):
-    """cp1^k: the rays +-e_i, one maximal cone per sign pattern (2^k)."""
-    cones = [[]]
-    for i in range(k):
-        cones = [cone + [2 * i + s] for cone in cones for s in (1, 2)]
-    gens = [[sign * int(i == j) for j in range(k)] for i in range(k) for sign in (1, -1)]
-    return {"schema_version": 1, "dimension": k, "generators": gens, "maximal_cones": cones}
-
-
 def cp2_padded(dimension):
     """cp2 with zero coordinates appended: 3 rays in `dimension`."""
     return dict(
@@ -92,16 +93,6 @@ ONE_CONE_AT_RAY_CAP = {
     "maximal_cones": [list(range(1, MAX_RAYS + 1))],
 }
 
-# A valid plane fan whose witness degree (Q^2, 1, Q) has an entry of 6,001
-# digits, above CPython's 4,300-digit limit for printing an integer.
-Q = 10**3000
-LONG_INTEGER = {
-    "schema_version": 1,
-    "dimension": 2,
-    "generators": [[1, 0], [0, Q], [-Q, -1]],
-    "maximal_cones": [[1, 2], [2, 3], [3, 1]],
-}
-
 DOCUMENTS = {
     "h1.json": dict(H1, name="h1"),
     "h1_unnamed.json": H1,
@@ -111,7 +102,7 @@ DOCUMENTS = {
     "cp1_7.json": dict(cp1_power(7), name="cp1^7"),
     "one_cone_at_ray_cap.json": dict(ONE_CONE_AT_RAY_CAP, name="one-cone-at-ray-cap"),
     # MAX_RAYS + 1 rays and as many maximal cones.
-    "cp20.json": document_to_obj(document_from_fan(cp_fan(MAX_RAYS), "cp20")),
+    "cp20.json": ABOVE_CAPS["cp20.json"],
     "cp2_at_dimension_cap.json": dict(cp2_padded(MAX_RAYS), name="cp2-padded"),
     "cp2_above_dimension_cap.json": dict(cp2_padded(MAX_RAYS + 1), name="cp2-padded"),
     "unknown_key.json": dict(H1, name="h1", colour="red"),
@@ -282,6 +273,31 @@ def test_every_exit_code_on_every_subcommand(golden):
         command = command if command in expected_codes else "none"
         codes.setdefault(command, set()).add(case["exit"])
     assert codes == expected_codes
+
+
+SUCCESS_SCHEMAS = {
+    "analyze": ANALYZE_OUTPUT_SCHEMA,
+    "stability": STABILITY_OUTPUT_SCHEMA,
+    "holcheck": HOLCHECK_OUTPUT_SCHEMA,
+    "stabilize": STABILIZE_OUTPUT_SCHEMA,
+    "subfans": SUBFANS_OUTPUT_SCHEMA,
+}
+
+
+def test_every_body_follows_its_published_schema(golden):
+    # An invalid fan's violations body (exit 2) is the analyze body on
+    # every subcommand.
+    for name, expected in golden.items():
+        argv = CASES[name]
+        if expected["exit"] in (1, 3):
+            schema = ERROR_OUTPUT_SCHEMA
+        elif expected["exit"] == 2:
+            schema = ANALYZE_OUTPUT_SCHEMA
+        elif "-h" in argv or "--help" in argv:
+            schema = HELP_OUTPUT_SCHEMA
+        else:
+            schema = SUCCESS_SCHEMAS[argv[0]]
+        jsonschema.validate(json.loads(expected["stdout"]), schema)
 
 
 # Test ids keep the "-json" suffix they carried when each case also had a

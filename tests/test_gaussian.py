@@ -188,6 +188,27 @@ def test_accepts_a_generator():
     assert poly_multi_gcd(p for p in polys) == roots((2,))
 
 
+# name -> (root, multiplicity) pairs
+PRODUCTS = {
+    "empty": [],
+    "zero_root": [(ZERO, 1), (gaussian(1, 2), 1)],
+    "multiplicities_0_and_3": [(gaussian(2, -1), 0), (gaussian(Fraction(1, 2), 3), 3)],
+    # The real part over 6 and the imaginary part over 4.
+    "different_denominators": [(gaussian(Fraction(1, 6), Fraction(-5, 4)), 2)],
+    "two_prime_denominator": [(gaussian(Fraction(1, P0 * P1)), 1), (gaussian(-3, 1), 1)],
+    "tall_root": [(gaussian(*TALL_ROOT), 2), (gaussian(*OTHER_TALL_ROOT), 1)],
+}
+
+
+@pytest.mark.parametrize("name", list(PRODUCTS))
+def test_poly_from_roots_matches_the_linear_factor_product(name):
+    expected = POLY_ONE
+    for root, multiplicity in PRODUCTS[name]:
+        for _ in range(multiplicity):
+            expected = poly_mul(expected, (-root, ONE))
+    assert poly_from_roots(PRODUCTS[name]) == expected
+
+
 GAUSSIAN_RATIONALS = st.builds(
     gaussian,
     st.fractions(min_value=-9, max_value=9, max_denominator=6),

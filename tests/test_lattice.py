@@ -302,6 +302,24 @@ class TestIntegerInputs:
         cleared = clear_denominators((True, numpy.int64(6), 4))
         assert cleared == (1, 6, 4) and all(type(e) is int for e in cleared)
 
+    # int64 products of these entries overflow: the elimination must run on
+    # Python ints, with or without a Fraction in the row.
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[2**62, Fraction(1, 3), 1], [3**39, 7, Fraction(1, 2)]],
+            [[2**62, 3, 1], [3**39, 7, 5]],
+        ],
+        ids=["numpy-and-fractions", "numpy-only"],
+    )
+    def test_numpy_rows_eliminate_like_int_rows(self, rows):
+        import numpy
+
+        numpy_rows = [[numpy.int64(e) if type(e) is int else e for e in row] for row in rows]
+        assert rational_nullspace(numpy_rows) == rational_nullspace(rows)
+        assert rational_solve(numpy_rows, [1, 2]) == rational_solve(rows, [1, 2])
+        assert rational_rank(numpy_rows) == rational_rank(rows)
+
     @pytest.mark.parametrize(
         "vec, cleared",
         [

@@ -1,10 +1,8 @@
 """The worst-case corpus table and its runner, without the slow rows.
 
 CI runs every row (`python tests/worst_cases.py ci-out`). Here the table
-is checked for shape, every fan document is rebuilt against its pinned
-digest, and the runner is shown to fail a broken row. The polynomial
-tuples near the degree cap take seconds each to build, so only CI checks
-their digests.
+is checked for shape, every input is rebuilt against its pinned digest,
+and the runner is shown to fail a broken row.
 """
 
 import hashlib
@@ -17,14 +15,6 @@ import pytest
 import worst_cases
 from torickit.cli import _COMMANDS
 
-TUPLES = {
-    "cp4-degree-cap.json",
-    "cp4-degree-below-cap.json",
-    "cp4-tall-root.json",
-    "cp1-two-prime-denominator.json",
-    "cp1-equal.json",
-    "cp1-tall-divisor.json",
-}
 CHEAP = next(row for row in worst_cases.ROWS if row.name == "cp20-analyze")
 
 
@@ -35,11 +25,10 @@ def test_rows_have_unique_names_and_name_a_subcommand():
 
 
 def test_fan_documents_match_their_digests():
-    files = {**worst_cases.cp(1), **worst_cases.cp(4)}
+    files = {}
     for row in worst_cases.ROWS:
-        if not TUPLES & set(row.argv):
-            files.update(row.build())
-    assert set(files) == set(worst_cases.DIGESTS) - TUPLES
+        files.update(row.build())
+    assert set(files) == set(worst_cases.DIGESTS)
     for name, obj in files.items():
         digest = hashlib.sha256(json.dumps(obj).encode()).hexdigest()
         assert digest == worst_cases.DIGESTS[name], name

@@ -12,8 +12,9 @@ predicate on the JSON body. `DIGESTS` pins the sha256 of every input file.
 writes each row's inputs under OUT_DIR, checks their digests, runs the
 row under `BUDGET_S` seconds, requires the exit code and the predicate,
 prints one line per row and exits 1 if any row failed.
-`tests/test_worst_cases.py` checks the table in tier-1 without the slow
-rows.
+`tests/test_worst_cases.py` checks the table and every digest in tier-1
+without running the rows. The CLI tests take the cp1^k builder, the
+10^3000 plane fan and the documents above the caps from here.
 """
 
 from __future__ import annotations
@@ -58,22 +59,37 @@ def cp(n):
     return fan_doc(f"cp{n}", cp_fan(n))
 
 
-def _raw(name, gens, cones):
+def _raw(gens, cones):
     """A fan document with no name, as a hand-written one would be."""
-    obj = {"schema_version": 1, "dimension": len(gens[0]), "generators": gens, "maximal_cones": cones}
-    return {f"{name}.json": obj}
+    return {"schema_version": 1, "dimension": len(gens[0]), "generators": gens, "maximal_cones": cones}
 
 
-def _cp1_power(k):
+def cp1_power(k):
+    """cp1^k: the rays +-e_i, one maximal cone per sign pattern (2^k)."""
     gens = [[s * int(i == j) for j in range(k)] for i in range(k) for s in (1, -1)]
     cones = [[2 * i + s + 1 for i, s in enumerate(p)] for p in itertools.product((0, 1), repeat=k)]
-    return _raw(f"cp1-{k}", gens, cones)
+    return _raw(gens, cones)
 
 
 def _digits50():
     rng = random.Random(50)
     gens = [[rng.randrange(-10**50 + 1, 10**50) for _ in range(20)] for _ in range(20)]
-    return _raw("digits50", gens, [[k] for k in range(1, 21)])
+    return {"digits50.json": _raw(gens, [[k] for k in range(1, 21)])}
+
+
+# A valid plane fan whose witness degree (Q^2, 1, Q) has an entry of 6,001
+# digits, above CPython's 4,300-digit limit for printing an integer.
+Q = 10**3000
+LONG_INTEGER = _raw([[1, 0], [0, Q], [-Q, -1]], [[1, 2], [2, 3], [3, 1]])
+
+# Each above one document cap: 1,024 maximal cones; dimension 3,000; 21 rays.
+ABOVE_CAPS = {
+    "cp1-10.json": cp1_power(10),
+    **fan_doc(
+        "cp5-padded", cp_fan(5), dimension=3000, generators=[[*g] + [0] * 2995 for g in cp_fan(5).generators]
+    ),
+    **cp(20),
+}
 
 
 def _cp2xcp1():
@@ -153,7 +169,6 @@ def _verdict(member, *violated):
 
 
 CP19_RAYS = list(range(1, 21))
-Q = 10**3000
 
 ROWS = (
     # 20 rays: document.MAX_RAYS.
@@ -173,10 +188,9 @@ ROWS = (
         0,
         lambda r: r["cox"]["condition_positive_degree"] is False,
     ),
-    # The witness degree (Q^2, 1, Q) is above CPython's 4,300-digit limit for printing.
     Row(
         "long-integer-analyze",
-        lambda: _raw("long-integer", [[1, 0], [0, Q], [-Q, -1]], [[1, 2], [2, 3], [3, 1]]),
+        lambda: {"long-integer.json": LONG_INTEGER},
         ("analyze", "long-integer.json"),
         3,
         _error("VALUE_ERROR"),
@@ -243,21 +257,12 @@ ROWS = (
     # 45 and 190 edges: far more than census.MAX_SUBFANS proper subfans.
     Row("cp9-subfans", lambda: cp(9), ("subfans", "cp9.json"), 3, _error("SUBFAN_COUNT_ABOVE_CAP")),
     Row("cp19-subfans", lambda: cp(19), ("subfans", "cp19.json"), 3, _error("SUBFAN_COUNT_ABOVE_CAP")),
-    # 1,024 maximal cones; dimension 3,000; 21 rays: each above a document cap.
-    Row("cp1-10-analyze", lambda: _cp1_power(10), ("analyze", "cp1-10.json"), 1, _error("DOCUMENT_ERROR")),
-    Row(
-        "cp5-padded-analyze",
-        lambda: fan_doc(
-            "cp5-padded",
-            cp_fan(5),
-            dimension=3000,
-            generators=[list(g) + [0] * 2995 for g in cp_fan(5).generators],
-        ),
-        ("analyze", "cp5-padded.json"),
-        1,
-        _error("DOCUMENT_ERROR"),
+    *(
+        Row(
+            f"{name[:-5]}-analyze", lambda n=name: {n: ABOVE_CAPS[n]}, ("analyze", name), 1, _error("DOCUMENT_ERROR")
+        )
+        for name in ABOVE_CAPS
     ),
-    Row("cp20-analyze", lambda: cp(20), ("analyze", "cp20.json"), 1, _error("DOCUMENT_ERROR")),
     # 1,194 subfans in 157 classes.
     Row(
         "cp2xcp1-classes",
