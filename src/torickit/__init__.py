@@ -9,11 +9,15 @@ independent region-propagation oracle.
 The package is lazy: each library module below is registered in
 `sys.modules` and as a package attribute at import, but its code is
 compiled and run only when one of its attributes is first read, so a CLI
-subcommand pays start-up only for the modules it runs: Smith forms
-(`smith`) run only under `analyze`, `stability` and `subfans`, and the
-subfan census (`census`) only under `subfans`. The public names resolve
-through the module-level `__getattr__` (PEP 562). `cli` is not
-registered: `python -m torickit.cli` runs it as `__main__`.
+subcommand pays start-up only for the modules it runs. Each subcommand's
+handler lives beside what it runs: `analyze` runs `cox` and
+`smith`, `stability` those and `stability`, `holcheck` and `stabilize`
+run `gaussian` and `holmap`, and `subfans` runs `census` and `smith`;
+every job runs `document`, `fans` and `lattice`. Root configurations
+(`configurations`), cone objects (`cones`) and the catalog (`catalog`)
+run under no subcommand. The public names resolve through the
+module-level `__getattr__` (PEP 562). `cli` is not registered: `python -m
+torickit.cli` runs it as `__main__`.
 """
 
 import importlib.util
@@ -28,38 +32,41 @@ _EXPORTS = {
     "catalog": ("CatalogEntry", "builder_for", "c2_fan", "cp_fan", "hirzebruch_fan", "load_catalog"),
     "census": ("enumerate_subfans", "fan_isomorphism", "isomorphism_classes"),
     "cones": ("SimplicialCone", "cone_contains", "intersection_is_common_face", "is_smooth_cone"),
-    "cox": ("CoxGroupReport", "DegreeVector", "complete_degrees", "cox_report", "degree_of"),
+    "configurations": (
+        "Configuration",
+        "EvaluationResult",
+        "config_is_member",
+        "config_to_polytuple",
+        "evaluate",
+        "scanning_snapshot",
+    ),
+    "cox": (
+        "CoxGroupReport",
+        "DegreeVector",
+        "complete_degrees",
+        "cox_report",
+        "degree_of",
+        "positive_kernel_vector",
+    ),
     "fans": (
         "Fan",
         "ValidationReport",
         "is_complete",
-        "is_nonface",
         "is_smooth",
-        "nonface_family",
         "primitive_collections",
-        "r_min",
         "validate_fan",
     ),
     "gaussian": ("GaussianRational",),
-    "holmap": (
-        "Configuration",
-        "EvaluationResult",
-        "PolyTuple",
-        "StabilizationResult",
-        "config_is_member",
-        "config_to_polytuple",
-        "evaluate",
-        "is_member",
-        "scanning_snapshot",
-        "stabilize",
-        "violating_collections",
-    ),
-    "lattice": ("IntegerMatrix", "positive_kernel_vector", "primitivize"),
+    "holmap": ("PolyTuple", "StabilizationResult", "is_member", "stabilize", "violating_collections"),
+    "lattice": ("IntegerMatrix", "primitivize"),
     "smith": ("SmithDecomposition", "kernel_basis", "smith_normal_form"),
     "stability": (
         "DiscriminantDims",
         "StabilityReport",
         "discriminant_dims",
+        "is_nonface",
+        "nonface_family",
+        "r_min",
         "stability_report",
     ),
 }
@@ -132,6 +139,7 @@ census = _register_lazy("census")
 cox = _register_lazy("cox")
 gaussian = _register_lazy("gaussian")
 holmap = _register_lazy("holmap")
+configurations = _register_lazy("configurations")
 document = _register_lazy("document")
 stability = _register_lazy("stability")
 catalog = _register_lazy("catalog")

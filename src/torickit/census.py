@@ -1,4 +1,5 @@
-"""Subfans of a fan and their isomorphism classes: what `subfans` runs.
+"""Subfans of a fan and their isomorphism classes: what `subfans` runs,
+with `cmd_subfans`, which computes its body from a valid fan (see `cli`).
 
 Isomorphism first compares invariants under GL(n,Z) x S_r (dimension,
 ray count, maximal-cone sizes, per-ray profiles of the sizes of the
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import SubfanCountAboveCapError
-from .fans import Fan, _maximal
+from .fans import Fan, _maximal, _one_based, is_smooth
 from .lattice import IntegerMatrix, _fraction_free_rref
 from .smith import smith_normal_form
 
@@ -201,3 +202,30 @@ def isomorphism_classes(fans: list[Fan]) -> list[list[int]]:
             bucket.append((data, [idx]))
             classes.append(bucket[-1][1])
     return classes
+
+
+def cmd_subfans(fan, args) -> dict:
+    subfans = enumerate_subfans(fan)
+    # A subfan's cones are faces of the fan's cones, and faces of smooth
+    # cones are smooth, so only a non-smooth fan needs a test per subfan.
+    smooth = is_smooth(fan)
+    body = {
+        "count": len(subfans),
+        "subfans": [
+            {
+                "maximal_cones": _one_based(sub.maximal_faces()),
+                "smooth": smooth or is_smooth(sub),
+                # Never complete: a proper subfan misses a maximal cone's interior.
+                "complete": False,
+            }
+            for sub in subfans
+        ],
+    }
+    if args.classify:
+        classes = isomorphism_classes(subfans)
+        body["classes"] = {
+            "count": len(classes),
+            "members": [sorted(group) for group in classes],
+            "collisions": [sorted(group) for group in classes if len(group) > 1],
+        }
+    return body

@@ -23,8 +23,12 @@ USAGE_ERROR body whose message keeps argparse's wording.
 (`document` refuses one above its size caps), validate it, run the
 subcommand on a valid fan or build the violations body on an invalid one,
 then print one JSON body stamped with `schema_version`, on success and on
-every error. `analyze`, `stability` and `subfans` echo the document's `name`
-(null when unnamed) in their success and violation bodies; `holcheck` and
+every error. Each subcommand's body is computed by a handler that lives
+beside what it runs (`cox.cmd_analyze`, `stability.cmd_stability`,
+`holmap.cmd_holcheck`, `holmap.cmd_stabilize`, `census.cmd_subfans`);
+`main` reads it from its module only once the fan has validated.
+`analyze`, `stability` and `subfans` echo the document's `name` (null
+when unnamed) in their success and violation bodies; `holcheck` and
 `stabilize` do not. A closed stdout does not change the exit code.
 """
 
@@ -36,21 +40,18 @@ import re
 import sys
 from types import SimpleNamespace
 
-# Modules that only some subcommands run are bound as (lazy) modules and
-# read at call time, so a subcommand compiles and runs only what it uses.
-from . import census, cox, gaussian, holmap, stability
+# Each subcommand's handler lives in a module that only some subcommands
+# run. The modules are bound as (lazy) modules and read only once the fan
+# has validated, so a job compiles and runs only what its subcommand uses.
+from . import census, cox, holmap, stability
 from . import document as doc_module
 from .errors import ToricKitError
-from .fans import is_complete, is_smooth, primitive_collections, validate_fan
+from .fans import validate_fan
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_COMPUTE = 3
-
-
-def _one_based(faces) -> list[list[int]]:
-    return sorted(sorted(i + 1 for i in face) for face in faces)
 
 
 def _invalid_fan_body(report) -> dict:
@@ -104,110 +105,18 @@ def _parse_free(raw: str) -> dict:
     return pins
 
 
-def cmd_analyze(fan, args) -> dict:
-    collections = primitive_collections(fan)
-    report = cox.cox_report(fan)
-    return {
-        "valid": True,
-        "violations": [],
-        "dimension": fan.dim,
-        "ray_count": fan.ray_count,
-        "smooth": is_smooth(fan),
-        "complete": is_complete(fan),
-        "primitive_collections": _one_based(collections),
-        "r_min": min(len(c) for c in collections) if collections else None,
-        "cox": {
-            "free_rank": report.free_rank,
-            "finite_part": list(report.finite_part),
-            "condition_span": report.condition_span,
-            "condition_positive_degree": report.condition_positive_degree,
-            "witness_degree": list(report.witness_degree) if report.witness_degree else None,
-            "pi2_rank": report.pi2_rank,
-        },
-    }
-
-
-def cmd_stability(fan, args) -> dict:
-    report = stability.stability_report(fan, args.free if args.degrees is None else args.degrees)
-    article = "a homotopy" if report.kind == "HOMOTOPY" else "a homology"
-    return {
-        "degrees": list(report.degrees),
-        "r_min": report.r_min,
-        "d_min": report.d_min,
-        "stability_dim": report.stability_dim,
-        "kind": report.kind,
-        "connectivity": report.connectivity,
-        "vanishing_line": report.vanishing_line,
-        "oracle_dim": report.oracle_dim,
-        "primitive_collections": _one_based(report.primitive_collections),
-        "sentence": (
-            f"inclusion is {article} equivalence through dimension "
-            f"{report.stability_dim}"
-        ),
-    }
-
-
-def cmd_holcheck(fan, args) -> dict:
-    tup = doc_module.load_poly_tuple_file(args.tuple)
-    violated = holmap.violating_collections(tup, fan)
-    return {
-        "member": not violated,
-        "degrees": list(tup.degrees),
-        "violated_collections": _one_based(violated),
-    }
-
-
-def cmd_stabilize(fan, args) -> dict:
-    tup = doc_module.load_poly_tuple_file(args.tuple)
-    points = holmap.default_stabilization_points(tup.total_degree, fan.ray_count)
-    result = holmap.stabilize(tup, args.increment, fan, points)
-    return {
-        "degrees_before": list(tup.degrees),
-        "increment": list(args.increment),
-        "degrees_after": list(result.poly_tuple.degrees),
-        "member": result.member,
-        "points": [gaussian.gaussian_to_pair(p) for p in points],
-        "polynomials": doc_module.poly_tuple_to_obj(result.poly_tuple)["polynomials"],
-    }
-
-
-def cmd_subfans(fan, args) -> dict:
-    subfans = census.enumerate_subfans(fan)
-    # A subfan's cones are faces of the fan's cones, and faces of smooth
-    # cones are smooth, so only a non-smooth fan needs a test per subfan.
-    smooth = is_smooth(fan)
-    body = {
-        "count": len(subfans),
-        "subfans": [
-            {
-                "maximal_cones": _one_based(sub.maximal_faces()),
-                "smooth": smooth or is_smooth(sub),
-                # Never complete: a proper subfan misses a maximal cone's interior.
-                "complete": False,
-            }
-            for sub in subfans
-        ],
-    }
-    if args.classify:
-        classes = census.isomorphism_classes(subfans)
-        body["classes"] = {
-            "count": len(classes),
-            "members": [sorted(group) for group in classes],
-            "collisions": [sorted(group) for group in classes if len(group) > 1],
-        }
-    return body
-
-
 class _Command:
     """One subcommand of the grammar.
 
-    `options` maps each long option to (converter, metavar), with converter
-    None for a flag; `one_of` names the options of which exactly one must
-    be given (a single one is simply required).
+    `handler` is (module, attribute) of the function that computes the
+    body from a valid fan and the parsed arguments. `options` maps each
+    long option to (converter, metavar), with converter None for a flag;
+    `one_of` names the options of which exactly one must be given (a
+    single one is simply required).
     """
 
-    def __init__(self, run, echo_name, positionals, options=None, one_of=()):
-        self.run = run
+    def __init__(self, handler, echo_name, positionals, options=None, one_of=()):
+        self.handler = handler
         self.echo_name = echo_name
         self.positionals = positionals
         self.options = options or {}
@@ -227,23 +136,23 @@ class _Command:
 
 
 _COMMANDS = {
-    "analyze": _Command(cmd_analyze, True, ("fan",)),
+    "analyze": _Command((cox, "cmd_analyze"), True, ("fan",)),
     "stability": _Command(
-        cmd_stability,
+        (stability, "cmd_stability"),
         True,
         ("fan",),
         {"--degrees": (_parse_degrees, "D1,D2,..."), "--free": (_parse_free, "I=D,...")},
         one_of=("--degrees", "--free"),
     ),
-    "holcheck": _Command(cmd_holcheck, False, ("fan", "tuple")),
+    "holcheck": _Command((holmap, "cmd_holcheck"), False, ("fan", "tuple")),
     "stabilize": _Command(
-        cmd_stabilize,
+        (holmap, "cmd_stabilize"),
         False,
         ("fan", "tuple"),
         {"--increment": (_parse_degrees, "A1,A2,...")},
         one_of=("--increment",),
     ),
-    "subfans": _Command(cmd_subfans, True, ("fan",), {"--classify": (None, None)}),
+    "subfans": _Command((census, "cmd_subfans"), True, ("fan",), {"--classify": (None, None)}),
 }
 
 
@@ -321,7 +230,7 @@ class _Parser:
         if leftover:
             raise _UsageError(f"unrecognized arguments: {' '.join(leftover)}")
         return SimpleNamespace(
-            func=command.run,
+            handler=command.handler,
             echo_name=command.echo_name,
             **{name.lstrip("-"): value for name, value in values.items()},
         )
@@ -347,7 +256,8 @@ def main(argv=None) -> int:
         fan, doc = doc_module.load_fan_file(args.fan)
         report = validate_fan(fan)
         if report.valid:
-            body, code = args.func(fan, args), EXIT_OK
+            module, name = args.handler
+            body, code = getattr(module, name)(fan, args), EXIT_OK
         else:
             body, code = _invalid_fan_body(report), EXIT_INVALID
         if args.echo_name:

@@ -2,9 +2,9 @@
 
 Ray indices are 1-based in files to match the usual index-set convention
 [r] = {1,...,r}; everything is 0-based in memory. Besides the documents
-here, the conversion is made for CLI output and pins in `cli`
-(`_one_based`, `_invalid_fan_body`, `_parse_free`) and in the messages of
-`lattice.complete_degrees` (pins) and `holmap` (degree caps).
+here, the conversion is made for CLI output and pins by `fans._one_based`
+and by `_invalid_fan_body` and `_parse_free` in `cli`, and in the messages
+of `cox._complete_degrees` (pins) and `holmap` (degree caps).
 All numbers cross the boundary exactly (integers, or fraction strings for
 polynomial coefficients).
 """

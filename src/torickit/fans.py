@@ -5,9 +5,10 @@ that span cones; every face is a subset of some maximal cone and is never
 listed. Validation and smoothness read the generators through the index
 sets and pass plain vector lists to the common-face LP of `lattice` and
 the Z-basis test of `smith`, so no fan check loads the cone objects of
-`cones`; the combinatorial questions (non-faces, primitive collections)
-are answered from the maximal cones alone. Subfans and isomorphism live
-in `census`, which only `subfans` runs.
+`cones`; primitive collections are answered from the maximal cones alone.
+`_one_based` prints index sets for every subcommand body. Subfans and
+isomorphism live in `census`, which only `subfans` runs, and non-faces
+and r_min in `stability`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import operator
 
 from . import smith
 from ._record import record
-from .errors import NoPrimitiveCollectionError
 from .lattice import IntegerMatrix, _meet_only_in, primitivize, rational_rank
 
 Face = frozenset
@@ -33,6 +33,11 @@ def _maximal(family) -> Complex:
         if not any(f < g for g in maximal):
             maximal.append(f)
     return frozenset(maximal)
+
+
+# How the subcommand bodies print index sets: 1-based, each sorted, in order.
+def _one_based(faces) -> list[list[int]]:
+    return sorted(sorted(i + 1 for i in face) for face in faces)
 
 
 @record
@@ -149,29 +154,6 @@ def validate_fan(fan: Fan) -> ValidationReport:
     return _sorted_report(not violations, violations)
 
 
-def is_nonface(fan: Fan, subset) -> bool:
-    """Whether a nonempty index set lies in no cone of the fan."""
-    subset = frozenset(subset)
-    return bool(subset) and not any(subset <= cone for cone in fan.cones)
-
-
-def nonface_family(fan: Fan) -> set[Face]:
-    """The family I(K) of all non-faces, materialized.
-
-    Materialization is capped at r <= 20 (2^r subsets); use `is_nonface`
-    beyond that.
-    """
-    r = fan.ray_count
-    if r > 20:
-        raise ValueError("non-face family is only materialized for r <= 20")
-    return {
-        frozenset(sub)
-        for size in range(1, r + 1)
-        for sub in itertools.combinations(range(r), size)
-        if is_nonface(fan, sub)
-    }
-
-
 def primitive_collections(fan: Fan) -> frozenset[Face]:
     """Minimal non-faces of the complex (Batyrev's primitive collections).
 
@@ -195,19 +177,6 @@ def primitive_collections(fan: Fan) -> frozenset[Face]:
             if not any(m <= grown for m in met)
         ]
     return frozenset(transversals)
-
-
-def r_min(fan: Fan) -> int:
-    return _r_min_of(primitive_collections(fan))
-
-
-def _r_min_of(collections) -> int:
-    """The size of the smallest primitive collection."""
-    if not collections:
-        raise NoPrimitiveCollectionError(
-            "complex is a full simplex; no primitive collection exists"
-        )
-    return min(len(c) for c in collections)
 
 
 def is_smooth(fan: Fan) -> bool:

@@ -1,38 +1,39 @@
 """Exact models of based holomorphic maps S^2 -> X as polynomial data.
 
 A map of degree D is a tuple of monic polynomials over Q(i), one per ray,
-with no common root along any primitive collection; equivalently a tuple
-of root configurations whose supports avoid common intersections. Both
-models are implemented and kept interchangeable. The base point convention
-(infinity to the all-ones point) is encoded by monicity.
+with no common root along any primitive collection. The base point
+convention (infinity to the all-ones point) is encoded by monicity. The
+equivalent model by root configurations, with exact evaluation and
+scanning snapshots, lives in `configurations`, which no subcommand runs.
+
+`cmd_holcheck` and `cmd_stabilize` compute the bodies of the `holcheck`
+and `stabilize` subcommands from a valid fan (see `cli`).
 """
 
 from __future__ import annotations
 
 import operator
 
+from . import document
 from ._record import record
 from .errors import (
     DegreeAboveCapError,
     DegreeMismatchError,
     DuplicatePointsError,
     NonKernelIncrementError,
-    SizeMismatchError,
 )
-from .fans import Fan, primitive_collections
+from .fans import Fan, _one_based, primitive_collections
 from .gaussian import (
     GaussianRational,
     Poly,
     gaussian,
+    gaussian_to_pair,
     poly_degree,
-    poly_eval,
     poly_from_roots,
     poly_is_monic,
     poly_mul,
     poly_multi_gcd,
 )
-
-PointMultiset = tuple[tuple[GaussianRational, int], ...]
 
 # The largest polynomial degree that membership and stabilization accept.
 # At this cap, on cp4 with a root shared by all five polynomials, `holcheck`
@@ -43,10 +44,6 @@ PointMultiset = tuple[tuple[GaussianRational, int], ...]
 # degree-320 polynomial on cp1: `holcheck` takes about 7 s (2 vCPU,
 # CPython 3.11.7), most of it in exact trial division (ROADMAP item 5).
 MAX_DEGREE = 320
-
-
-def _point_key(point: GaussianRational):
-    return (point.real, point.imag)
 
 
 @record
@@ -69,44 +66,6 @@ class PolyTuple:
     @property
     def total_degree(self) -> int:
         return sum(self.degrees)
-
-
-@record
-class Configuration:
-    """Root multisets, one per ray; point keys within a slot are distinct."""
-
-    slots: tuple[PointMultiset, ...]
-
-    @classmethod
-    def from_points(cls, groups) -> "Configuration":
-        slots = []
-        for group in groups:
-            merged: dict = {}
-            for item in group:
-                if isinstance(item, tuple) and len(item) == 2:
-                    point, multiplicity = item[0], operator.index(item[1])
-                else:
-                    point, multiplicity = item, 1
-                if multiplicity < 1:
-                    raise ValueError("multiplicities must be >= 1")
-                key = _point_key(point)
-                merged[key] = (point, merged.get(key, (point, 0))[1] + multiplicity)
-            slots.append(tuple(sorted(merged.values(), key=lambda pm: _point_key(pm[0]))))
-        return cls(tuple(slots))
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(sum(m for _, m in slot) for slot in self.slots)
-
-    def support(self, index: int) -> set:
-        return {_point_key(p) for p, _ in self.slots[index]}
-
-
-@record
-class EvaluationResult:
-    point: tuple[GaussianRational, ...]
-    in_u_k: bool
-    violated_collections: tuple[frozenset, ...]
 
 
 @record
@@ -154,38 +113,6 @@ def violating_collections(tup: PolyTuple, fan: Fan) -> tuple[frozenset, ...]:
     return tuple(_violations(tup, fan))
 
 
-def config_is_member(config: Configuration, fan: Fan) -> bool:
-    """Empty common support along every primitive collection."""
-    _check_length(len(config.slots), fan, SizeMismatchError)
-    for collection in primitive_collections(fan):
-        indices = sorted(collection)
-        common = config.support(indices[0])
-        for i in indices[1:]:
-            common &= config.support(i)
-            if not common:
-                break
-        if common:
-            return False
-    return True
-
-
-def config_to_polytuple(config: Configuration) -> PolyTuple:
-    """Expand each slot into the monic polynomial with those roots."""
-    return PolyTuple.from_polys(poly_from_roots(slot) for slot in config.slots)
-
-
-def evaluate(tup: PolyTuple, fan: Fan, alpha: GaussianRational) -> EvaluationResult:
-    """Exact evaluation and classification against every primitive collection."""
-    _check_length(len(tup.polys), fan, DegreeMismatchError)
-    values = tuple(poly_eval(p, alpha) for p in tup.polys)
-    violated = tuple(
-        frozenset(collection)
-        for collection in sorted(primitive_collections(fan), key=sorted)
-        if all(values[i].is_zero for i in collection)
-    )
-    return EvaluationResult(point=values, in_u_k=not violated, violated_collections=violated)
-
-
 def default_stabilization_points(total_degree: int, count: int) -> tuple[GaussianRational, ...]:
     """Distinct real points just past the degree budget: N(D) + j/(r+1)."""
     return tuple(
@@ -231,26 +158,25 @@ def stabilize(tup: PolyTuple, increment, fan: Fan, points=None) -> Stabilization
     return StabilizationResult(result, is_member(result, fan))
 
 
-def scanning_snapshot(config: Configuration, center: GaussianRational, radius) -> Configuration:
-    """Restrict a configuration to the open disk around `center`.
+def cmd_holcheck(fan, args) -> dict:
+    tup = document.load_poly_tuple_file(args.tuple)
+    violated = violating_collections(tup, fan)
+    return {
+        "member": not violated,
+        "degrees": list(tup.degrees),
+        "violated_collections": _one_based(violated),
+    }
 
-    Points at exact distance `radius` are discarded (boundary points are
-    identified away), and survivors are recentered to (x - center)/radius.
-    Distances are compared through exact squared moduli. The radius is a
-    positive rational (an int or a `Fraction`).
-    """
-    from fractions import Fraction
 
-    radius = Fraction(radius)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    bound = radius * radius
-    scale = gaussian(radius)
-    groups = []
-    for slot in config.slots:
-        kept = []
-        for point, multiplicity in slot:
-            if (point - center).abs_squared() < bound:
-                kept.append(((point - center) / scale, multiplicity))
-        groups.append(kept)
-    return Configuration.from_points(groups)
+def cmd_stabilize(fan, args) -> dict:
+    tup = document.load_poly_tuple_file(args.tuple)
+    points = default_stabilization_points(tup.total_degree, fan.ray_count)
+    result = stabilize(tup, args.increment, fan, points)
+    return {
+        "degrees_before": list(tup.degrees),
+        "increment": list(args.increment),
+        "degrees_after": list(result.poly_tuple.degrees),
+        "member": result.member,
+        "points": [gaussian_to_pair(p) for p in points],
+        "polynomials": document.poly_tuple_to_obj(result.poly_tuple)["polynomials"],
+    }

@@ -6,15 +6,16 @@ rank and nullspace) goes through one fraction-free Gauss-Jordan core,
 `_fraction_free_rref`, which works on integer rows only and divides
 exactly; rows holding fractions are scaled to integers first. The exact
 simplex `_lex_min` pivots with the same step, `_pivot`. Smith normal forms
-live in `smith`, so a job that validates a fan and reads its primitive
-collections compiles none of them.
+live in `smith`, and the positive kernel vector and degree completion
+that only the Cox data and `stability` use live in `cox`, so a job that
+validates a fan and reads its primitive collections compiles none of them.
 
 The common-face LP that validation needs is stated here once, on plain
 vector lists: `_meet_only_in` (one `_lex_min` call).
 
 The paths the fan checks, the Cox data and degree completion run stay in
 integers: `_lex_min` returns numerators over the basis determinant and
-`complete_degrees` reads its verdict off the scaled RREF. `fractions` is
+`_fraction_free_rref` a scaled RREF with its last pivot. `fractions` is
 imported only by the helpers that return or accept `Fraction`s
 (`rational_solve`, `rational_nullspace`, and `_integer_row` on a
 non-integer row, which `clear_denominators` also calls), so a job that
@@ -27,14 +28,7 @@ import operator
 from math import gcd, lcm
 
 from ._record import record
-from .errors import (
-    DimensionMismatchError,
-    InconsistentError,
-    NonIntegralError,
-    NonPositiveError,
-    UnderdeterminedError,
-    ZeroVectorError,
-)
+from .errors import DimensionMismatchError, ZeroVectorError
 
 LatticeVector = tuple[int, ...]
 
@@ -112,69 +106,6 @@ class IntegerMatrix:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-
-def positive_kernel_vector(n_matrix: IntegerMatrix):
-    """Some integer vector D with N D = 0 and every entry >= 1, or None.
-
-    The witness is the point of {x : N x = 0, x >= 1} of minimal entry sum,
-    ties broken lexicographically, with denominators cleared (which keeps
-    both constraints). The set contains no line and x >= 1 bounds the sum
-    below, so its minimal-sum face is a polytope whose lexicographic
-    minimum is a vertex: one `_lex_min` call in y = x - 1 finds it.
-    """
-    r = n_matrix.cols
-    objectives = [[1] * r] + [[int(i == j) for j in range(r)] for i in range(r)]
-    vertex = _lex_min(n_matrix.entries, [-sum(row) for row in n_matrix.entries], objectives)
-    if vertex is None:
-        return None
-    # x = 1 + y = (den + y_num) / den; dividing the numerators by their gcd
-    # with den is the same as clearing the reduced denominators.
-    y_num, den = vertex
-    x_num = [den + yk for yk in y_num]
-    g = gcd(den, *x_num)
-    return tuple(xk // g for xk in x_num)
-
-
-def complete_degrees(n_matrix: IntegerMatrix, partial: dict) -> tuple[int, ...]:
-    """Unique positive integer kernel vector extending a partial assignment.
-
-    Raises UNDERDETERMINED if the pinned coordinates leave more than one
-    rational kernel extension, INCONSISTENT if they leave none, and
-    NON_INTEGRAL / NON_POSITIVE when the unique extension fails those
-    checks. Pins are 0-based; every pin index must be an integer (else
-    TypeError) and is checked against the range before any value, and the
-    ValueError for a bad pin numbers it from 1, as fan documents and the
-    CLI number rays.
-    """
-    r = n_matrix.cols
-    for idx in partial:
-        if not 0 <= operator.index(idx) < r:
-            raise ValueError(f"pin index {idx + 1} out of range 1..{r}")
-    for idx, value in partial.items():
-        if not isinstance(value, int) or value < 1:
-            raise ValueError(f"pinned value at index {idx + 1} must be a positive integer")
-
-    # [N | 0] plus one row [e_i | d_i] per pin; a zero row keeps the column
-    # count when N has no rows and nothing is pinned. In the scaled RREF a
-    # pivot in the last column means no solution, fewer than r pivots more
-    # than one, and r pivots the unique x_k = m[k][r] / last.
-    rows = [[*row, 0] for row in n_matrix.entries]
-    rows += [[int(k == i) for k in range(r)] + [partial[i]] for i in sorted(partial)]
-    m, pivots, last, _ = _fraction_free_rref(rows or [[0] * (r + 1)])
-    if pivots and pivots[-1] == r:
-        raise InconsistentError("pinned values admit no kernel extension")
-    if len(pivots) < r:
-        kernel_rank = r - rational_rank(n_matrix.entries)
-        raise UnderdeterminedError(
-            f"kernel rank {kernel_rank} exceeds what {len(partial)} pinned coordinates determine"
-        )
-    if any(row[r] % last for row in m[:r]):
-        raise NonIntegralError("unique kernel extension is not integral")
-    x = tuple(row[r] // last for row in m[:r])
-    if any(xk < 1 for xk in x):
-        raise NonPositiveError("unique kernel extension has an entry below 1")
-    return x
 
 
 # -- exact rational elimination -------------------------------------------
@@ -376,12 +307,22 @@ def clear_denominators(vec) -> tuple[int, ...]:
     return tuple(e // g for e in ints)
 
 
-# `perfbench/tracing.py` still looks these two names up here. The forwarder
-# goes once ROADMAP item 6 re-points `TRACED` at `smith`.
-def __getattr__(name: str):
-    if name not in ("smith_normal_form", "kernel_basis"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import smith
+# `perfbench/tracing.py` still looks these names up here: name -> (module,
+# attribute) of their new home. The forwarder goes once ROADMAP item 6
+# re-points `TRACED` at `smith` and `cox`.
+_FORWARDED = {
+    "smith_normal_form": ("smith", "smith_normal_form"),
+    "kernel_basis": ("smith", "kernel_basis"),
+    "positive_kernel_vector": ("cox", "positive_kernel_vector"),
+    "complete_degrees": ("cox", "_complete_degrees"),
+}
 
-    value = globals()[name] = getattr(smith, name)
+
+def __getattr__(name: str):
+    if name not in _FORWARDED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module, attribute = _FORWARDED[name]
+    value = globals()[name] = getattr(import_module(f"{__package__}.{module}"), attribute)
     return value

@@ -13,9 +13,15 @@ touch. Which columns a page reaches comes from the lemma that t distinct
 positive jump lengths sum to exactly the integers s >= t(t+1)/2, so the
 replay costs O(d_min^1.5) integer operations; it refuses d_min above
 MAX_D_MIN.
+
+r_min, the size of the smallest primitive collection, and the non-faces
+of a fan live here too, and `cmd_stability` computes the body of the
+`stability` subcommand from a valid fan (see `cli`).
 """
 
 from __future__ import annotations
+
+import itertools
 
 from ._record import record
 from .cox import DegreeVector, complete_degrees, cox_report, degree_of
@@ -24,8 +30,9 @@ from .errors import (
     Condition2FailedError,
     DMinAboveCapError,
     KOutOfRangeError,
+    NoPrimitiveCollectionError,
 )
-from .fans import Fan, _r_min_of, primitive_collections, r_min
+from .fans import Face, Fan, _one_based, primitive_collections
 
 KIND_HOMOTOPY = "HOMOTOPY"
 KIND_HOMOLOGY = "HOMOLOGY"
@@ -33,6 +40,42 @@ KIND_HOMOLOGY = "HOMOLOGY"
 # The largest d_min that `replay` accepts; the replay takes about a second
 # there (see its docstring).
 MAX_D_MIN = 15_000
+
+
+def is_nonface(fan: Fan, subset) -> bool:
+    """Whether a nonempty index set lies in no cone of the fan."""
+    subset = frozenset(subset)
+    return bool(subset) and not any(subset <= cone for cone in fan.cones)
+
+
+def nonface_family(fan: Fan) -> set[Face]:
+    """The family I(K) of all non-faces, materialized.
+
+    Materialization is capped at r <= 20 (2^r subsets); use `is_nonface`
+    beyond that.
+    """
+    r = fan.ray_count
+    if r > 20:
+        raise ValueError("non-face family is only materialized for r <= 20")
+    return {
+        frozenset(sub)
+        for size in range(1, r + 1)
+        for sub in itertools.combinations(range(r), size)
+        if is_nonface(fan, sub)
+    }
+
+
+def r_min(fan: Fan) -> int:
+    return _r_min_of(primitive_collections(fan))
+
+
+def _r_min_of(collections) -> int:
+    """The size of the smallest primitive collection."""
+    if not collections:
+        raise NoPrimitiveCollectionError(
+            "complex is a full simplex; no primitive collection exists"
+        )
+    return min(len(c) for c in collections)
 
 
 @record
@@ -171,3 +214,23 @@ def discriminant_dims(fan: Fan, degrees, k: int) -> DiscriminantDims:
         bundle_rank_l=2 * n_d - 2 * r * k + k - 1,
         n_d=n_d,
     )
+
+
+def cmd_stability(fan, args) -> dict:
+    report = stability_report(fan, args.free if args.degrees is None else args.degrees)
+    article = "a homotopy" if report.kind == "HOMOTOPY" else "a homology"
+    return {
+        "degrees": list(report.degrees),
+        "r_min": report.r_min,
+        "d_min": report.d_min,
+        "stability_dim": report.stability_dim,
+        "kind": report.kind,
+        "connectivity": report.connectivity,
+        "vanishing_line": report.vanishing_line,
+        "oracle_dim": report.oracle_dim,
+        "primitive_collections": _one_based(report.primitive_collections),
+        "sentence": (
+            f"inclusion is {article} equivalence through dimension "
+            f"{report.stability_dim}"
+        ),
+    }

@@ -22,17 +22,12 @@ from oracles import (
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.census import enumerate_subfans, fan_isomorphism
 from torickit.cli import main
-from torickit.cox import complete_degrees, cox_report, degree_of
+from torickit.configurations import Configuration, config_is_member, config_to_polytuple
+from torickit.cox import complete_degrees, cox_report, degree_of, positive_kernel_vector
 from torickit.fans import is_complete, is_smooth, validate_fan
 from torickit.gaussian import ONE, gaussian, poly, poly_from_roots
-from torickit.holmap import (
-    Configuration,
-    PolyTuple,
-    config_is_member,
-    config_to_polytuple,
-    is_member,
-)
-from torickit.lattice import IntegerMatrix, positive_kernel_vector, rational_solve
+from torickit.holmap import PolyTuple, is_member
+from torickit.lattice import IntegerMatrix, rational_solve
 from torickit.smith import kernel_basis, smith_normal_form
 from torickit.stability import discriminant_dims, replay, stability_report
 
@@ -126,7 +121,7 @@ def test_criterion_3_cp_series():
             report = cox_report(fan)
             assert report.condition_span and report.condition_positive_degree
             assert len(kernel_basis(fan.generator_matrix())) == 1
-            from torickit.fans import r_min
+            from torickit.stability import r_min
 
             assert r_min(fan) == n + 1
             for d in range(1, 6):

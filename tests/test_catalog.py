@@ -7,7 +7,8 @@ import pytest
 from torickit.catalog import builder_for, load_catalog
 from torickit.census import enumerate_subfans
 from torickit.cox import cox_report
-from torickit.fans import is_complete, is_smooth, primitive_collections, r_min, validate_fan
+from torickit.fans import is_complete, is_smooth, primitive_collections, validate_fan
+from torickit.stability import r_min
 from torickit.smith import kernel_basis
 
 CATALOG = load_catalog()

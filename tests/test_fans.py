@@ -28,17 +28,9 @@ from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan, load_catalog
 from torickit.cox import cox_report
 from torickit.errors import NoPrimitiveCollectionError, SubfanCountAboveCapError
 from torickit.census import _lattice_data, enumerate_subfans, fan_isomorphism, isomorphism_classes
-from torickit.fans import (
-    Fan,
-    is_complete,
-    is_nonface,
-    is_smooth,
-    nonface_family,
-    primitive_collections,
-    r_min,
-    validate_fan,
-)
+from torickit.fans import Fan, is_complete, is_smooth, primitive_collections, validate_fan
 from torickit.lattice import primitivize
+from torickit.stability import is_nonface, nonface_family, r_min
 
 
 def violation_axioms(fan):

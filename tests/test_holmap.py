@@ -23,16 +23,18 @@ from torickit.gaussian import (
     poly_from_roots,
     poly_mul,
 )
-from torickit.holmap import (
-    MAX_DEGREE,
+from torickit.configurations import (
     Configuration,
-    PolyTuple,
     config_is_member,
     config_to_polytuple,
-    default_stabilization_points,
     evaluate,
-    is_member,
     scanning_snapshot,
+)
+from torickit.holmap import (
+    MAX_DEGREE,
+    PolyTuple,
+    default_stabilization_points,
+    is_member,
     stabilize,
     violating_collections,
 )

@@ -20,7 +20,8 @@ from oracles import (
 import torickit.fans
 import torickit.lattice
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan, load_catalog
-from torickit.cox import cox_report
+from torickit.cox import _complete_degrees as complete_degrees
+from torickit.cox import cox_report, positive_kernel_vector
 from torickit.errors import (
     InconsistentError,
     NonIntegralError,
@@ -34,8 +35,6 @@ from torickit.lattice import (
     _fraction_free_rref,
     _lex_min,
     clear_denominators,
-    complete_degrees,
-    positive_kernel_vector,
     primitivize,
     rational_nullspace,
     rational_rank,

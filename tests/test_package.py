@@ -18,7 +18,8 @@ import torickit
 from torickit.catalog import hirzebruch_fan
 
 LAZY = {
-    "lattice", "smith", "cones", "fans", "census", "cox", "gaussian", "holmap", "document", "stability", "catalog"
+    "lattice", "smith", "cones", "fans", "census", "cox", "gaussian", "holmap", "configurations", "document",
+    "stability", "catalog",
 }
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -38,8 +39,9 @@ ARGPARSE = {"argparse", "gettext", "locale"}
 FRACTIONS = {"fractions", "decimal", "numbers"}
 
 # Runs one CLI job, then prints the exit code, which lazily registered
-# modules are still unexecuted, and which of ARGPARSE | FRACTIONS the job
-# loaded (a module that start-up loaded before the job does not count).
+# modules are still unexecuted, which of ARGPARSE | FRACTIONS the job
+# loaded (a module that start-up loaded before the job does not count),
+# and the names defined in the package and the torickit modules that ran.
 RAN_SCRIPT = """
 import sys
 before = set(sys.modules)
@@ -53,6 +55,7 @@ print(json.dumps({
     "ran": sorted(name for name, m in modules.items() if type(m) is types.ModuleType),
     "lazy": sorted(name for name, m in modules.items() if type(m) is not types.ModuleType),
     "stdlib": sorted(name for name in %r if name in sys.modules and name not in before),
+    "names": sorted({name for m in [torickit, *modules.values()] if type(m) is types.ModuleType for name in vars(m)}),
 }))
 """ % sorted(ARGPARSE | FRACTIONS)
 
@@ -64,47 +67,68 @@ def h1_files(write_fan, write_tuple):
     return write_fan(hirzebruch_fan(1), "h1"), write_tuple(tup)
 
 
-def modules_run(*argv):
-    """The torickit modules a fresh job ran, and the stdlib modules of
-    ARGPARSE | FRACTIONS it loaded."""
+@pytest.fixture
+def invalid_fan(write_tuple):
+    """Rays 1 and 2 span a cone that contains ray 3: INTERSECTION fails."""
+    fan = {"schema_version": 1, "dimension": 2, "generators": [[1, 0], [0, 1], [1, 1]], "maximal_cones": [[1, 2], [3]]}
+    return write_tuple(fan, "invalid")
+
+
+def modules_run(*argv, code=0):
+    """A fresh job's run: the torickit modules it ran, the stdlib modules of
+    ARGPARSE | FRACTIONS it loaded, and the names its modules define.
+    Root configurations stay lazy under every subcommand."""
     proc = run_fresh("-c", RAN_SCRIPT, *argv)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     result = json.loads(proc.stdout)
-    assert result["code"] == 0
+    assert result["code"] == code
     ran = set(result["ran"])
     assert (ran & LAZY) | set(result["lazy"]) == LAZY  # every module is registered
-    return ran, set(result["stdlib"])
+    assert "configurations" in result["lazy"]
+    return ran, set(result["stdlib"]), set(result["names"])
 
 
 class TestModulesRun:
     @pytest.mark.parametrize("argv", [["analyze"], ["subfans", "--classify"]])
     def test_fan_subcommands(self, argv, h1_files):
-        ran, stdlib = modules_run(argv[0], h1_files[0], *argv[1:])
+        ran, stdlib, _ = modules_run(argv[0], h1_files[0], *argv[1:])
         assert {"fans", "document", "smith"} <= ran
-        assert not ran & {"gaussian", "holmap", "stability", "catalog", "cones"}
+        assert not ran & {"gaussian", "holmap", "stability", "catalog", "cones", "configurations"}
         # Only `subfans` runs the subfan census.
         assert ("census" in ran) == (argv[0] == "subfans")
         assert not stdlib & (ARGPARSE | FRACTIONS)
 
     def test_stability(self, h1_files):
-        ran, stdlib = modules_run("stability", h1_files[0], "--free", "1=3,2=5")
+        ran, stdlib, _ = modules_run("stability", h1_files[0], "--free", "1=3,2=5")
         assert {"cox", "stability"} <= ran
         assert not ran & {"gaussian", "holmap", "catalog", "cones", "census"}
         assert not stdlib & (ARGPARSE | FRACTIONS)
 
     def test_stability_with_degrees(self, h1_files):
-        ran, stdlib = modules_run("stability", h1_files[0], "--degrees", "3,5,3,8")
+        ran, stdlib, _ = modules_run("stability", h1_files[0], "--degrees", "3,5,3,8")
         assert {"cox", "stability"} <= ran
         assert "census" not in ran
         assert not stdlib & (ARGPARSE | FRACTIONS)
 
     @pytest.mark.parametrize("extra", [[], ["--increment", "1,1,1,2"]], ids=["holcheck", "stabilize"])
     def test_tuple_subcommands(self, extra, h1_files):
-        ran, stdlib = modules_run("stabilize" if extra else "holcheck", *h1_files, *extra)
+        ran, stdlib, _ = modules_run("stabilize" if extra else "holcheck", *h1_files, *extra)
         assert {"gaussian", "holmap"} <= ran
         assert not ran & {"stability", "catalog", "cox", "cones", "smith", "census"}
         # Gaussian rationals are integer triples: `Fraction`s appear only
         # where a library caller asks for one.
+        assert not stdlib & (ARGPARSE | FRACTIONS)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["stability", "--free", "1=3"], ["holcheck", "t"], ["stabilize", "t", "--increment", "1,1,1"], ["subfans"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_invalid_fan_runs_no_handler(self, argv, invalid_fan):
+        # The violations body needs validation only: the module of the
+        # subcommand's handler is never read.
+        ran, stdlib, _ = modules_run(argv[0], invalid_fan, *argv[1:], code=2)
+        assert ran & LAZY == {"document", "fans", "lattice"}
         assert not stdlib & (ARGPARSE | FRACTIONS)
 
     def test_fan_checks_leave_cones_lazy(self):
@@ -126,6 +150,43 @@ class TestModulesRun:
         proc = run_fresh("-m", "torickit.cli", "analyze", h1_files[0])
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         assert json.loads(proc.stdout)["r_min"] == 2
+
+
+# Per job: names defined only in code that the job's subcommand never runs.
+# The handlers of the other subcommands, root configurations, the Cox-side
+# kernels and r_min with the non-faces all live outside the modules that
+# every job compiles.
+NOT_DEFINED = {
+    "analyze": {"cmd_holcheck", "cmd_stabilize", "cmd_stability", "cmd_subfans", "Configuration"},
+    "stability": {"cmd_holcheck", "cmd_stabilize", "cmd_subfans", "Configuration", "scanning_snapshot"},
+    "holcheck": {
+        "cmd_analyze", "cmd_stability", "cmd_subfans", "Configuration", "scanning_snapshot",
+        "positive_kernel_vector", "r_min", "nonface_family",
+    },
+    "subfans": {
+        "cmd_analyze", "cmd_stability", "cmd_holcheck", "cmd_stabilize", "Configuration",
+        "positive_kernel_vector", "r_min", "nonface_family",
+    },
+}
+NOT_DEFINED["stabilize"] = NOT_DEFINED["holcheck"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["stability", "--free", "1=3,2=5"],
+        ["holcheck", "TUPLE"],
+        ["stabilize", "TUPLE", "--increment", "1,1,1,2"],
+        ["subfans", "--classify"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_job_compiles_no_code_of_other_subcommands(argv, h1_files):
+    fan, tup = h1_files
+    _, _, names = modules_run(argv[0], fan, *(tup if word == "TUPLE" else word for word in argv[1:]))
+    assert f"cmd_{argv[0]}" in names
+    assert not names & NOT_DEFINED[argv[0]]
 
 
 class TestPublicNames:
@@ -152,23 +213,29 @@ class TestPublicNames:
             torickit.not_a_name
 
 
-# The names `perfbench/tracing.py` still reads from the modules they left.
+# The names `perfbench/tracing.py` still reads from the modules they left:
+# (old module, new module, name). In `cox` the matrix-level
+# `complete_degrees` is `_complete_degrees`, beside the fan-level one.
 FORWARDED = [
     ("fans", "census", "enumerate_subfans"),
     ("fans", "census", "fan_isomorphism"),
     ("fans", "census", "isomorphism_classes"),
     ("lattice", "smith", "smith_normal_form"),
     ("lattice", "smith", "kernel_basis"),
+    ("lattice", "cox", "positive_kernel_vector"),
+    ("lattice", "cox", "complete_degrees"),
 ]
+NEW_NAME = {("cox", "complete_degrees"): "_complete_degrees"}
 
 
 class TestForwarders:
     @pytest.mark.parametrize("old, new, name", FORWARDED, ids=lambda x: x)
     def test_first_read_is_the_defining_modules_object(self, old, new, name):
         # Reading the name is the first touch of either module.
+        new_name = NEW_NAME.get((new, name), name)
         script = (
             f"import sys, torickit; value = torickit.{old}.{name}; "
-            f"print(value is getattr(sys.modules['torickit.{new}'], {name!r}), "
+            f"print(value is getattr(sys.modules['torickit.{new}'], {new_name!r}), "
             f"{name!r} in vars(torickit.{old}))"
         )
         proc = run_fresh("-c", script)
@@ -183,6 +250,9 @@ class TestForwarders:
             torickit.fans.MAX_SUBFANS
         with pytest.raises(AttributeError):
             torickit.lattice.SmithDecomposition
+        for name in ("_complete_degrees", "cox_report", "cmd_analyze"):
+            with pytest.raises(AttributeError):
+                getattr(torickit.lattice, name)
         with pytest.raises(ImportError):
             from torickit.lattice import not_a_name  # noqa: F401
 
@@ -270,14 +340,17 @@ def test_tracer_sees_lazily_loaded_modules(h1_files):
 
 
 def test_tracer_counts_the_forwarded_names(h1_files):
-    # The census and Smith functions are traced under the names of the
-    # modules they left; the tracer must still count their calls.
-    jobs = [["subfans", h1_files[0], "--classify"]]
+    # The census, Smith and Cox-side kernel functions are traced under the
+    # names of the modules they left; the tracer must still count their calls.
+    fan = h1_files[0]
+    jobs = [["subfans", fan, "--classify"], ["analyze", fan], ["stability", fan, "--free", "1=3,2=5"]]
     proc = run_fresh("-c", TRACE_SCRIPT, str(PERFBENCH), json.dumps(jobs))
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0]
+    assert result["codes"] == [0, 0, 0]
     calls = result["calls"]
     assert calls["fans.enumerate_subfans"] == 1
     assert calls["fans.isomorphism_classes"] == 1
     assert calls["lattice.smith_normal_form"] >= 1
+    assert calls["lattice.positive_kernel_vector"] >= 1
+    assert calls["lattice.complete_degrees"] >= 1

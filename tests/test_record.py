@@ -25,7 +25,8 @@ from torickit.document import FanDocument, document_from_fan
 from torickit.errors import NonPositiveError
 from torickit.fans import Fan, validate_fan
 from torickit.gaussian import gaussian
-from torickit.holmap import Configuration, config_to_polytuple, evaluate, stabilize
+from torickit.configurations import Configuration, config_to_polytuple, evaluate
+from torickit.holmap import stabilize
 from torickit.lattice import IntegerMatrix
 from torickit.smith import smith_normal_form
 from torickit.stability import discriminant_dims, replay, stability_report
