@@ -30,10 +30,14 @@ beside what it runs (`cox.cmd_analyze`, `stability.cmd_stability`,
 `analyze`, `stability` and `subfans` echo the document's `name` (null
 when unnamed) in their success and violation bodies; `holcheck` and
 `stabilize` do not. A closed stdout does not change the exit code.
+
+A process ends through `run`: `main()`, then `gc.freeze()`, so the
+collections at interpreter exit skip every object the job leaves behind.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -288,5 +292,17 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> int:
+    """`main()` for a process that ends with this job: the `torickit`
+    console script and `python -m torickit.cli`. Freezing the heap moves
+    every surviving object into the permanent generation, which the
+    collections at interpreter exit do not walk; `atexit` handlers and the
+    stdio flush still run. `main` itself never freezes, since callers that
+    run many jobs in one process would pin every object for good."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

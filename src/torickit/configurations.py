@@ -15,7 +15,7 @@ import operator
 from ._record import record
 from .errors import DegreeMismatchError, SizeMismatchError
 from .fans import Fan, primitive_collections
-from .gaussian import GaussianRational, gaussian, poly_eval, poly_from_roots
+from .gaussian import ZERO, GaussianRational, Poly, gaussian, poly_from_roots
 from .holmap import PolyTuple, _check_length
 
 PointMultiset = tuple[tuple[GaussianRational, int], ...]
@@ -81,6 +81,13 @@ def config_is_member(config: Configuration, fan: Fan) -> bool:
 def config_to_polytuple(config: Configuration) -> PolyTuple:
     """Expand each slot into the monic polynomial with those roots."""
     return PolyTuple.from_polys(poly_from_roots(slot) for slot in config.slots)
+
+
+def poly_eval(p: Poly, z: GaussianRational) -> GaussianRational:
+    value = ZERO
+    for coeff in reversed(p):
+        value = value * z + coeff
+    return value
 
 
 def evaluate(tup: PolyTuple, fan: Fan, alpha: GaussianRational) -> EvaluationResult:

@@ -394,13 +394,6 @@ def _reconstruct(residues: list[int], modulus: int) -> Poly | None:
     return tuple(_from_parts(*parts[k], *parts[k + 1]) for k in range(0, len(parts), 2))
 
 
-def poly_eval(p: Poly, z: GaussianRational) -> GaussianRational:
-    value = ZERO
-    for coeff in reversed(p):
-        value = value * z + coeff
-    return value
-
-
 def poly_from_roots(roots) -> Poly:
     """Monic polynomial with the given (root, multiplicity) pairs: the
     product over Z[i] of the factors d*z - a - b*i for the roots

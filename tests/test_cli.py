@@ -1,4 +1,5 @@
 import collections
+import gc
 import json
 import os
 import subprocess
@@ -38,6 +39,19 @@ TUPLE_COMMON_ROOT = {
     "schema_version": 1,
     "polynomials": [[["0", "0"]], [["2", "0"]], [["0", "0"]], [["4", "0"], ["5", "0"]]],
 }
+# Rays 1 and 2 span a cone that contains ray 3: INTERSECTION fails.
+INVALID_FAN = {
+    "schema_version": 1,
+    "dimension": 2,
+    "generators": [[1, 0], [0, 1], [1, 1]],
+    "maximal_cones": [[1, 2], [3]],
+}
+
+
+def fresh_env():
+    """The environment of a fresh process with this checkout's torickit first on the path."""
+    src = str(Path(torickit.cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 class TestAnalyze:
@@ -521,23 +535,15 @@ class TestClosedStdout:
     @pytest.fixture(params=[("analyze", 0), ("invalid", 2), ("condition-2", 3)], ids=lambda p: p[0])
     def job(self, request, write_fan, write_tuple):
         name, expected = request.param
-        invalid = {
-            "schema_version": 1,
-            "dimension": 2,
-            "generators": [[1, 0], [0, 1], [1, 1]],
-            "maximal_cones": [[1, 2], [3]],
-        }
         argv = {
             "analyze": ["analyze", write_fan(hirzebruch_fan(1), "h1")],
-            "invalid": ["analyze", write_tuple(invalid, "invalid")],
+            "invalid": ["analyze", write_tuple(INVALID_FAN, "invalid")],
             "condition-2": ["stability", write_fan(c2_fan(), "c2"), "--degrees", "1,1"],
         }[name]
         return argv, expected
 
     def test_reader_closed_first(self, job):
         argv, expected = job
-        src = str(Path(torickit.cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -545,7 +551,7 @@ class TestClosedStdout:
                 [sys.executable, "-X", "dev", "-W", "error", "-m", "torickit.cli", *argv],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
-                env=env,
+                env=fresh_env(),
                 timeout=60,
             )
         finally:
@@ -558,3 +564,66 @@ class TestClosedStdout:
         argv, expected = job
         monkeypatch.setattr(sys, "stdout", None)
         assert main(argv) == expected
+
+
+class TestExitPath:
+    """Only `run`, which ends a process, freezes the heap; `main` never
+    does, and a process that exits through `run` prints what `main` prints."""
+
+    @pytest.fixture
+    def jobs(self, write_fan, write_tuple):
+        h1 = write_fan(hirzebruch_fan(1), "h1")
+        return {
+            "analyze": (["analyze", h1], 0),
+            "stability": (["stability", h1, "--free", "1=3,2=5"], 0),
+            "holcheck": (["holcheck", h1, write_tuple(TUPLE_OK)], 0),
+            "stabilize": (["stabilize", h1, write_tuple(TUPLE_OK), "--increment", "1,1,1,2"], 0),
+            "subfans": (["subfans", h1, "--classify"], 0),
+            "usage": (["analyze"], 1),
+            "invalid": (["analyze", write_tuple(INVALID_FAN, "invalid")], 2),
+            "condition-2": (["stability", write_fan(c2_fan(), "c2"), "--degrees", "1,1"], 3),
+        }
+
+    @pytest.mark.parametrize("name", ["analyze", "stability", "holcheck", "stabilize", "subfans"])
+    def test_main_does_not_freeze(self, name, jobs, capsys):
+        argv, expected = jobs[name]
+        before = gc.get_freeze_count()
+        assert main(argv) == expected
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("name", ["analyze", "usage", "invalid", "condition-2"])
+    def test_fresh_process_prints_what_main_prints(self, name, jobs, capsys):
+        argv, expected = jobs[name]
+        assert main(argv) == expected
+        in_process = capsys.readouterr().out.encode()
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "torickit.cli", *argv],
+            capture_output=True,
+            env=fresh_env(),
+            timeout=60,
+        )
+        assert proc.returncode == expected
+        assert proc.stdout == in_process
+        assert proc.stderr == b""
+
+    @pytest.mark.parametrize("name", ["analyze", "invalid"])
+    def test_run_returns_mains_code_and_freezes(self, name, jobs):
+        argv, expected = jobs[name]
+        script = (
+            "import gc, sys, torickit.cli\n"
+            "before = gc.get_freeze_count()\n"
+            "code = torickit.cli.run()\n"
+            "print(code, before, gc.get_freeze_count())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            env=fresh_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        code, before, after = map(int, proc.stdout.splitlines()[-1].split())
+        assert code == expected
+        assert before == 0 < after

@@ -161,7 +161,7 @@ NOT_DEFINED = {
     "stability": {"cmd_holcheck", "cmd_stabilize", "cmd_subfans", "Configuration", "scanning_snapshot"},
     "holcheck": {
         "cmd_analyze", "cmd_stability", "cmd_subfans", "Configuration", "scanning_snapshot",
-        "positive_kernel_vector", "r_min", "nonface_family",
+        "positive_kernel_vector", "r_min", "nonface_family", "poly_eval",
     },
     "subfans": {
         "cmd_analyze", "cmd_stability", "cmd_holcheck", "cmd_stabilize", "Configuration",
