@@ -53,14 +53,18 @@ class PolyTuple:
     polys: tuple[Poly, ...]
     degrees: tuple[int, ...]
 
-    @classmethod
-    def from_polys(cls, polys) -> "PolyTuple":
-        polys = tuple(tuple(p) for p in polys)
-        for p in polys:
+    def __post_init__(self):
+        for p in self.polys:
             if not poly_is_monic(p):
                 raise ValueError("every polynomial must be monic")
             if poly_degree(p) < 1:
                 raise ValueError("every polynomial must have degree >= 1")
+        if self.degrees != tuple(poly_degree(p) for p in self.polys):
+            raise ValueError("degrees must be the degrees of the polynomials")
+
+    @classmethod
+    def from_polys(cls, polys) -> "PolyTuple":
+        polys = tuple(tuple(p) for p in polys)
         return cls(polys, tuple(poly_degree(p) for p in polys))
 
     @property

@@ -218,7 +218,7 @@ def discriminant_dims(fan: Fan, degrees, k: int) -> DiscriminantDims:
 
 def cmd_stability(fan, args) -> dict:
     report = stability_report(fan, args.free if args.degrees is None else args.degrees)
-    article = "a homotopy" if report.kind == "HOMOTOPY" else "a homology"
+    article = "a homotopy" if report.kind == KIND_HOMOTOPY else "a homology"
     return {
         "degrees": list(report.degrees),
         "r_min": report.r_min,

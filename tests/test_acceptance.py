@@ -6,7 +6,6 @@ Every tolerance and runtime bound is pinned here; nothing is deferred.
 
 import contextlib
 import itertools
-import json
 import random
 import time
 from fractions import Fraction
@@ -21,7 +20,6 @@ from oracles import (
 )
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.census import enumerate_subfans, fan_isomorphism
-from torickit.cli import main
 from torickit.configurations import Configuration, config_is_member, config_to_polytuple
 from torickit.cox import complete_degrees, cox_report, degree_of, positive_kernel_vector
 from torickit.fans import is_complete, is_smooth, validate_fan
@@ -43,29 +41,14 @@ def criterion(number: int, name: str):
     print(f"ACCEPTANCE {number} ({name}): PASS ({time.perf_counter() - start:.2f}s)")
 
 
-def run_json(capsys, argv):
-    code = main(argv)
-    return code, json.loads(capsys.readouterr().out)
-
-
-def test_criterion_1_hirzebruch_conformance(tmp_path, capsys):
-    paths = {}
-    for k in (1, 2, 3):
-        from torickit.document import document_from_fan, document_to_obj
-
-        path = tmp_path / f"hirzebruch{k}.json"
-        path.write_text(
-            json.dumps(document_to_obj(document_from_fan(hirzebruch_fan(k), f"hirzebruch{k}")))
-        )
-        paths[k] = str(path)
+def test_criterion_1_hirzebruch_conformance(write_fan, run_cli):
+    paths = {k: write_fan(hirzebruch_fan(k), f"hirzebruch{k}") for k in (1, 2, 3)}
 
     with criterion(1, "hirzebruch-conformance"):
         start = time.perf_counter()
         for k in (1, 2, 3):
             for d1, d2 in itertools.product(range(1, 6), repeat=2):
-                code, out = run_json(
-                    capsys, ["stability", paths[k], "--free", f"1={d1},2={d2}"]
-                )
+                code, out = run_cli("stability", paths[k], "--free", f"1={d1},2={d2}")
                 assert code == 0
                 assert out["primitive_collections"] == [[1, 3], [2, 4]]
                 assert out["r_min"] == 2
@@ -76,7 +59,7 @@ def test_criterion_1_hirzebruch_conformance(tmp_path, capsys):
         assert elapsed < 1.0, f"took {elapsed:.3f}s, budget 1s"
 
 
-def test_criterion_2_subfan_census(capsys, tmp_path):
+def test_criterion_2_subfan_census(write_fan, run_cli):
     with criterion(2, "subfan-census"):
         start = time.perf_counter()
         for k in (1, 2, 3):
@@ -88,11 +71,7 @@ def test_criterion_2_subfan_census(capsys, tmp_path):
                 assert is_smooth(sub)
                 assert not is_complete(sub)
 
-            from torickit.document import document_from_fan, document_to_obj
-
-            path = tmp_path / f"h{k}.json"
-            path.write_text(json.dumps(document_to_obj(document_from_fan(fan))))
-            code, out = run_json(capsys, ["subfans", str(path), "--classify"])
+            code, out = run_cli("subfans", write_fan(fan, f"h{k}"), "--classify")
             assert code == 0 and out["count"] == 15
             classes = out["classes"]
             # The class count is reported and collisions are flagged, not
@@ -132,7 +111,7 @@ def test_criterion_3_cp_series():
                 assert result.kind == ("HOMOTOPY" if n >= 2 else "HOMOLOGY")
 
 
-def test_criterion_4_negative_control(tmp_path, capsys):
+def test_criterion_4_negative_control(write_fan, run_cli):
     with criterion(4, "negative-control"):
         fan = c2_fan()
         report = cox_report(fan)
@@ -140,11 +119,7 @@ def test_criterion_4_negative_control(tmp_path, capsys):
         assert report.condition_positive_degree is False
         assert report.witness_degree is None
 
-        from torickit.document import document_from_fan, document_to_obj
-
-        path = tmp_path / "c2.json"
-        path.write_text(json.dumps(document_to_obj(document_from_fan(fan, "c2"))))
-        code, out = run_json(capsys, ["stability", str(path), "--degrees", "1,1"])
+        code, out = run_cli("stability", write_fan(fan, "c2"), "--degrees", "1,1")
         assert code != 0
         assert out["error"] == "CONDITION_2_FAILED"
 

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import jsonschema
 import pytest
@@ -14,7 +13,7 @@ import torickit.cox
 import torickit.fans
 import torickit.stability
 
-from worst_cases import ABOVE_CAPS
+from worst_cases import ABOVE_CAPS, CLI, DEV_PYTHON, fresh_env
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cli import main
 from torickit.census import enumerate_subfans
@@ -46,12 +45,6 @@ INVALID_FAN = {
     "generators": [[1, 0], [0, 1], [1, 1]],
     "maximal_cones": [[1, 2], [3]],
 }
-
-
-def fresh_env():
-    """The environment of a fresh process with this checkout's torickit first on the path."""
-    src = str(Path(torickit.cli.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 class TestAnalyze:
@@ -548,11 +541,7 @@ class TestClosedStdout:
         os.close(read_end)
         try:
             proc = subprocess.run(
-                [sys.executable, "-X", "dev", "-W", "error", "-m", "torickit.cli", *argv],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                env=fresh_env(),
-                timeout=60,
+                [*CLI, *argv], stdout=write_end, stderr=subprocess.PIPE, env=fresh_env(), timeout=60
             )
         finally:
             os.close(write_end)
@@ -597,12 +586,7 @@ class TestExitPath:
         argv, expected = jobs[name]
         assert main(argv) == expected
         in_process = capsys.readouterr().out.encode()
-        proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-m", "torickit.cli", *argv],
-            capture_output=True,
-            env=fresh_env(),
-            timeout=60,
-        )
+        proc = subprocess.run([*CLI, *argv], capture_output=True, env=fresh_env(), timeout=60)
         assert proc.returncode == expected
         assert proc.stdout == in_process
         assert proc.stderr == b""
@@ -617,11 +601,7 @@ class TestExitPath:
             "print(code, before, gc.get_freeze_count())\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-c", script, *argv],
-            capture_output=True,
-            text=True,
-            env=fresh_env(),
-            timeout=60,
+            [*DEV_PYTHON, "-c", script, *argv], capture_output=True, text=True, env=fresh_env(), timeout=60
         )
         assert proc.returncode == 0 and proc.stderr == ""
         code, before, after = map(int, proc.stdout.splitlines()[-1].split())

@@ -266,6 +266,17 @@ class TestDegreeCap:
                 check(tup, cp_fan(1))
             assert caught.value.code == "DEGREE_ABOVE_CAP"
 
+    def test_constructor_refuses_what_from_polys_refuses(self):
+        # The cap reads the stored degrees, so they must be the polynomials' own.
+        tall = poly_from_roots([(gaussian(0), MAX_DEGREE + 80)])
+        for polys, degrees, message in (
+            ((tall, linear(1)), (1, 1), "degrees must be the degrees"),
+            ((poly([ONE, gaussian(2)]), linear(1)), (1, 1), "must be monic"),
+            (((ONE,), linear(1)), (0, 1), "degree >= 1"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                PolyTuple(polys, degrees)
+
     @pytest.fixture
     def products(self, monkeypatch):
         counts = collections.Counter()

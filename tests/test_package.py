@@ -1,12 +1,12 @@
-"""The lazy package: which modules a subcommand runs, the public names, and
-the contract `perfbench/tracing.py` relies on.
+"""The lazy package: which modules a subcommand runs, the public names, the
+contract `perfbench/tracing.py` relies on, and the oldest grammar CI runs.
 
 Each check that depends on what has been imported runs in a fresh
 interpreter, since this test process has imported every module already.
 """
 
+import ast
 import json
-import os
 import subprocess
 import sys
 import types
@@ -15,21 +15,21 @@ from pathlib import Path
 import pytest
 
 import torickit
+from worst_cases import CLI, fresh_env
 from torickit.catalog import hirzebruch_fan
 
 LAZY = {
     "lattice", "smith", "cones", "fans", "census", "cox", "gaussian", "holmap", "configurations", "document",
     "stability", "catalog",
 }
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def run_fresh(*args):
     """Run `python -W error args...` with this checkout's torickit first on the path."""
-    src = str(Path(torickit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-W", "error", *args], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-W", "error", *args], capture_output=True, text=True, env=fresh_env(), timeout=60
     )
 
 
@@ -147,7 +147,9 @@ class TestModulesRun:
     def test_run_as_main_without_warnings(self, h1_files):
         # runpy warns when `torickit.cli` is already in sys.modules after the
         # package import, so the package must never register or import it.
-        proc = run_fresh("-m", "torickit.cli", "analyze", h1_files[0])
+        proc = subprocess.run(
+            [*CLI, "analyze", h1_files[0]], capture_output=True, text=True, env=fresh_env(), timeout=60
+        )
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         assert json.loads(proc.stdout)["r_min"] == 2
 
@@ -354,3 +356,11 @@ def test_tracer_counts_the_forwarded_names(h1_files):
     assert calls["lattice.smith_normal_form"] >= 1
     assert calls["lattice.positive_kernel_vector"] >= 1
     assert calls["lattice.complete_degrees"] >= 1
+
+
+def test_sources_parse_under_the_python_3_10_grammar():
+    """CI also runs CPython 3.10. This guards syntax only: `feature_version`
+    is best effort, and library calls or behaviour that differ between
+    versions pass it unseen."""
+    for path in sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")]):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -8,7 +8,6 @@ the reference for repr, equality, hashing, construction and immutability.
 import copy
 import dataclasses
 import functools
-import os
 import pickle
 import subprocess
 import sys
@@ -16,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-import torickit
+from worst_cases import fresh_env
 from torickit import _record
 from torickit.catalog import cp_fan, hirzebruch_fan, load_catalog
 from torickit.cones import SimplicialCone
@@ -231,8 +230,6 @@ def test_class_body_methods_are_kept():
 def test_cli_import_skips_heavy_stdlib_modules():
     # -S keeps site .pth files from loading modules on their own. argparse
     # brings gettext and locale; fractions brings decimal and numbers.
-    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(torickit.__file__)))
-    env = dict(os.environ, PYTHONPATH=package_parent)
     heavy = (
         "dataclasses",
         "inspect",
@@ -250,7 +247,7 @@ def test_cli_import_skips_heavy_stdlib_modules():
         f"print(sorted(name for name in {heavy!r} if name in sys.modules))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", code], env=fresh_env(), capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

@@ -14,7 +14,8 @@ row under `BUDGET_S` seconds, requires the exit code and the predicate,
 prints one line per row and exits 1 if any row failed.
 `tests/test_worst_cases.py` checks the table and every digest in tier-1
 without running the rows. The CLI tests take the cp1^k builder, the
-10^3000 plane fan and the documents above the caps from here.
+10^3000 plane fan and the documents above the caps from here, and every
+test that starts a fresh process takes `fresh_env` and `CLI` from here.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -31,6 +33,7 @@ from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import torickit
 from torickit.catalog import cp_fan
 from torickit.document import document_from_fan, document_to_obj, poly_tuple_to_obj
 from torickit.fans import Fan
@@ -38,6 +41,17 @@ from torickit.gaussian import gaussian, poly_from_roots
 from torickit.holmap import PolyTuple
 
 BUDGET_S = 30
+
+# A fresh CLI process under CI's warning settings: a ResourceWarning or
+# DeprecationWarning fails it.
+DEV_PYTHON = (sys.executable, "-X", "dev", "-W", "error")
+CLI = (*DEV_PYTHON, "-m", "torickit.cli")
+
+
+def fresh_env():
+    """The environment of a fresh process with the imported torickit's `src` first on PYTHONPATH."""
+    src = str(Path(torickit.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 class Row(NamedTuple):
@@ -304,10 +318,9 @@ def _outcome(row, out):
             return False, f"{name} does not match its pinned digest"
         (out / name).write_bytes(data)
     argv = [str(out / a) if a in files else a for a in row.argv]
-    cmd = [sys.executable, "-X", "dev", "-W", "error", "-m", "torickit.cli", *argv]
     start = time.perf_counter()
     try:
-        proc = subprocess.run(cmd, stdout=subprocess.PIPE, timeout=BUDGET_S)
+        proc = subprocess.run([*CLI, *argv], stdout=subprocess.PIPE, env=fresh_env(), timeout=BUDGET_S)
     except subprocess.TimeoutExpired:
         return False, f"no exit within {BUDGET_S} s"
     took = f"exit {proc.returncode} in {time.perf_counter() - start:.1f} s"
