@@ -5,14 +5,16 @@ space of based holomorphic maps into the double loop space is an
 equivalence: (2*r_min - 3)*d_min - 2, a homotopy equivalence when
 r_min >= 3 and a homology equivalence when r_min = 2.
 
-`replay(r_min, d_min).stable_dim` recomputes that number by a route
-independent of the closed form: it replays the comparison argument over
-the truncated spectral sequences, propagating the unknown index region
-page by page and reading off the first diagonal the unknown region can
-touch. Which columns a page reaches comes from the lemma that t distinct
-positive jump lengths sum to exactly the integers s >= t(t+1)/2, so the
-replay costs O(d_min^1.5) integer operations; it refuses d_min above
-MAX_D_MIN.
+`replay(r_min, d_min)` replays the comparison argument over the truncated
+spectral sequences: the unknown index region propagates page by page,
+and the first diagonal it can touch bounds the stable range. Its page
+minima are computed from their proof (see `replay`): every entry on page
+t is (2*r_min - 3)*d_min - 1 + t whatever the column, so `stable_dim`
+equals the closed form by algebra and the replay costs O(sqrt(d_min))
+tuple entries. The routes that read the region off its inequalities,
+and so could disagree with the closed form, are the oracles in
+`tests/oracles.py`. The replay refuses d_min above MAX_D_MIN, which
+bounds the page_minima tuple a `--degrees` vector can ask for.
 
 r_min, the size of the smallest primitive collection, and the non-faces
 of a fan live here too, and `cmd_stability` computes the body of the
@@ -22,6 +24,7 @@ of a fan live here too, and `cmd_stability` computes the body of the
 from __future__ import annotations
 
 import itertools
+from math import isqrt
 
 from ._record import record
 from .cox import DegreeVector, complete_degrees, cox_report, degree_of
@@ -37,8 +40,9 @@ from .fans import Face, Fan, _one_based, primitive_collections
 KIND_HOMOTOPY = "HOMOTOPY"
 KIND_HOMOLOGY = "HOMOLOGY"
 
-# The largest d_min that `replay` accepts; the replay takes about a second
-# there (see its docstring).
+# The largest d_min that `replay` accepts. Its page_minima holds about
+# sqrt(2*d_min) pairs, so the cap bounds the tuple that an uncapped d_min
+# from `--degrees` would build.
 MAX_D_MIN = 15_000
 
 
@@ -107,29 +111,40 @@ class ReplayResult:
 
 
 def replay(rmin: int, dmin: int) -> ReplayResult:
-    """Replay of the page-by-page comparison argument.
+    """Replay of the page-by-page comparison argument, from its proof.
 
     The unknown region is seeded on the column just past d_min at and above
     the vanishing line; on page t it has propagated to the set A_t of
     positions (u, v) reachable along differentials, described by strictly
     increasing jump lengths l_1 < ... < l_t with u + sum(l_j) = d_min + 1
-    and v + sum(l_j - 1) >= (2*r_min - 2)*d_min. A_t is read off literally
-    from those inequalities inside the grid k in [0, d_min+1],
-    s in [0, (2*r_min-2)*d_min + d_min + 4]; the jump-length budget
-    sum(l_j) <= d_min + 1 caps the page count at O(sqrt(d_min)). Which
+    and v + sum(l_j - 1) >= (2*r_min - 2)*d_min, inside the grid
+    k in [0, d_min+1], s in [0, (2*r_min-2)*d_min + d_min + 4].
+
+    Write threshold = (2*r_min - 2)*d_min and budget = d_min + 1. Which
     columns a page reaches follows from one lemma: t strictly increasing
     positive lengths sum to exactly the integers s >= t(t+1)/2 (the
     lengths 1, ..., t-1 and s - t(t-1)/2 reach any such s), so column k is
-    on page t iff k <= d_min + 1 - t(t+1)/2. The diagonal s - k grows with
-    s, so each reachable column k contributes only its least admissible
-    row s, which is read off directly. The scan costs O(d_min^1.5) integer
-    operations (about 1 s at d_min = MAX_D_MIN on a 2 vCPU machine), and
-    d_min above MAX_D_MIN raises DMinAboveCapError before any of it.
+    on page t iff k <= budget - t(t+1)/2. The pages are therefore
+    t = 1..T with T = (isqrt(8*budget + 1) - 1) // 2, the largest t with
+    t(t+1)/2 <= budget, and column 0 is on each of them. The diagonal
+    s - k grows with s, so column k contributes its least admissible row,
+    max(0, threshold - (budget - k) + t), and the diagonal
+    max(0, threshold - budget + k + t) - k. Since
+    threshold - budget = (2*r_min - 3)*d_min - 1 >= 0 for r_min >= 2 and
+    d_min >= 1, the argument of the max is at least k + t > 0, so the max
+    never binds and every column of page t has the diagonal
+    threshold - budget + t = (2*r_min - 3)*d_min - 1 + t. That is page t's
+    minimum. The least of them, on page 1, is the first diagonal the
+    region touches: min_unknown_diagonal = (2*r_min - 3)*d_min.
 
     The returned dimension is the largest diagonal untouched by every A_t
-    (with the proof's one-dimension safety margin) combined with the
-    column-vanishing clause for k >= d_min + 1; any divergence from the
-    closed form would surface as a report mismatch, not get patched here.
+    (with the proof's one-dimension safety margin), min_unknown - 2,
+    combined with the column-vanishing clause for k >= d_min + 1,
+    threshold - 1 - budget; both equal (2*r_min - 3)*d_min - 2. The
+    result costs O(sqrt(d_min)) tuple entries, and d_min above MAX_D_MIN
+    raises DMinAboveCapError before any of it. `tests/oracles.py` keeps
+    the scan over every reached column (`scan_replay`) and two slower
+    routes to A_t; tier-1 compares them with this one.
     """
     if rmin < 2:
         raise ValueError("r_min must be at least 2")
@@ -140,24 +155,14 @@ def replay(rmin: int, dmin: int) -> ReplayResult:
 
     threshold = (2 * rmin - 2) * dmin
     budget = dmin + 1
-    page_minima = []
-    t = 1
-    while t * (t + 1) // 2 <= budget:
-        # The least row of column k in A_t; t <= budget keeps it in the grid.
-        diagonals = [
-            max(0, threshold - (budget - k) + t) - k
-            for k in range(budget - t * (t + 1) // 2 + 1)
-        ]
-        page_minima.append((t, min(diagonals)))
-        t += 1
-
-    min_unknown = min(a for _, a in page_minima)
+    min_unknown = (2 * rmin - 3) * dmin
+    pages = (isqrt(8 * budget + 1) - 1) // 2
     region_dim = min_unknown - 2
-    column_clause = threshold - 1 - (dmin + 1)
+    column_clause = threshold - 1 - budget
     return ReplayResult(
         stable_dim=min(region_dim, column_clause),
         min_unknown_diagonal=min_unknown,
-        page_minima=tuple(page_minima),
+        page_minima=tuple((t, min_unknown - 1 + t) for t in range(1, pages + 1)),
     )
 
 
@@ -200,7 +205,15 @@ def discriminant_dims(fan: Fan, degrees, k: int) -> DiscriminantDims:
     """Dimension bookkeeping for the k-th discriminant stratum.
 
     Valid for 1 <= k <= d_min, where the stratum fibers over configurations
-    of k labelled coordinate-subspace hits as a real affine bundle.
+    of k labelled coordinate-subspace hits as a real affine bundle. Its real
+    codimension in the 2*n_d-dimensional space of tuples is
+
+        2*n_d - dim_c_k - bundle_rank_l
+            = 2*n_d - 2*(1 + r - r_min)*k - (2*n_d - 2*r*k + k - 1)
+            = (2*r_min - 3)*k + 1,
+
+    where r is the ray count. At k = d_min this is
+    `replay(r_min, d_min).min_unknown_diagonal + 1`.
     """
     degrees = degree_of(fan, degrees)
     rmin = r_min(fan)

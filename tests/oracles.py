@@ -7,13 +7,16 @@ floating-point root finding with a separation margin. The enumerations
 that the library replaced by an exact LP (cone intersections by extreme
 rays, the positive kernel vector by basic solutions) are kept here
 verbatim as cross-checks, as are the angular completeness test for plane
-fans and the quadratic definition of maximal faces. Both earlier routes
-to the jump sums of `replay` are kept too: the enumeration of jump
-sequences and the subset sum over jump lengths, which the library
-replaced by the lemma that t distinct positive lengths sum to exactly the
-integers s >= t(t+1)/2. So are the primitive collections and the
-SIMPLICIALITY witnesses computed over the materialised face lattice,
-which the library replaced by reasoning on the maximal cones alone, and
+fans and the quadratic definition of maximal faces. Three routes to the
+page minima of `replay` are kept too: the enumeration of jump sequences,
+the subset sum over jump lengths, and the scan of every column a page
+reaches (`scan_replay`), which reads the reached columns off the lemma
+that t distinct positive lengths sum to exactly the integers
+s >= t(t+1)/2. The library replaced all three by the proof that every
+entry on page t is (2*r_min - 3)*d_min - 1 + t. So are the primitive
+collections and the SIMPLICIALITY witnesses computed over the
+materialised face lattice, which the library replaced by reasoning on
+the maximal cones alone, and
 the fan isomorphism search over every ordered tuple of target rays with
 its pairwise classification, which the library replaced by rejection on
 invariants and a search over rays of matching profile. The INTERSECTION
@@ -627,6 +630,58 @@ def subset_sum_replay(rmin: int, dmin: int) -> ReplayResult:
         ]
         if diagonals:
             page_minima.append((t, min(diagonals)))
+        t += 1
+
+    min_unknown = min(a for _, a in page_minima)
+    region_dim = min_unknown - 2
+    column_clause = threshold - 1 - (dmin + 1)
+    return ReplayResult(
+        stable_dim=min(region_dim, column_clause),
+        min_unknown_diagonal=min_unknown,
+        page_minima=tuple(page_minima),
+    )
+
+
+def scan_replay(rmin: int, dmin: int) -> ReplayResult:
+    """Replay of the page-by-page comparison argument, one column at a time.
+
+    The unknown region is seeded on the column just past d_min at and above
+    the vanishing line; on page t it has propagated to the set A_t of
+    positions (u, v) reachable along differentials, described by strictly
+    increasing jump lengths l_1 < ... < l_t with u + sum(l_j) = d_min + 1
+    and v + sum(l_j - 1) >= (2*r_min - 2)*d_min. A_t is read off literally
+    from those inequalities inside the grid k in [0, d_min+1],
+    s in [0, (2*r_min-2)*d_min + d_min + 4]; the jump-length budget
+    sum(l_j) <= d_min + 1 caps the page count at O(sqrt(d_min)). Which
+    columns a page reaches follows from one lemma: t strictly increasing
+    positive lengths sum to exactly the integers s >= t(t+1)/2 (the
+    lengths 1, ..., t-1 and s - t(t-1)/2 reach any such s), so column k is
+    on page t iff k <= d_min + 1 - t(t+1)/2. The diagonal s - k grows with
+    s, so each reachable column k contributes only its least admissible
+    row s, which is read off directly. The scan costs O(d_min^1.5) integer
+    operations (about 0.35 s at d_min = 15,000 on a 2 vCPU machine).
+
+    The returned dimension is the largest diagonal untouched by every A_t
+    (with the proof's one-dimension safety margin) combined with the
+    column-vanishing clause for k >= d_min + 1; any divergence from the
+    closed form would surface as a report mismatch, not get patched here.
+    """
+    if rmin < 2:
+        raise ValueError("r_min must be at least 2")
+    if dmin < 1:
+        raise ValueError("d_min must be at least 1")
+
+    threshold = (2 * rmin - 2) * dmin
+    budget = dmin + 1
+    page_minima = []
+    t = 1
+    while t * (t + 1) // 2 <= budget:
+        # The least row of column k in A_t; t <= budget keeps it in the grid.
+        diagonals = [
+            max(0, threshold - (budget - k) + t) - k
+            for k in range(budget - t * (t + 1) // 2 + 1)
+        ]
+        page_minima.append((t, min(diagonals)))
         t += 1
 
     min_unknown = min(a for _, a in page_minima)

@@ -358,9 +358,46 @@ def test_tracer_counts_the_forwarded_names(h1_files):
     assert calls["lattice.complete_degrees"] >= 1
 
 
+def starred_beyond_3_10(tree):
+    """The PEP 646 starred nodes in a tree: a `*args` annotation, and a
+    starred subscript, as the slice or an element of a tuple slice. They
+    are 3.11 syntax that `feature_version=(3, 10)` accepts. `a[(*b,)]`,
+    legal in 3.10, has the same tree as `a[*b,]` and is refused too."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arguments) and node.vararg is not None:
+            found.append(node.vararg.annotation)
+        elif isinstance(node, ast.Subscript):
+            found.append(node.slice)
+            if isinstance(node.slice, ast.Tuple):
+                found.extend(node.slice.elts)
+    return [node for node in found if isinstance(node, ast.Starred)]
+
+
+@pytest.mark.parametrize(
+    "source,refused",
+    [
+        ("def g(*args: *Ts): pass", True),
+        ("x: tuple[*Ts]", True),
+        ("def f() -> tuple[*Ts]: pass", True),
+        ("a[*b]", True),
+        ("a[1, *b]", True),
+        ("f(*b)", False),
+        ("[*a]", False),
+        ("a, *b = c", False),
+        ("def g(*args: int): pass", False),
+        ("a[[*b]]", False),
+    ],
+)
+def test_starred_beyond_3_10(source, refused):
+    assert bool(starred_beyond_3_10(ast.parse(source, feature_version=(3, 10)))) is refused
+
+
 def test_sources_parse_under_the_python_3_10_grammar():
     """CI also runs CPython 3.10. This guards syntax only: `feature_version`
     is best effort, and library calls or behaviour that differ between
-    versions pass it unseen."""
+    versions pass it unseen. The walk refuses the PEP 646 starred forms it
+    lets through."""
     for path in sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")]):
-        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+        assert not starred_beyond_3_10(tree), path

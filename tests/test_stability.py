@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import enumerated_replay, subset_sum_replay
+from oracles import enumerated_replay, scan_replay, subset_sum_replay
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cox import DegreeVector, complete_degrees, degree_of
 from torickit.errors import (
@@ -138,6 +138,21 @@ class TestDiscriminantDims:
                     == 2 * dims.n_d + 3 * k - 2 * rmin * k - 1
                 )
 
+    @pytest.mark.parametrize(
+        "fan,degrees",
+        [
+            *((cp_fan(n), (d,) * (n + 1)) for n in (2, 3, 4) for d in range(1, 8)),
+            (hirzebruch_fan(2), (6, 2, 6, 14)),
+        ],
+    )
+    def test_codimension_at_d_min_is_replays_first_diagonal_plus_one(self, fan, degrees):
+        dv = degree_of(fan, degrees)
+        rmin = stability_report(fan, dv).r_min
+        dims = discriminant_dims(fan, dv, dv.minimum)
+        codimension = 2 * dims.n_d - dims.dim_c_k - dims.bundle_rank_l
+        assert codimension == (2 * rmin - 3) * dv.minimum + 1
+        assert codimension == replay(rmin, dv.minimum).min_unknown_diagonal + 1
+
 
 class TestReplay:
     def test_examples(self):
@@ -170,6 +185,11 @@ class TestReplay:
             for dmin in [*range(1, 121), 200]:
                 assert replay(rmin, dmin) == subset_sum_replay(rmin, dmin)
 
+    def test_matches_column_scan(self):
+        for rmin in range(2, 8):
+            for dmin in [*range(1, 121), 200]:
+                assert replay(rmin, dmin) == scan_replay(rmin, dmin)
+
     def test_large_d_min_terminates(self):
         assert replay(2, 60).stable_dim == 58
 
@@ -181,6 +201,7 @@ class TestReplay:
         assert result.min_unknown_diagonal == closed + 2
         pages = max(t for t in range(1, MAX_D_MIN) if t * (t + 1) // 2 <= MAX_D_MIN + 1)
         assert result.page_minima == tuple((t, closed + 1 + t) for t in range(1, pages + 1))
+        assert result == scan_replay(rmin, MAX_D_MIN)
 
     def test_above_the_cap(self):
         message = f"d_min {MAX_D_MIN + 1} is above the cap of {MAX_D_MIN}"
