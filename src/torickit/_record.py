@@ -2,21 +2,22 @@
 
 `@record` turns a class with annotated fields into an immutable value
 type, like `@dataclass(frozen=True)`: an `__init__` taking the fields
-positionally or by keyword (a class attribute is the field's default) and
-then calling `__post_init__` if the class defines it, `__eq__` against
-instances of the same class only, `__hash__` of the field tuple, the
-dataclass `__repr__`, `__match_args__`, and assignment or deletion of any
-attribute raising AttributeError. Methods the class body defines itself
-are kept.
+positionally or by keyword and then calling `__post_init__` if the class
+defines it, `__eq__` against instances of the same class only, `__hash__`
+of the field tuple, the dataclass `__repr__`, `__match_args__`, and
+assignment or deletion of any attribute raising AttributeError. A record
+class annotates at least one field, gives no field a default and defines
+none of the methods in `_GENERATED`, which replace whatever the class body
+has; a test parses every record class in the package to keep it so.
 
 Importing `dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`, and
 every class it builds costs about 1 ms; torickit runs as a fresh process
 per command, so it builds its records here instead. Only `__init__` is
 generated as literal code over the field names, as in `dataclasses`, since
-its signature, defaults and field stores differ per class. `__eq__`,
-`__hash__` and `__repr__` are shared by every record and read the fields
-through one `operator.attrgetter` stored on the class, so a record class
-costs one small compile.
+its signature and field stores differ per class. `__eq__`, `__hash__` and
+`__repr__` are shared by every record and read the fields through one
+`operator.attrgetter` stored on the class, so a record class costs one
+small compile.
 """
 
 from __future__ import annotations
@@ -56,25 +57,21 @@ def _repr(self):
 
 
 def _field_getter(names):
-    """The fields of an instance as a tuple, for any number of fields."""
+    """The fields of an instance as a tuple, for one or more fields."""
     if len(names) > 1:
         return attrgetter(*names)
-    if names:
-        get = attrgetter(*names)
-        return lambda self: (get(self),)
-    return lambda self: ()
+    get = attrgetter(*names)
+    return lambda self: (get(self),)
 
 
 def record(cls):
     """Make `cls` a frozen record over its annotated fields (see the module)."""
-    names = tuple(cls.__dict__.get("__annotations__", ()))
-    params = "".join(f", {n}=_dflt_{n}" if n in cls.__dict__ else f", {n}" for n in names)
+    names = tuple(cls.__dict__["__annotations__"])
     assign = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
     if hasattr(cls, "__post_init__"):
         assign += "    self.__post_init__()\n"
     namespace = {"__name__": cls.__module__, "_set": object.__setattr__}
-    namespace.update((f"_dflt_{n}", cls.__dict__[n]) for n in names if n in cls.__dict__)
-    exec(f"def __init__(self{params}):\n{assign or '    pass'}\n", namespace)
+    exec(f"def __init__(self, {', '.join(names)}):\n{assign}", namespace)
     namespace["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
     namespace.update(
         __eq__=_eq,
@@ -86,8 +83,5 @@ def record(cls):
     )
     cls._record_fields = staticmethod(_field_getter(names))
     for name in _GENERATED:
-        # What the class body defines wins; its `__hash__` is None when it
-        # defines `__eq__` alone.
-        if cls.__dict__.get(name) is None:
-            setattr(cls, name, namespace[name])
+        setattr(cls, name, namespace[name])
     return cls

@@ -37,7 +37,7 @@ def enumerate_subfans(fan: Fan) -> list[Fan]:
     before any face larger than an edge is built.
     """
     ideals = [frozenset()]
-    for size in range(2, max(map(len, fan.cones), default=0) + 1):
+    for size in range(2, max(map(len, fan.cones)) + 1):
         faces = {
             frozenset(sub)
             for cone in fan.cones
@@ -122,8 +122,6 @@ def fan_isomorphism(a: Fan, b: Fan):
     w = _isomorphism(a, data_a, b, data_b)
     if w is None:
         return None
-    if a.ray_count == 0:
-        return IntegerMatrix.identity(a.dim)
     # W acts on the first rank coordinates of U_a g and the identity on the rest.
     n, rank = a.dim, len(w)
     block = [row + [0] * (n - rank) for row in w]

@@ -41,7 +41,7 @@ class FanDocument:
     dimension: int
     generators: tuple[tuple[int, ...], ...]
     maximal_cones: tuple[tuple[int, ...], ...]
-    name: str | None = None
+    name: str | None
 
 
 def _require(condition: bool, message: str):

@@ -195,18 +195,15 @@ def is_smooth(fan: Fan) -> bool:
 def is_complete(fan: Fan) -> bool:
     """Whether the support of the fan is all of R^n.
 
-    The fan must be valid (see `validate_fan`); the answer on an invalid fan
-    is unspecified. The zero-dimensional fan is complete. For n >= 1 it is
-    enough that every maximal cone has n rays and every ridge (n - 1 rays of
-    a maximal cone) lies in exactly two maximal cones: the facets the
-    maximal cones cut on the unit sphere then sum to a mod-2 cycle, and as
-    the facets of a valid fan do not overlap, a nonzero top-dimensional
-    cycle on S^(n-1) covers all of it. For n = 1 this says two opposite
-    rays.
+    The fan must be valid (see `validate_fan`), so n >= 1; the answer on an
+    invalid fan is unspecified. It is enough that every maximal cone has n
+    rays and every ridge (n - 1 rays of a maximal cone) lies in exactly two
+    maximal cones: the facets the maximal cones cut on the unit sphere then
+    sum to a mod-2 cycle, and as the facets of a valid fan do not overlap, a
+    nonzero top-dimensional cycle on S^(n-1) covers all of it. For n = 1
+    this says two opposite rays.
     """
     n = fan.dim
-    if n == 0:
-        return True
     maximal = fan.maximal_faces()
     if not maximal or any(len(face) != n for face in maximal):
         return False

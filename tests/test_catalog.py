@@ -74,3 +74,6 @@ def test_builders_reject_bad_parameters():
         cp_fan(0)
     with pytest.raises(ValueError):
         hirzebruch_fan(0)
+    for name in ("c3", "product", ""):
+        with pytest.raises(KeyError, match="unknown catalog fan"):
+            builder_for(name)

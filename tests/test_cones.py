@@ -50,6 +50,10 @@ class TestConstruction:
     def test_canonical_identity(self):
         assert cone2((0, 1), (1, 0)) == cone2((2, 0), (0, 3))
 
+    def test_generator_dimension_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="generator dimension mismatch"):
+            SimplicialCone.from_generators(3, [(1, 0, 0), (0, 1)])
+
 
 class TestSmoothCone:
     def test_standard_quadrant(self):
@@ -151,6 +155,16 @@ class TestIntersection:
         shared = cone3((1, 0, 0), (0, 1, 0))
         assert intersection_is_common_face(a, b, shared)
         assert not intersection_is_common_face(a, b, cone3((1, 0, 0)))
+
+    def test_cones_in_different_ambient_spaces_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="different ambient spaces"):
+            intersection_is_common_face(cone2((1, 0)), cone3((1, 0, 0)), SimplicialCone.zero(2))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_cone_halfspaces_are_the_coordinate_equalities(self, dim):
+        equalities, inequalities = halfspace_description(SimplicialCone.zero(dim))
+        assert equalities == [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        assert inequalities == []
 
     def test_halfspace_description_cuts_out_cone(self):
         rng = random.Random(55)

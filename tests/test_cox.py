@@ -72,6 +72,14 @@ class TestDegreeOf:
         with pytest.raises(NotInKernelError):
             degree_of(hirzebruch_fan(1), (1, 1, 1))
 
+    def test_degree_vector_reads_like_its_entries(self):
+        degrees = DegreeVector((3, 1, 4))
+        assert (degrees[0], degrees[2], degrees[-1]) == (3, 4, 4)
+        assert degrees[1:] == (1, 4)
+        assert len(degrees) == 3 and list(degrees) == [3, 1, 4]
+        with pytest.raises(IndexError):
+            degrees[3]
+
     def test_degree_vector_rejects_bad_entries(self):
         with pytest.raises(NonPositiveError):
             DegreeVector((1, 0, 2))

@@ -69,6 +69,17 @@ class TestValidation:
         assert validate_fan(fan).valid
         assert not is_nonface(fan, {0})
 
+    @pytest.mark.parametrize("cone", [(0, 2), (-1, 1)], ids=["past-ray-count", "negative"])
+    def test_index_out_of_range(self, cone):
+        # `Fan` takes any index sets; `validate_fan` reports the bad cone
+        # alone, before any check that would index the generators with it.
+        fan = Fan.from_maximal([(1, 0), (0, 1)], [cone])
+        report = validate_fan(fan)
+        assert not report.valid
+        assert [(v.axiom, v.witness) for v in report.violations] == [
+            ("INDEX_RANGE", (tuple(sorted(cone)),))
+        ]
+
     def test_trivial_complex(self):
         fan = Fan.create([(1, 0)], [])
         assert {"NONTRIVIAL", "RAY_COVERAGE"} <= violation_axioms(fan)
@@ -186,6 +197,13 @@ class TestNonfaces:
 
     def test_cp1(self):
         assert nonface_family(cp_fan(1)) == {frozenset({0, 1})}
+
+    def test_materialization_is_capped_at_20_rays(self):
+        cp20 = cp_fan(20)
+        assert cp20.ray_count == 21
+        with pytest.raises(ValueError, match="only materialized for r <= 20"):
+            nonface_family(cp20)
+        assert is_nonface(cp20, range(21)) and not is_nonface(cp20, range(20))
 
 
 class TestPrimitiveCollections:
@@ -600,6 +618,28 @@ class TestIsomorphism:
         assert _lattice_data(smooth)[0] != _lattice_data(singular)[0]
         assert fan_isomorphism(smooth, singular) is None
         assert fan_isomorphism(singular, smooth) is None
+
+    def test_non_integral_frame_maps_are_skipped(self):
+        # Three rays and no 2-cones, so every ray has the same profile. The
+        # frame of a, rays 0 and 1, spans a sublattice of index 2; every pair
+        # of rays of c is a basis. All three fans have equal invariants.
+        a = Fan.from_maximal([(1, 0), (1, 2), (0, 1)], [])
+        b = Fan.from_maximal([(1, 0), (0, 1), (1, 2)], [])
+        c = Fan.from_maximal([(1, 0), (0, 1), (1, 1)], [])
+        assert all(validate_fan(fan).valid for fan in (a, b, c))
+        assert _lattice_data(a)[0] == _lattice_data(b)[0] == _lattice_data(c)[0]
+        # The search tries the targets of the frame in lexicographic order.
+        # Onto rays (0, 1) of b the map has determinant 1/2, so it is
+        # skipped as not integral, and the one found sends the frame onto
+        # rays (0, 2). Onto c every map has determinant 1/2.
+        u = fan_isomorphism(a, b)
+        assert u is not None and is_unimodular(u)
+        assert [u.apply(g) for g in a.generators[:2]] == [b.generators[0], b.generators[2]]
+        assert fan_isomorphism(a, c) is None
+        for x, y in itertools.permutations((a, b, c), 2):
+            assert (fan_isomorphism(x, y) is None) == (permutation_search_isomorphism(x, y) is None)
+        fans = [a, c, b, c]
+        assert isomorphism_classes(fans) == pairwise_isomorphism_classes(fans) == [[0, 2], [1, 3]]
 
     def test_axis_swap(self):
         f1 = Fan.from_maximal([(1, 0), (-1, 0)], [(0,), (1,)])

@@ -24,6 +24,7 @@ from torickit.gaussian import (
     gaussian_from_pair,
     gaussian_to_pair,
     poly,
+    poly_divmod,
     poly_from_roots,
     poly_gcd,
     poly_mul,
@@ -181,6 +182,12 @@ def test_edge_case_results():
     assert poly_multi_gcd(EDGE_CASES["non_monic"][0]) == roots((5, -1))
     assert poly_multi_gcd(EDGE_CASES["empty"][0]) == POLY_ZERO
     assert poly_multi_gcd(EDGE_CASES["zeros"][0]) == POLY_ZERO
+
+
+def test_division_by_the_zero_polynomial_is_refused():
+    for a in (POLY_ZERO, POLY_ONE, poly_from_roots([(gaussian(2), 3)])):
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+            poly_divmod(a, POLY_ZERO)
 
 
 def test_accepts_a_generator():

@@ -219,6 +219,9 @@ class TestStabilize:
         tup = PolyTuple.from_polys([linear(0), linear(-1)])
         with pytest.raises(DuplicatePointsError):
             stabilize(tup, (1, 1), cp1, (gaussian(3), gaussian(3)))
+        for points in [(gaussian(3),), (gaussian(3), gaussian(4), gaussian(5))]:
+            with pytest.raises(DuplicatePointsError, match="expected 2 stabilization points"):
+                stabilize(tup, (1, 1), cp1, points)
 
     def test_default_points_preserve_membership(self, hirzebruch1):
         # Members whose roots sit left of N(D) stay members under the
@@ -307,6 +310,19 @@ class TestDegreeCap:
         for increment in ((MAX_DEGREE, 1, MAX_DEGREE, MAX_DEGREE), (0, 1, 0, MAX_DEGREE + 1)):
             with pytest.raises(NonKernelIncrementError):
                 stabilize(tup, increment, hirzebruch1)
+
+
+class TestConfigurationRefusals:
+    @pytest.mark.parametrize("multiplicity", [0, -2])
+    def test_multiplicity_below_one(self, multiplicity):
+        with pytest.raises(ValueError, match="multiplicities must be >= 1"):
+            Configuration.from_points([[gaussian(1)], [(gaussian(2), multiplicity)]])
+
+    @pytest.mark.parametrize("radius", [0, Fraction(-1, 2), -3])
+    def test_radius_not_positive(self, radius):
+        cfg = Configuration.from_points([[gaussian(0)], [gaussian(1)]])
+        with pytest.raises(ValueError, match="radius must be positive"):
+            scanning_snapshot(cfg, gaussian(0), radius)
 
 
 class TestScanningSnapshot:

@@ -23,6 +23,7 @@ from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan, load_catalog
 from torickit.cox import _complete_degrees as complete_degrees
 from torickit.cox import cox_report, positive_kernel_vector
 from torickit.errors import (
+    DimensionMismatchError,
     InconsistentError,
     NonIntegralError,
     NonPositiveError,
@@ -329,6 +330,31 @@ class TestIntegerInputs:
     )
     def test_clear_denominators_gives_the_primitive_ray(self, vec, cleared):
         assert clear_denominators(vec) == cleared
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "rows, cols, entries, error, message",
+        [
+            (-1, 0, (), ValueError, "dimensions must be nonnegative"),
+            (0, -2, (), ValueError, "dimensions must be nonnegative"),
+            (2, 1, ((1,),), ValueError, "declared row count"),
+            (1, 2, ((1, 2, 3),), ValueError, "entry row length"),
+            (1, 2, ((1, 2.0),), TypeError, "exact integers"),
+        ],
+        ids=["negative-rows", "negative-cols", "row-count", "row-length", "float-entry"],
+    )
+    def test_inconsistent_matrices_are_refused(self, rows, cols, entries, error, message):
+        with pytest.raises(error, match=message):
+            IntegerMatrix(rows, cols, entries)
+
+    def test_product_needs_matching_inner_dimensions(self):
+        a = IntegerMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(DimensionMismatchError, match="cannot multiply 2x3 by 2x3"):
+            a @ a
+        with pytest.raises(DimensionMismatchError, match="vector of length 2 against 2x3 matrix"):
+            a.apply((1, 1))
+        assert a.apply((1, 0, -1)) == (-2, -2)
 
 
 class TestDegenerateShapes:

@@ -6,6 +6,7 @@ interpreter, since this test process has imported every module already.
 """
 
 import ast
+import importlib.util
 import json
 import subprocess
 import sys
@@ -295,6 +296,25 @@ def test_threads_first_reading_a_module_see_it_whole():
     proc = run_fresh("-c", THREADS_SCRIPT)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_running_code_reading_its_own_unbound_name_is_refused():
+    # As in a circular import: the module's own code reads a name of the
+    # module before binding it, and must not run the module a second time.
+    class Loader:
+        def create_module(self, spec):
+            return None
+
+        def exec_module(self, module):
+            module.early = 1
+            with pytest.raises(AttributeError) as info:
+                module.late
+            module.late = str(info.value)
+
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader("probe", Loader()))
+    module.__class__ = torickit._LazyModule
+    assert module.early == 1 and type(module) is types.ModuleType
+    assert module.late == "partially initialized module 'probe' has no attribute 'late'"
 
 
 def test_vars_and_dir_run_the_module():

@@ -1,10 +1,13 @@
 """torickit's records against `dataclasses.dataclass(frozen=True)`.
 
 Every record class is compared with a frozen dataclass twin built here
-from the same annotations, defaults and `__post_init__`; the dataclass is
-the reference for repr, equality, hashing, construction and immutability.
+from the same annotations and `__post_init__`; the dataclass is the
+reference for repr, equality, hashing, construction and immutability. A
+static check parses every record class in the package, so none declares
+what `record` would silently replace or not support.
 """
 
+import ast
 import copy
 import dataclasses
 import functools
@@ -12,6 +15,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -98,9 +102,6 @@ def twin(cls):
         "__qualname__": cls.__qualname__,
         "__module__": __name__,
     }
-    for name in fields(cls):
-        if name in cls.__dict__:
-            namespace[name] = cls.__dict__[name]
     if "__post_init__" in cls.__dict__:
         namespace["__post_init__"] = cls.__dict__["__post_init__"]
     return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
@@ -185,13 +186,13 @@ def test_not_a_dataclass():
     assert not any(dataclasses.is_dataclass(obj) for obj in SAMPLES)
 
 
-def test_default_argument():
-    doc = FanDocument(1, 2, ((1, 0),), ((0,),))
-    assert doc.name is None
-    assert doc == FanDocument(1, 2, ((1, 0),), ((0,),), None)
-    assert repr(doc) == repr(twin(FanDocument)(1, 2, ((1, 0),), ((0,),)))
-    with pytest.raises(TypeError):
-        FanDocument(1, 2, ((1, 0),))
+def test_every_field_is_required():
+    doc = FanDocument(1, 2, ((1, 0),), ((0,),), None)
+    assert doc == FanDocument(1, 2, ((1, 0),), ((0,),), name=None)
+    assert repr(doc) == repr(twin(FanDocument)(1, 2, ((1, 0),), ((0,),), None))
+    for cls in (FanDocument, twin(FanDocument)):
+        with pytest.raises(TypeError):
+            cls(1, 2, ((1, 0),), ((0,),))
 
 
 def test_post_init_still_rejects():
@@ -214,17 +215,40 @@ def test_different_record_classes_never_equal():
     assert hash(Twin((1, 2))) == hash(DegreeVector((1, 2)))
 
 
-def test_class_body_methods_are_kept():
-    @_record.record
-    class Loud:
-        x: int
-        y: int = 7
+def record_class_bodies():
+    """(module, class name, class body) for every `@record` class in the
+    torickit sources, read from their syntax trees."""
+    found = []
+    for path in sorted(Path(_record.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list
+            ):
+                found.append((path.stem, node.name, node.body))
+    return found
 
-        def __repr__(self):
-            return "loud"
 
-    assert repr(Loud(1)) == "loud"
-    assert Loud(1) == Loud(x=1, y=7) and Loud(1) != Loud(1, 8)
+def test_record_classes_declare_only_what_record_builds():
+    # `record` gives fields no defaults and replaces every name in
+    # `_GENERATED`, so a default or an override would be silently lost.
+    bodies = record_class_bodies()
+    assert {(module, name) for module, name, _ in bodies} == {
+        (cls.__module__.rpartition(".")[2], cls.__qualname__) for cls in record_classes()
+    }
+    for module, name, body in bodies:
+        annotated = [s for s in body if isinstance(s, ast.AnnAssign)]
+        assert annotated, f"{module}.{name} declares no field"
+        assert all(s.value is None for s in annotated), f"{module}.{name} has a field default"
+        field_names = {s.target.id for s in annotated}
+        defined = set()
+        for s in body:
+            if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(s.name)
+            elif isinstance(s, ast.Assign):
+                defined.update(t.id for t in s.targets if isinstance(t, ast.Name))
+        assert not defined & field_names, f"{module}.{name} assigns a field in its body"
+        overridden = defined & set(_record._GENERATED)
+        assert not overridden, f"{module}.{name} defines {sorted(overridden)}"
 
 
 def test_cli_import_skips_heavy_stdlib_modules():
