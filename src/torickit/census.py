@@ -78,11 +78,13 @@ def _integer_inverse(m: IntegerMatrix) -> IntegerMatrix:
 
 
 def _lattice_data(fan: Fan) -> tuple:
-    """(invariants, U, coordinates, profiles) of a valid fan, from one Smith
-    form U G V = S of its generator matrix G: the invariants and per-ray
-    profiles of the module docstring, and each ray's coordinates on the
-    saturation of the rays' span, the first rank(G) entries of U g (the
-    rest vanish because UGV = S)."""
+    """(invariants, U, coordinates, profiles, lookup, frame, last, last F^-1)
+    of a valid fan: the invariants and per-ray profiles of the module
+    docstring; from one Smith form U G V = S of the generator matrix G, each
+    ray's coordinates on the saturation of the rays' span, the first rank(G)
+    entries of U g (the rest vanish), and their ray lookup; and from one
+    reduction of [C | I] for the full-row-rank coordinate matrix C, its
+    pivots, all on C's columns (the frame F), and last F^-1 in place of I."""
     snf = smith_normal_form(fan.generator_matrix())
     profiles = [
         tuple(sorted(len(cone) for cone in fan.cones if i in cone)) for i in range(fan.ray_count)
@@ -95,7 +97,12 @@ def _lattice_data(fan: Fan) -> tuple:
         snf.elementary_divisors,
     )
     coords = [snf.U.apply(g)[: snf.rank] for g in fan.generators]
-    return invariants, snf.U, coords, profiles
+    reduced, frame, last, _ = _fraction_free_rref(
+        [[v[k] for v in coords] + [int(k == j) for j in range(snf.rank)] for k in range(snf.rank)]
+    )
+    lookup = {vec: idx for idx, vec in enumerate(coords)}
+    inverse = [row[fan.ray_count :] for row in reduced]
+    return invariants, snf.U, coords, profiles, lookup, frame, last, inverse
 
 
 def fan_isomorphism(a: Fan, b: Fan):
@@ -134,25 +141,17 @@ def _isomorphism(a: Fan, data_a, b: Fan, data_b):
     given their `_lattice_data`: the rank x rank integer map W on the
     saturation coordinates, as a list of rows, or None."""
     r = a.ray_count
-    (*_, divisors), _, coords_a, profiles_a = data_a
-    _, _, coords_b, profiles_b = data_b
-    rank = len(divisors)
+    _, _, coords_a, profiles_a, _, frame, last, scaled_inverse = data_a
+    _, _, coords_b, profiles_b, lookup, *_ = data_b
+    rank = len(frame)
     # The rays span sublattices with equal elementary divisors in the
     # saturation coordinates, and a unimodular map preserves them. So an
     # integral W that maps the rays of a bijectively onto those of b
     # carries one sublattice onto the other, and |det W| = 1 follows and
     # needs no test per candidate.
-    lookup = {vec: idx for idx, vec in enumerate(coords_b)}
-
-    # The first independent rays of a: the pivot columns of its coordinates.
-    frame = _fraction_free_rref([[v[k] for v in coords_a] for k in range(rank)])[1]
     candidates = [[t for t in range(r) if profiles_b[t] == profiles_a[i]] for i in frame]
-
-    # W F = T for the frame matrix F (columns coords_a[frame]) and each
-    # target matrix T, so W = T (last F^-1) / last with F inverted once.
-    last, scaled_inverse = _scaled_inverse(
-        [[coords_a[i][k] for i in frame] for k in range(rank)]
-    )
+    # W F = T for the frame matrix F and each target matrix T, so
+    # W = T (last F^-1) / last, with F inverted once per fan.
     for target in itertools.product(*candidates):
         if len(set(target)) != rank:
             continue
@@ -183,8 +182,8 @@ def isomorphism_classes(fans: list[Fan]) -> list[list[int]]:
 
     Every fan must be valid (see `validate_fan`), as for `fan_isomorphism`.
     Fans are bucketed by their invariants, and each fan is compared only
-    with the first members of the classes in its bucket; every fan's Smith
-    form is computed once, and no n x n matrix is built.
+    with the first members of the classes in its bucket; every fan is
+    reduced once, and no n x n matrix is built.
     """
     classes: list[list[int]] = []
     # Per invariant tuple: (first member's lattice data, class) pairs.

@@ -7,18 +7,22 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import torickit.cli
 import torickit.cox
 import torickit.fans
 import torickit.stability
 
+from strategies import ISOMORPHISM_POOL, acted_on, shared_root_tuples, unimodular_rows
 from worst_cases import ABOVE_CAPS, CLI, DEV_PYTHON, fresh_env
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cli import main
 from torickit.census import enumerate_subfans
+from torickit.document import document_from_fan, document_to_obj, poly_tuple_to_obj
 from torickit.fans import Fan, is_smooth
-from torickit.holmap import MAX_DEGREE
+from torickit.holmap import MAX_DEGREE, PolyTuple
 from torickit.schemas import (
     ANALYZE_OUTPUT_SCHEMA,
     ERROR_OUTPUT_SCHEMA,
@@ -504,6 +508,104 @@ class TestSubfans:
         flags = [s["smooth"] for s in out["subfans"]]
         assert flags == [is_smooth(sub) for sub in enumerate_subfans(fan)]
         assert True in flags and False in flags
+
+
+def _relabelled(collections, perm=None):
+    """One-based index sets as a set of sets, with ray i renamed perm[i]."""
+    return {frozenset(i if perm is None else perm[i - 1] + 1 for i in c) for c in collections}
+
+
+def _permuted(values, perm):
+    """The list with values[i] moved to position perm[i]."""
+    moved = [None] * len(values)
+    for i, value in enumerate(values):
+        moved[perm[i]] = value
+    return moved
+
+
+class TestRelabellingInvariance:
+    """A fan and its image under GL(n,Z) x S_r give the same bodies up to
+    the renaming of rays."""
+
+    # The file and capture fixtures are shared by the examples: each one
+    # rewrites its files and reads its own output.
+    @settings(
+        max_examples=50,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.sampled_from(ISOMORPHISM_POOL), st.data())
+    def test_bodies_agree_up_to_relabelling(self, tmp_path, run_cli, fan, data):
+        perm = data.draw(st.permutations(range(fan.ray_count)))
+        image = acted_on(fan, data.draw(unimodular_rows(fan.dim)), perm)
+        roots = data.draw(shared_root_tuples(fan.ray_count))
+
+        def save(name, obj):
+            (tmp_path / name).write_text(json.dumps(obj))
+            return str(tmp_path / name)
+
+        # One document name for both, since analyze and stability echo it.
+        fan_path, image_path = (
+            save(name, document_to_obj(document_from_fan(f, "pool")))
+            for name, f in [("fan.json", fan), ("image.json", image)]
+        )
+
+        (code, before), (image_code, after) = (run_cli("analyze", p) for p in (fan_path, image_path))
+        assert code == image_code == 0
+        assert _relabelled(before.pop("primitive_collections"), perm) == _relabelled(
+            after.pop("primitive_collections")
+        )
+        witness, image_witness = before["cox"].pop("witness_degree"), after["cox"].pop("witness_degree")
+        assert before == after
+        # The witness breaks ties in ray order, so the image's need only be
+        # a positive kernel vector with the same entry sum.
+        if witness is None:
+            assert image_witness is None
+        else:
+            assert min(image_witness) > 0 and sum(image_witness) == sum(witness)
+            assert not any(
+                sum(d * g[k] for d, g in zip(image_witness, image.generators)) for k in range(image.dim)
+            )
+
+        degrees = witness or [1] * fan.ray_count
+        (code, before), (image_code, after) = (
+            run_cli("stability", p, "--degrees", ",".join(map(str, d)))
+            for p, d in [(fan_path, degrees), (image_path, _permuted(degrees, perm))]
+        )
+        assert code == image_code
+        if code:
+            assert before["error"] == after["error"]
+        else:
+            assert _relabelled(before.pop("primitive_collections"), perm) == _relabelled(
+                after.pop("primitive_collections")
+            )
+            assert _permuted(before.pop("degrees"), perm) == after.pop("degrees")
+            assert before == after
+
+        (code, before), (image_code, after) = (
+            run_cli("holcheck", p, save(name, poly_tuple_to_obj(PolyTuple.from_polys(polys))))
+            for p, name, polys in [
+                (fan_path, "tuple.json", roots.polys),
+                (image_path, "image-tuple.json", _permuted(roots.polys, perm)),
+            ]
+        )
+        assert code == image_code == 0
+        assert before["member"] is after["member"]
+        assert _relabelled(before["violated_collections"], perm) == _relabelled(
+            after["violated_collections"]
+        )
+        assert _permuted(before["degrees"], perm) == after["degrees"]
+
+        (code, before), (image_code, after) = (
+            run_cli("subfans", p, "--classify") for p in (fan_path, image_path)
+        )
+        assert code == image_code == 0
+        assert before["count"] == after["count"]
+        assert before["classes"]["count"] == after["classes"]["count"]
+        sizes = [sorted(map(len, body["classes"]["members"])) for body in (before, after)]
+        assert sizes[0] == sizes[1]
 
 
 class TestDeterminism:

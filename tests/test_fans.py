@@ -24,12 +24,20 @@ from oracles import (
     pseudomanifold_is_complete,
     recursive_subfans,
 )
+from strategies import ISOMORPHISM_POOL, acted_on, product_fan, unimodular_rows
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan, load_catalog
 from torickit.cox import cox_report
 from torickit.errors import NoPrimitiveCollectionError, SubfanCountAboveCapError
-from torickit.census import _lattice_data, enumerate_subfans, fan_isomorphism, isomorphism_classes
+from torickit.census import (
+    _isomorphism,
+    _lattice_data,
+    _scaled_inverse,
+    enumerate_subfans,
+    fan_isomorphism,
+    isomorphism_classes,
+)
 from torickit.fans import Fan, is_complete, is_smooth, primitive_collections, validate_fan
-from torickit.lattice import primitivize
+from torickit.lattice import _fraction_free_rref, primitivize
 from torickit.stability import is_nonface, nonface_family, r_min
 
 
@@ -556,51 +564,6 @@ class TestSubfans:
             enumerate_subfans(surface)
 
 
-def product_fan(*ns: int) -> Fan:
-    """cp_{n1} x cp_{n2} x ...: each factor's rays in their own block of
-    coordinates, and every product of maximal cones."""
-    factors = [cp_fan(n) for n in ns]
-    dim = sum(f.dim for f in factors)
-    gens, cones, offset = [], [()], 0
-    for f in factors:
-        base = len(gens)
-        gens += [(0,) * offset + g + (0,) * (dim - offset - f.dim) for g in f.generators]
-        cones = [c + tuple(base + i for i in sorted(m)) for c in cones for m in f.cones]
-        offset += f.dim
-    return Fan.from_maximal(gens, cones)
-
-
-@st.composite
-def unimodular_rows(draw, n):
-    """An n x n unimodular matrix: the identity under a few row additions,
-    sign flips and a row permutation."""
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    if n > 1:
-        for _ in range(draw(st.integers(0, 6))):
-            a, b = draw(st.permutations(range(n)))[:2]
-            factor = draw(st.sampled_from([-2, -1, 1, 2]))
-            u[a] = [x + factor * y for x, y in zip(u[a], u[b])]
-    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
-    order = draw(st.permutations(range(n)))
-    return [[signs[i] * x for x in u[order[i]]] for i in range(n)]
-
-
-def acted_on(fan: Fan, u, perm) -> Fan:
-    """The image of a fan under the matrix u, with ray i renamed perm[i]."""
-    generators = [None] * fan.ray_count
-    for i, g in enumerate(fan.generators):
-        generators[perm[i]] = tuple(sum(x * y for x, y in zip(row, g)) for row in u)
-    cones = frozenset(frozenset(perm[i] for i in cone) for cone in fan.cones)
-    return Fan(fan.dim, tuple(generators), cones)
-
-
-ISOMORPHISM_POOL = [
-    fan
-    for base in [hirzebruch_fan(1), hirzebruch_fan(3), cp_fan(2), cp_fan(3), c2_fan(), product_fan(1, 1)]
-    for fan in [base] + enumerate_subfans(base)
-]
-
-
 class TestIsomorphism:
     def test_identity(self, hirzebruch1):
         u = fan_isomorphism(hirzebruch1, hirzebruch1)
@@ -771,6 +734,41 @@ class TestIsomorphism:
         # would show.
         assert sum(len(group) - 1 for group in classes) > len(subs) // 2
         assert len(calls) == len(subs)
+
+    def test_classes_reduce_each_fan_once(self, monkeypatch):
+        subs = enumerate_subfans(cp_fan(3))
+        calls = []
+        original = torickit.census._fraction_free_rref
+
+        def counted(rows):
+            calls.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(torickit.census, "_fraction_free_rref", counted)
+        classes = isomorphism_classes(subs)
+        # One elimination per fan: two more per comparison would make 188.
+        assert len(calls) == len(subs) == 112
+        # The search itself eliminates nothing.
+        a, b = (subs[i] for i in next(group for group in classes if len(group) > 1)[:2])
+        data_a, data_b = _lattice_data(a), _lattice_data(b)
+        calls.clear()
+        assert _isomorphism(a, data_a, b, data_b) is not None and calls == []
+
+    def test_one_reduction_gives_the_frame_and_its_inverse(self):
+        # The frame of the coordinates alone, and the scaled inverse of its
+        # columns from a reduction of their own; the last two fans are
+        # rank-deficient.
+        h1 = hirzebruch_fan(1)
+        rank_deficient = [
+            Fan.from_maximal([(2, 1)], [(0,)]),
+            Fan(3, tuple(g + (0,) for g in h1.generators), h1.cones),
+        ]
+        for fan in ISOMORPHISM_POOL + rank_deficient:
+            (*_, divisors), _, coords, _, lookup, frame, last, inverse = _lattice_data(fan)
+            rank = len(divisors)
+            assert frame == _fraction_free_rref([[v[k] for v in coords] for k in range(rank)])[1]
+            assert (last, inverse) == _scaled_inverse([[coords[i][k] for i in frame] for k in range(rank)])
+            assert lookup == {v: i for i, v in enumerate(coords)}
 
     def test_classes_lift_no_matrix(self, monkeypatch):
         # Classification compares maps on the saturations only: no

@@ -285,6 +285,14 @@ ROWS = (
         0,
         lambda r: r["classes"]["count"] == 157,
     ),
+    # 12,642 subfans in 401 classes: ten times the census above.
+    Row(
+        "cp1x3-classes",
+        lambda: {"cp1x3.json": cp1_power(3)},
+        ("subfans", "cp1x3.json", "--classify"),
+        0,
+        lambda r: r["count"] == 12642 and r["classes"]["count"] == 401,
+    ),
 )
 
 DIGESTS = {
@@ -295,6 +303,7 @@ DIGESTS = {
     "cp1.json": "c6c23d0792dd4bac0ac63c795a941d9c3cd500800ce4b5beee54b09ca8c65543",
     "cp19-one-cone.json": "f0b6068df6b9450a4e2fcdc7ba566a256638919a12f10e07c436ce87060442d8",
     "cp19.json": "75f35634cb8724c8a2783885e5b12979d6a3b4321a973df6ffad5876e2656ca8",
+    "cp1x3.json": "f6539e7964529b2da1b0b02f0d143b6eaabee07d4566cf856f2ecd843d67f6fd",
     "cp2.json": "1eef7b29550d2eba7a00ffb4b7922f244b30eee67f45ad895ef95991e0c670ed",
     "cp20.json": "cead9072a709ff3022327c64bf1de78ed937cc5d97ef7970c6df3ca8ea8f711b",
     "cp2xcp1.json": "6aba22ea45ee461b8a85eeb529ff79a4704c10b562169e91142b0295fffaa6d6",
