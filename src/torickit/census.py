@@ -6,7 +6,9 @@ ray count, maximal-cone sizes, per-ray profiles of the sizes of the
 cones through each ray, elementary divisors) and rejects on any
 difference; only then does it search, mapping each frame ray only to the
 rays of the same profile. Classification buckets the fans by these
-invariants and searches within a bucket only.
+invariants and searches within a bucket only. The Smith form, coordinates
+and frame depend on the generators alone, so a census reduces each
+generator table once: subfans share their parent's.
 """
 
 from __future__ import annotations
@@ -77,32 +79,30 @@ def _integer_inverse(m: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix.from_rows([[e * last for e in row] for row in scaled])
 
 
-def _lattice_data(fan: Fan) -> tuple:
+def _lattice_data(fan: Fan, tables: dict) -> tuple:
     """(invariants, U, coordinates, profiles, lookup, frame, last, last F^-1)
     of a valid fan: the invariants and per-ray profiles of the module
-    docstring; from one Smith form U G V = S of the generator matrix G, each
-    ray's coordinates on the saturation of the rays' span, the first rank(G)
-    entries of U g (the rest vanish), and their ray lookup; and from one
-    reduction of [C | I] for the full-row-rank coordinate matrix C, its
+    docstring; and, once per generator table (kept in `tables`, keyed by
+    `fan.generators`), from one Smith form U G V = S of the generator matrix
+    G, each ray's coordinates on the saturation of the rays' span, the first
+    rank(G) entries of U g (the rest vanish), and their ray lookup, and from
+    one reduction of [C | I] for the full-row-rank coordinate matrix C, its
     pivots, all on C's columns (the frame F), and last F^-1 in place of I."""
-    snf = smith_normal_form(fan.generator_matrix())
-    profiles = [
-        tuple(sorted(len(cone) for cone in fan.cones if i in cone)) for i in range(fan.ray_count)
-    ]
-    invariants = (
-        fan.dim,
-        fan.ray_count,
-        tuple(sorted(len(cone) for cone in fan.cones)),
-        tuple(sorted(profiles)),
-        snf.elementary_divisors,
-    )
-    coords = [snf.U.apply(g)[: snf.rank] for g in fan.generators]
-    reduced, frame, last, _ = _fraction_free_rref(
-        [[v[k] for v in coords] + [int(k == j) for j in range(snf.rank)] for k in range(snf.rank)]
-    )
-    lookup = {vec: idx for idx, vec in enumerate(coords)}
-    inverse = [row[fan.ray_count :] for row in reduced]
-    return invariants, snf.U, coords, profiles, lookup, frame, last, inverse
+    if fan.generators not in tables:
+        snf = smith_normal_form(fan.generator_matrix())
+        rank = len(snf.elementary_divisors)
+        coords = [snf.U.apply(g)[:rank] for g in fan.generators]
+        reduced, frame, last, _ = _fraction_free_rref(
+            [[v[k] for v in coords] + [int(k == j) for j in range(rank)] for k in range(rank)]
+        )
+        lookup = {vec: idx for idx, vec in enumerate(coords)}
+        inverse = [row[fan.ray_count :] for row in reduced]
+        tables[fan.generators] = snf.elementary_divisors, snf.U, coords, lookup, frame, last, inverse
+    divisors, u, coords, lookup, frame, last, inverse = tables[fan.generators]
+    profiles = [tuple(sorted(len(c) for c in fan.cones if i in c)) for i in range(fan.ray_count)]
+    sizes = tuple(sorted(map(len, fan.cones)))
+    invariants = (fan.dim, fan.ray_count, sizes, tuple(sorted(profiles)), divisors)
+    return invariants, u, coords, profiles, lookup, frame, last, inverse
 
 
 def fan_isomorphism(a: Fan, b: Fan):
@@ -123,7 +123,8 @@ def fan_isomorphism(a: Fan, b: Fan):
     tuples. Only the accepted map, on the saturations, is lifted to an n x n
     matrix; `isomorphism_classes` lifts none.
     """
-    data_a, data_b = _lattice_data(a), _lattice_data(b)
+    tables: dict = {}
+    data_a, data_b = _lattice_data(a, tables), _lattice_data(b, tables)
     if data_a[0] != data_b[0]:
         return None
     w = _isomorphism(a, data_a, b, data_b)
@@ -182,14 +183,16 @@ def isomorphism_classes(fans: list[Fan]) -> list[list[int]]:
 
     Every fan must be valid (see `validate_fan`), as for `fan_isomorphism`.
     Fans are bucketed by their invariants, and each fan is compared only
-    with the first members of the classes in its bucket; every fan is
-    reduced once, and no n x n matrix is built.
+    with the first members of the classes in its bucket; each generator
+    table is reduced once, however many fans share it (all of a fan's
+    subfans do), and no n x n matrix is built.
     """
     classes: list[list[int]] = []
     # Per invariant tuple: (first member's lattice data, class) pairs.
     buckets: dict[tuple, list[tuple]] = {}
+    tables: dict = {}
     for idx, fan in enumerate(fans):
-        data = _lattice_data(fan)
+        data = _lattice_data(fan, tables)
         bucket = buckets.setdefault(data[0], [])
         for first_data, group in bucket:
             if _isomorphism(fans[group[0]], first_data, fan, data) is not None:

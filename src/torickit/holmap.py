@@ -40,9 +40,11 @@ from .gaussian import (
 # takes about 0.4 s and `stabilize` about 0.6 s as fresh CLI processes
 # (2 vCPU, CPython 3.11); a shared root too tall for one prime's
 # reconstruction bound makes the gcd take three primes and `holcheck` 0.8 s.
-# The slowest known input within the cap is a degree-160 divisor of a
-# degree-320 polynomial on cp1: `holcheck` takes about 7 s (2 vCPU,
-# CPython 3.11.7), most of it in exact trial division (ROADMAP item 5).
+# A degree-160 divisor of a degree-320 polynomial on cp1 takes `holcheck`
+# about 7 s (2 vCPU, CPython 3.11.7), mostly exact trial division (ROADMAP
+# item 5). A slower input lies within every cap: a 64-cone subfan of cp19 with
+# 4,396 primitive collections and 20 polynomials of degree 320 was killed
+# at 300 s (ROADMAP item 14).
 MAX_DEGREE = 320
 
 

@@ -15,7 +15,7 @@ import torickit.cox
 import torickit.fans
 import torickit.stability
 
-from strategies import ISOMORPHISM_POOL, acted_on, shared_root_tuples, unimodular_rows
+from strategies import acted_on, pool_fans, shared_root_tuples, unimodular_rows
 from worst_cases import ABOVE_CAPS, CLI, DEV_PYTHON, fresh_env
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan
 from torickit.cli import main
@@ -536,7 +536,7 @@ class TestRelabellingInvariance:
         database=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(st.sampled_from(ISOMORPHISM_POOL), st.data())
+    @given(pool_fans, st.data())
     def test_bodies_agree_up_to_relabelling(self, tmp_path, run_cli, fan, data):
         perm = data.draw(st.permutations(range(fan.ray_count)))
         image = acted_on(fan, data.draw(unimodular_rows(fan.dim)), perm)

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +25,7 @@ from oracles import (
     pseudomanifold_is_complete,
     recursive_subfans,
 )
-from strategies import ISOMORPHISM_POOL, acted_on, product_fan, unimodular_rows
+from strategies import ISOMORPHISM_FAMILIES, ISOMORPHISM_POOL, acted_on, product_fan, unimodular_rows
 from torickit.catalog import c2_fan, cp_fan, hirzebruch_fan, load_catalog
 from torickit.cox import cox_report
 from torickit.errors import NoPrimitiveCollectionError, SubfanCountAboveCapError
@@ -38,6 +39,7 @@ from torickit.census import (
 )
 from torickit.fans import Fan, is_complete, is_smooth, primitive_collections, validate_fan
 from torickit.lattice import _fraction_free_rref, primitivize
+from torickit.smith import smith_normal_form
 from torickit.stability import is_nonface, nonface_family, r_min
 
 
@@ -577,8 +579,8 @@ class TestIsomorphism:
         # e1 -> (1, 0), e2 -> (1, 2) is integral with determinant 2.
         smooth = Fan.from_maximal([(1, 0), (0, 1)], [(0, 1)])
         singular = Fan.from_maximal([(1, 0), (1, 2)], [(0, 1)])
-        assert _lattice_data(smooth)[0][:4] == _lattice_data(singular)[0][:4]
-        assert _lattice_data(smooth)[0] != _lattice_data(singular)[0]
+        assert _lattice_data(smooth, {})[0][:4] == _lattice_data(singular, {})[0][:4]
+        assert _lattice_data(smooth, {})[0] != _lattice_data(singular, {})[0]
         assert fan_isomorphism(smooth, singular) is None
         assert fan_isomorphism(singular, smooth) is None
 
@@ -590,7 +592,7 @@ class TestIsomorphism:
         b = Fan.from_maximal([(1, 0), (0, 1), (1, 2)], [])
         c = Fan.from_maximal([(1, 0), (0, 1), (1, 1)], [])
         assert all(validate_fan(fan).valid for fan in (a, b, c))
-        assert _lattice_data(a)[0] == _lattice_data(b)[0] == _lattice_data(c)[0]
+        assert _lattice_data(a, {})[0] == _lattice_data(b, {})[0] == _lattice_data(c, {})[0]
         # The search tries the targets of the frame in lexicographic order.
         # Onto rays (0, 1) of b the map has determinant 1/2, so it is
         # skipped as not integral, and the one found sends the frame onto
@@ -731,9 +733,14 @@ class TestIsomorphism:
         monkeypatch.setattr(torickit.census, "smith_normal_form", counted)
         classes = isomorphism_classes(subs)
         # Far more comparisons than fans, so two forms per comparison
-        # would show.
+        # would show, and every subfan has cp3's generator table, so one
+        # form per fan would show.
         assert sum(len(group) - 1 for group in classes) > len(subs) // 2
-        assert len(calls) == len(subs)
+        assert len(calls) == 1
+        # fan_isomorphism shares one table between its two fans.
+        a, b = (subs[i] for i in next(group for group in classes if len(group) > 1)[:2])
+        calls.clear()
+        assert fan_isomorphism(a, b) is not None and len(calls) == 1
 
     def test_classes_reduce_each_fan_once(self, monkeypatch):
         subs = enumerate_subfans(cp_fan(3))
@@ -746,13 +753,39 @@ class TestIsomorphism:
 
         monkeypatch.setattr(torickit.census, "_fraction_free_rref", counted)
         classes = isomorphism_classes(subs)
-        # One elimination per fan: two more per comparison would make 188.
-        assert len(calls) == len(subs) == 112
+        # One elimination for the 112 subfans' one generator table: one per
+        # fan would make 112, and two more per comparison 188.
+        assert len(subs) == 112 and len(calls) == 1
         # The search itself eliminates nothing.
         a, b = (subs[i] for i in next(group for group in classes if len(group) > 1)[:2])
-        data_a, data_b = _lattice_data(a), _lattice_data(b)
+        calls.clear()
+        tables = {}
+        data_a, data_b = _lattice_data(a, tables), _lattice_data(b, tables)
+        assert len(calls) == 1
         calls.clear()
         assert _isomorphism(a, data_a, b, data_b) is not None and calls == []
+
+    @settings(PROPERTY, max_examples=40)
+    @given(st.data())
+    def test_classes_over_interleaved_generator_tables(self, data):
+        # Subfans of two or three bases and the images of some of them under
+        # one lattice map and relabelling per base, shuffled: one or two
+        # generator tables per base, and an image is isomorphic to its
+        # preimage across tables.
+        families = data.draw(
+            st.lists(st.sampled_from(ISOMORPHISM_FAMILIES), min_size=2, max_size=3, unique_by=id)
+        )
+        fans = []
+        for family in families:
+            members = data.draw(st.lists(st.sampled_from(family), min_size=1, max_size=8))
+            u = data.draw(unimodular_rows(family[0].dim))
+            perm = data.draw(st.permutations(range(family[0].ray_count)))
+            fans += members + [acted_on(fan, u, perm) for fan in members[: data.draw(st.integers(0, 4))]]
+        fans = data.draw(st.permutations(fans))
+        with mock.patch.object(torickit.census, "smith_normal_form", wraps=smith_normal_form) as counted:
+            classes = isomorphism_classes(fans)
+        assert classes == pairwise_isomorphism_classes(fans)
+        assert counted.call_count == len({fan.generators for fan in fans})
 
     def test_one_reduction_gives_the_frame_and_its_inverse(self):
         # The frame of the coordinates alone, and the scaled inverse of its
@@ -764,7 +797,7 @@ class TestIsomorphism:
             Fan(3, tuple(g + (0,) for g in h1.generators), h1.cones),
         ]
         for fan in ISOMORPHISM_POOL + rank_deficient:
-            (*_, divisors), _, coords, _, lookup, frame, last, inverse = _lattice_data(fan)
+            (*_, divisors), _, coords, _, lookup, frame, last, inverse = _lattice_data(fan, {})
             rank = len(divisors)
             assert frame == _fraction_free_rref([[v[k] for v in coords] for k in range(rank)])[1]
             assert (last, inverse) == _scaled_inverse([[coords[i][k] for i in frame] for k in range(rank)])
@@ -791,7 +824,7 @@ class TestIsomorphism:
         u = data.draw(unimodular_rows(fan.dim))
         perm = data.draw(st.permutations(range(fan.ray_count)))
         image = acted_on(fan, u, perm)
-        assert _lattice_data(image)[0] == _lattice_data(fan)[0]
+        assert _lattice_data(image, {})[0] == _lattice_data(fan, {})[0]
         witness = fan_isomorphism(fan, image)
         assert witness is not None and is_unimodular(witness)
         mapping = [image.generators.index(witness.apply(g)) for g in fan.generators]

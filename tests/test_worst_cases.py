@@ -63,3 +63,11 @@ def test_a_row_past_the_budget_fails_and_leaves_no_process(tmp_path, capsys, mon
     (child,) = started
     with pytest.raises(ChildProcessError):
         os.waitpid(child.pid, os.WNOHANG)
+
+
+def test_the_smaller_census_row_passes(tmp_path, capsys):
+    # About a second as a fresh process, so tier-1 checks its pinned body
+    # too; CI runs the cp1^3 census row beside it.
+    row = next(row for row in worst_cases.ROWS if row.name == "cp2xcp1-classes")
+    assert worst_cases.run(tmp_path, [row]) is True
+    assert capsys.readouterr().out.startswith("ok   cp2xcp1-classes: ")

@@ -5,7 +5,8 @@ past a cap must be refused with its error code. Each row of `ROWS` is one
 fresh `python -X dev -W error -m torickit.cli` process: a name, a seeded
 builder that returns {file name: JSON object}, the argv (file names the
 builder returns stand for their paths), the expected exit code and a
-predicate on the JSON body. `DIGESTS` pins the sha256 of every input file.
+predicate on the JSON body. `DIGESTS` pins the sha256 of every input
+file, and the two census rows pin the sha256 of their whole body.
 
     python tests/worst_cases.py OUT_DIR
 
@@ -178,6 +179,11 @@ def _error(code):
     return lambda r: r["error"] == code
 
 
+def _digest(body):
+    """The sha256 of the body as `json.dumps` writes it back."""
+    return hashlib.sha256(json.dumps(body).encode()).hexdigest()
+
+
 def _verdict(member, *violated):
     return lambda r: r["member"] is member and r["violated_collections"] == list(violated)
 
@@ -277,13 +283,15 @@ ROWS = (
         )
         for name in ABOVE_CAPS
     ),
-    # 1,194 subfans in 157 classes.
+    # 1,194 subfans in 157 classes. The whole body is pinned, so a change in
+    # a class's members or in the order of the classes fails the row.
     Row(
         "cp2xcp1-classes",
         _cp2xcp1,
         ("subfans", "cp2xcp1.json", "--classify"),
         0,
-        lambda r: r["classes"]["count"] == 157,
+        lambda r: r["classes"]["count"] == 157
+        and _digest(r) == "d5507d817ccfe4e12970287920c2bf9c3f73c78b397ccd0736762dc537d98e17",
     ),
     # 12,642 subfans in 401 classes: ten times the census above.
     Row(
@@ -291,7 +299,9 @@ ROWS = (
         lambda: {"cp1x3.json": cp1_power(3)},
         ("subfans", "cp1x3.json", "--classify"),
         0,
-        lambda r: r["count"] == 12642 and r["classes"]["count"] == 401,
+        lambda r: r["count"] == 12642
+        and r["classes"]["count"] == 401
+        and _digest(r) == "0b5b67b49297829f68c28668f9fd9cbaeed12f60ff320639262d5289f1b6e903",
     ),
 )
 
